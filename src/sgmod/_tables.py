@@ -75,3 +75,52 @@ def audit_abelian_group(add: np.ndarray, zero: int, what: str) -> None:
     audit_identity(add, zero, f"{what} addition")
     audit_associative(add, f"{what} addition")
     audit_group_rows(add, f"{what} addition")
+
+
+# ---------------------------------------------------------------------------
+# generator checks: exact, one (rows, cols) gather per generator
+
+
+def additive_generators(add: np.ndarray, zero: int) -> list[int]:
+    """Greedy generators of a commutative table: each is the least element
+    outside the closure of the ones before it. The closure grows by whole
+    frontiers, so a cyclic group takes about log2 n steps, not n. The
+    trivial group yields [zero], so checks over the result still see it.
+    """
+    n = add.shape[0]
+    inspan = np.zeros(n, dtype=bool)
+    inspan[zero] = True
+    span = np.array([zero], dtype=np.int64)
+    gens: list[int] = []
+    while len(span) < n:
+        frontier = np.array([int(np.argmin(inspan))], dtype=np.int64)
+        gens.append(int(frontier[0]))
+        while frontier.size:
+            inspan[frontier] = True
+            span = np.concatenate([span, frontier])
+            # the table is commutative, so span x frontier covers every new pair
+            reached = np.zeros(n, dtype=bool)
+            reached[add[np.ix_(span, frontier)]] = True
+            frontier = np.flatnonzero(reached & ~inspan)
+    return gens or [zero]
+
+
+def associates_on(act: np.ndarray, mul: np.ndarray, gens) -> bool:
+    """(r*g).x == r.(g.x) for all r, x and every g in gens.
+
+    With act == mul this is Light's test: the elements g passing it form a
+    submagma, so passing on a generating set means the table is associative.
+    """
+    return all(np.array_equal(act[mul[:, g]], np.take(act, act[g], axis=1)) for g in gens)
+
+
+def additive_on(act: np.ndarray, src_add: np.ndarray, dst_add: np.ndarray, gens) -> bool:
+    """Every row x -> act[r, x] satisfies f(x + g) == f(x) + f(g) for g in gens.
+
+    Once both additions are associative, the g passing this for all x form an
+    additive submagma, so passing on additive generators makes every row additive.
+    dst_add is commutative, so f(x) + f(g) is row f(g) of dst_add read at f(x).
+    """
+    return all(np.array_equal(np.take(act, src_add[:, g], axis=1),
+                              np.take_along_axis(dst_add[act[:, g]], act, axis=1))
+               for g in gens)

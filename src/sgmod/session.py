@@ -156,24 +156,30 @@ class _Builder:
     def _build_ring(self, name: str, defn: dict) -> FiniteRing:
         kind = defn.get("kind")
         settings = self.session.settings
+        obj = f"ring '{name}'"
+
+        def integer(key):
+            return _integer(defn[key], key, obj)
+
         if kind == "zmod":
-            return build_zmod(int(defn["n"]),
+            return build_zmod(integer("n"),
                               cap=int(settings.get("zmod_cap", DEFAULT_ZMOD_CAP)))
         if kind == "truncated_poly":
             return build_truncated_poly_ring(
-                int(defn["p"]), int(defn["nvars"]), int(defn["cap"]),
+                integer("p"), integer("nvars"), integer("cap"),
                 size_cap=int(settings.get("ring_cap", DEFAULT_RING_CAP)))
         if kind == "quotient":
             base = self._resolve("rings", defn["ring"])
             ideal = ideal_generated(base, [int(g) for g in defn.get("gens", [])])
             return quotient_ring(base, ideal)
         if kind == "tables":
-            ring = FiniteRing(defn["add"], defn["mul"], int(defn["zero"]),
-                              int(defn["one"]), label=name)
-            if ring.size > int(settings.get("ring_cap", DEFAULT_RING_CAP)):
-                raise SessionError(f"ring size {ring.size} exceeds cap", obj=name)
-            return ring
-        raise SessionError(f"unknown ring kind {kind!r}", obj=f"ring '{name}'")
+            # the cap is checked before the tables are audited
+            size = len(defn["add"])
+            if size > int(settings.get("ring_cap", DEFAULT_RING_CAP)):
+                raise SessionError(f"ring size {size} exceeds cap", obj=name)
+            return FiniteRing(defn["add"], defn["mul"], integer("zero"), integer("one"),
+                              label=name)
+        raise SessionError(f"unknown ring kind {kind!r}", obj=obj)
 
     def _build_monoid(self, name: str, defn: dict) -> Monoid:
         kind = defn.get("kind")
@@ -236,6 +242,13 @@ def _reject_duplicate_keys(pairs):
             raise SessionError(f"duplicate name {key!r}")
         seen.add(key)
     return dict(pairs)
+
+
+def _integer(value, key: str, obj: str | None = None) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SessionError(f"'{key}' must be an integer, got {value!r}", obj=obj)
+    return value
 
 
 def _exponent_key(raw):
@@ -536,7 +549,9 @@ def _window_from(command: dict, monoid: Monoid) -> SupportWindow:
         raise SessionError(f"command 'verify {command.get('statement')}' needs a 'window'")
     exponents = tuple(_exponent_for(monoid, e) for e in raw)
     max_support = command.get("max_support")
-    return SupportWindow(exponents, None if max_support is None else int(max_support))
+    if max_support is not None:
+        max_support = _integer(max_support, "max_support")
+    return SupportWindow(exponents, max_support)
 
 
 def _jsonable(value):

@@ -92,6 +92,8 @@ class SupportWindow:
             raise PreconditionError("window exponents must be pairwise distinct")
         if not exps:
             raise PreconditionError("window needs at least one exponent")
+        if self.max_support is not None and self.max_support < 0:
+            raise PreconditionError(f"max_support must be non-negative, got {self.max_support}")
 
     def validate_for(self, monoid: Monoid) -> None:
         for e in self.exponents:

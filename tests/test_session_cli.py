@@ -301,3 +301,89 @@ class TestPayloadHash:
         h2 = payload_hash({"op": "analyze"}, {"degree": 2})
         assert h1 == h2
         assert h1 != payload_hash({"op": "analyze"}, {"degree": 1})
+
+
+def _z5_tables():
+    idx = range(5)
+    return {"kind": "tables", "add": [[(a + b) % 5 for b in idx] for a in idx],
+            "mul": [[(a * b) % 5 for b in idx] for a in idx], "zero": 0, "one": 1}
+
+
+class TestStrictInputs:
+    def run_cli(self, *argv):
+        out = io.StringIO()
+        code = main(list(argv), stream=out)
+        return code, [json.loads(line) for line in out.getvalue().strip().splitlines()]
+
+    @pytest.fixture
+    def audited(self, monkeypatch):
+        """Labels of the rings passed to validate_ring, in call order."""
+        import sgmod.finite_algebra as fa
+        calls = []
+        original = fa.validate_ring
+
+        def counting(ring):
+            calls.append(ring.label)
+            original(ring)
+
+        monkeypatch.setattr(fa, "validate_ring", counting)
+        return calls
+
+    def test_tables_ring_cap_checked_before_audit(self, tmp_path, audited):
+        doc = minimal_doc(settings={"ring_cap": 4})
+        doc["rings"] = {"R5": _z5_tables()}
+        doc["modules"] = {}
+        doc["commands"] = []
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        assert "ring size 5 exceeds cap" in lines[0]["error"]["message"]
+        assert audited == []
+
+    def test_tables_ring_within_cap_is_audited(self, tmp_path, audited):
+        doc = minimal_doc(settings={"ring_cap": 5})
+        doc["rings"]["R5"] = _z5_tables()
+        code, _ = self.run_cli("validate", write_session(tmp_path, doc))
+        assert code == 0
+        assert "R5" in audited
+
+    @pytest.mark.parametrize("ring", [
+        {"kind": "zmod", "n": 6.7},
+        {"kind": "zmod", "n": 6.0},
+        {"kind": "zmod", "n": True},
+        {"kind": "zmod", "n": "6"},
+        {"kind": "truncated_poly", "p": 2.5, "nvars": 2, "cap": 3},
+        {"kind": "truncated_poly", "p": 2, "nvars": True, "cap": 3},
+        {"kind": "truncated_poly", "p": 2, "nvars": 2, "cap": 3.2},
+        {**_z5_tables(), "zero": 0.0},
+        {**_z5_tables(), "one": True},
+    ])
+    def test_non_integral_ring_fields_exit_two(self, tmp_path, ring):
+        doc = minimal_doc()
+        doc["rings"]["BAD"] = ring
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert "must be an integer" in error["message"]
+        assert "ring 'BAD'" in error["message"]
+
+    @pytest.mark.parametrize("max_support,message", [
+        (-1, "max_support must be non-negative"),
+        (1.5, "'max_support' must be an integer"),
+        (True, "'max_support' must be an integer"),
+    ])
+    def test_bad_max_support_exit_two(self, tmp_path, max_support, message):
+        doc = minimal_doc()
+        doc["commands"] = [{"op": "verify", "statement": "mccoy_equivalence",
+                            "ring": "R6", "module": "M6", "monoid": "N",
+                            "window": [0, 1], "max_support": max_support}]
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        assert lines[0]["status"] == "error"
+        assert message in lines[0]["payload"]["error"]["message"]
+
+    def test_negative_max_support_rejected_by_window(self):
+        from sgmod.errors import PreconditionError
+        from sgmod.verify import SupportWindow
+        with pytest.raises(PreconditionError, match="non-negative"):
+            SupportWindow((0, 1), -1)
