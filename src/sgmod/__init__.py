@@ -85,7 +85,6 @@ from .series import (
     zero_series,
 )
 from .zd import (
-    NoPrimeCover,
     PrimalReport,
     PrimeDecomposition,
     PropertyAReport,

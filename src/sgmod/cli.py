@@ -121,7 +121,7 @@ def _default_budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
+        raise SessionError(f"${BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def run_session(session: Session, budget: int | None) -> list[dict]:
@@ -148,15 +148,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(exc: SessionError, stream) -> int:
+    stream.write(json.dumps({"error": {"type": type(exc).__name__,
+                                       "message": str(exc)}}, sort_keys=True) + "\n")
+    return 2
+
+
 def main(argv=None, stream=None) -> int:
     args = build_parser().parse_args(argv)
     out = stream if stream is not None else sys.stdout
     try:
         session = load_session(args.session_file)
     except SessionError as exc:
-        out.write(json.dumps({"error": {"type": type(exc).__name__,
-                                        "message": str(exc)}}, sort_keys=True) + "\n")
-        return 2
+        return _input_error(exc, out)
 
     if args.subcommand == "validate":
         out.write(json.dumps({
@@ -175,7 +179,10 @@ def main(argv=None, stream=None) -> int:
 
     budget = args.budget
     if budget is None and "budget" not in session.settings:
-        budget = _default_budget()
+        try:
+            budget = _default_budget()
+        except SessionError as exc:
+            return _input_error(exc, out)
     records = run_session(session, budget)
     return emit_report(records, args.format, out)
 

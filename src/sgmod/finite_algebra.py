@@ -699,7 +699,7 @@ def ideal_action_submodule(ideal: Ideal, sub: Submodule) -> Submodule:
 # annihilators and zero-divisors
 
 
-def _subset_mask(subset, ring: FiniteRing) -> int:
+def _subset_mask(subset) -> int:
     if isinstance(subset, Ideal):
         return subset.members
     if isinstance(subset, int):
@@ -713,7 +713,7 @@ def annihilator_in_module(subset, module: FiniteModule) -> Submodule:
     Accepts an Ideal, a bit mask or an iterable of element indices; the result
     is always a submodule.
     """
-    mask = _subset_mask(subset, module.ring)
+    mask = _subset_mask(subset)
     key = ("annm", mask)
     hit = module._cache.get(key)
     if hit is not None:
@@ -833,7 +833,7 @@ def classify_submodule(module: FiniteModule, sub: Submodule) -> SubmoduleClassif
 
 
 # ---------------------------------------------------------------------------
-# ideal enumeration (used by the verifiers)
+# ideal enumeration
 
 
 def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -863,10 +863,9 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
 
 
 def prime_ideals(ring: FiniteRing) -> list[Ideal]:
-    key = ("primes",)
-    hit = ring._cache.get(key)
-    if hit is not None:
-        return hit
-    out = [i for i in enumerate_ideals(ring) if is_prime_ideal(i)[0]]
-    ring._cache[key] = out
-    return out
+    """Spec R, canonically sorted: a finite ring is Artinian, so every prime is
+    an associated prime of R as a module over itself. The zero ring has none.
+    """
+    if ring.is_zero_ring:
+        return []
+    return [p for p, _ in associated_primes(ring.as_module())]

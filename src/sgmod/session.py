@@ -54,6 +54,7 @@ from .series import (
 from .verify import (
     DEFAULT_BUDGET,
     SupportWindow,
+    _terms_payload,
     verify_domain_prime_extension,
     verify_finite_ring_chain,
     verify_mccoy_equivalence,
@@ -62,7 +63,6 @@ from .verify import (
     verify_zero_divisor_transfer,
 )
 from .zd import (
-    NoPrimeCover,
     check_property_a,
     decompose_zero_divisors,
     has_very_few_zero_divisors,
@@ -71,6 +71,8 @@ from .zd import (
 
 SESSION_KEYS = {"rings", "monoids", "modules", "submodules", "series", "commands",
                 "settings"}
+
+INTEGER_SETTINGS = ("budget", "zmod_cap", "ring_cap", "module_cap")
 
 STATEMENTS = (
     "mccoy_equivalence",
@@ -94,15 +96,21 @@ class Session:
 
     @property
     def budget(self) -> int:
-        return int(self.settings.get("budget", DEFAULT_BUDGET))
+        return self.settings.get("budget", DEFAULT_BUDGET)
 
 
 class _Builder:
     def __init__(self, doc: dict):
         self.doc = doc
+        settings = doc.get("settings", {})
+        if not isinstance(settings, dict):
+            raise SessionError("'settings' must be an object", obj="settings")
+        for key in INTEGER_SETTINGS:
+            if key in settings:
+                _integer(settings[key], key, "settings")
         self.session = Session(
             commands=list(doc.get("commands", [])),
-            settings=dict(doc.get("settings", {})),
+            settings=dict(settings),
         )
         self._stack: list[tuple[str, str]] = []
 
@@ -163,11 +171,11 @@ class _Builder:
 
         if kind == "zmod":
             return build_zmod(integer("n"),
-                              cap=int(settings.get("zmod_cap", DEFAULT_ZMOD_CAP)))
+                              cap=settings.get("zmod_cap", DEFAULT_ZMOD_CAP))
         if kind == "truncated_poly":
             return build_truncated_poly_ring(
                 integer("p"), integer("nvars"), integer("cap"),
-                size_cap=int(settings.get("ring_cap", DEFAULT_RING_CAP)))
+                size_cap=settings.get("ring_cap", DEFAULT_RING_CAP))
         if kind == "quotient":
             base = self._resolve("rings", defn["ring"])
             ideal = ideal_generated(base, [int(g) for g in defn.get("gens", [])])
@@ -175,7 +183,7 @@ class _Builder:
         if kind == "tables":
             # the cap is checked before the tables are audited
             size = len(defn["add"])
-            if size > int(settings.get("ring_cap", DEFAULT_RING_CAP)):
+            if size > settings.get("ring_cap", DEFAULT_RING_CAP):
                 raise SessionError(f"ring size {size} exceeds cap", obj=name)
             return FiniteRing(defn["add"], defn["mul"], integer("zero"), integer("one"),
                               label=name)
@@ -183,18 +191,21 @@ class _Builder:
 
     def _build_monoid(self, name: str, defn: dict) -> Monoid:
         kind = defn.get("kind")
+        obj = f"monoid '{name}'"
         if kind == "free":
-            return free_monoid(int(defn.get("dim", 1)))
+            return free_monoid(_integer(defn.get("dim", 1), "dim", obj))
         if kind == "cyclic_group":
-            return cyclic_group_monoid(int(defn["k"]))
+            return cyclic_group_monoid(_integer(defn["k"], "k", obj))
         if kind == "saturating":
-            return saturating_monoid(int(defn["c"]))
+            return saturating_monoid(_integer(defn["c"], "c", obj))
         if kind == "table":
-            return monoid_from_table(defn["cayley"], int(defn["identity"]), label=name)
-        raise SessionError(f"unknown monoid kind {kind!r}", obj=f"monoid '{name}'")
+            identity = _integer(defn["identity"], "identity", obj)
+            return monoid_from_table(defn["cayley"], identity, label=name)
+        raise SessionError(f"unknown monoid kind {kind!r}", obj=obj)
 
     def _build_module(self, name: str, defn: dict) -> FiniteModule:
         kind = defn.get("kind")
+        obj = f"module '{name}'"
         if kind == "ring_as_module":
             return ring_as_module(self._resolve("rings", defn["ring"]))
         if kind == "quotient":
@@ -207,9 +218,9 @@ class _Builder:
         if kind == "tables":
             ring = self._resolve("rings", defn["ring"])
             return module_from_tables(
-                ring, defn["add"], defn["action"], int(defn["zero"]), label=name,
-                cap=int(self.session.settings.get("module_cap", DEFAULT_MODULE_CAP)))
-        raise SessionError(f"unknown module kind {kind!r}", obj=f"module '{name}'")
+                ring, defn["add"], defn["action"], _integer(defn["zero"], "zero", obj),
+                label=name, cap=self.session.settings.get("module_cap", DEFAULT_MODULE_CAP))
+        raise SessionError(f"unknown module kind {kind!r}", obj=obj)
 
     def _build_submodule(self, name: str, defn: dict) -> Submodule:
         module = self._resolve("modules", defn["module"])
@@ -399,28 +410,21 @@ def _cmd_analyze(session: Session, command: dict) -> dict:
     module = _get(session, "modules", command, "module")
     zmask = zero_divisor_set(module)
     decomp = decompose_zero_divisors(module)
-    if isinstance(decomp, NoPrimeCover):
-        decomposition = {"no_prime_cover": {"uncovered": decomp.uncovered,
-                                            "candidates": [list(c.members_tuple())
-                                                           for c in decomp.candidates]}}
-        degree = None
-    else:
-        decomposition = {
-            "primes": [list(p.members_tuple()) for p in decomp.primes],
-            "witnesses": list(decomp.witnesses),
-            "degree": decomp.degree,
-            "covers": decomp.covers,
-            "incomparable": decomp.incomparable,
-        }
-        degree = decomp.degree
     very_few = has_very_few_zero_divisors(module)
     prop_a = check_property_a(module)
     primal = is_primal(module)
     return {
         "module": module.label,
         "zero_divisors": list(bitset.members(zmask)),
-        "decomposition": decomposition,
-        "degree": degree,
+        "decomposition": {
+            "primes": [list(p.members_tuple()) for p in decomp.primes],
+            "witnesses": list(decomp.witnesses),
+            "degree": decomp.degree,
+            # the maximal associated primes of a finite module always cover Z(M)
+            "covers": True,
+            "incomparable": decomp.incomparable,
+        },
+        "degree": decomp.degree,
         "very_few": {"holds": very_few.holds,
                      "primes": [list(p.members_tuple()) for p in very_few.primes],
                      "witnesses": list(very_few.witnesses),
@@ -437,10 +441,6 @@ def _cmd_analyze(session: Session, command: dict) -> dict:
                    "violation": None if primal.violation is None
                    else list(primal.violation)},
     }
-
-
-def _series_payload(series: Series) -> list:
-    return [[list(e) if isinstance(e, tuple) else e, c] for e, c in series.terms]
 
 
 def _cmd_dm(session: Session, command: dict) -> dict:
@@ -488,7 +488,7 @@ def _cmd_counterexample(session: Session, command: dict) -> dict:
         s, t, u = (_exponent_for(monoid, x) for x in witness)
         f, g = build_noncancellative_counterexample(monoid, (s, t, u), module, q)
         return {"kind": kind, "witness": [s, t, u], "q": q,
-                "f": _series_payload(f), "g": _series_payload(g),
+                "f": _terms_payload(f), "g": _terms_payload(g),
                 "product_zero": True, "no_single_annihilator": True}
     if kind == "torsion":
         if "s" in command and "t" in command:
@@ -500,7 +500,7 @@ def _cmd_counterexample(session: Session, command: dict) -> dict:
             s, t, _ = witness
         k, h, g = build_torsion_counterexample(monoid, s, t, module, q)
         return {"kind": kind, "s": s, "t": t, "q": q, "k": k,
-                "h": _series_payload(h), "g": _series_payload(g),
+                "h": _terms_payload(h), "g": _terms_payload(g),
                 "product_zero": True, "exponents_distinct": True}
     raise SessionError(f"unknown counterexample kind {kind!r}")
 

@@ -367,6 +367,52 @@ class TestStrictInputs:
         assert "must be an integer" in error["message"]
         assert "ring 'BAD'" in error["message"]
 
+    @pytest.mark.parametrize("section,defn", [
+        ("monoids", {"kind": "free", "dim": 1.0}),
+        ("monoids", {"kind": "cyclic_group", "k": 2.5}),
+        ("monoids", {"kind": "saturating", "c": "2"}),
+        ("monoids", {"kind": "table", "cayley": [[0]], "identity": False}),
+        ("modules", {"kind": "tables", "ring": "R6", "add": [[0]], "action": [[0]] * 6,
+                     "zero": 0.9}),
+    ])
+    def test_non_integral_object_fields_exit_two(self, tmp_path, section, defn):
+        doc = minimal_doc()
+        doc[section]["BAD"] = defn
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert "must be an integer" in error["message"]
+        assert f"{section[:-1]} 'BAD'" in error["message"]
+
+    @pytest.mark.parametrize("settings", [
+        {"budget": "lots"},
+        {"budget": 1e7},
+        {"zmod_cap": 6.5},
+        {"ring_cap": True},
+        {"module_cap": 6.9},
+    ])
+    def test_non_integral_settings_exit_two(self, tmp_path, settings):
+        code, lines = self.run_cli("run", write_session(tmp_path, minimal_doc(settings=settings)))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert f"'{next(iter(settings))}' must be an integer" in error["message"]
+
+    def test_settings_must_be_an_object(self, tmp_path):
+        code, lines = self.run_cli("run", write_session(tmp_path, minimal_doc(settings="x")))
+        assert code == 2
+        assert lines[0]["error"]["type"] == "SessionError"
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", ""])
+    def test_bad_budget_env_var_exit_two(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("SGMOD_BUDGET", raw)
+        code, lines = self.run_cli("run", write_session(tmp_path, minimal_doc()))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert "SGMOD_BUDGET must be an integer" in error["message"]
+
     @pytest.mark.parametrize("max_support,message", [
         (-1, "max_support must be non-negative"),
         (1.5, "'max_support' must be an integer"),

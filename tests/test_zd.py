@@ -1,17 +1,164 @@
 import numpy as np
+import pytest
 
 from sgmod import (
     FiniteModule,
     PrimeDecomposition,
+    ZeroModuleError,
+    annihilator_ideal_of_element,
+    annihilator_in_module,
+    associated_primes,
+    build_truncated_poly_ring,
     build_zmod,
     check_property_a,
     decompose_zero_divisors,
+    direct_sum,
+    enumerate_ideals,
     has_very_few_zero_divisors,
+    ideal_generated,
     is_primal,
     is_prime_ideal,
+    module_from_tables,
+    prime_ideals,
+    quotient_module,
+    quotient_ring,
     ring_as_module,
+    submodule_generated,
     zero_divisor_set,
 )
+from sgmod import bitset
+
+
+# ---------------------------------------------------------------------------
+# oracles: the generic ideal searches that the Ass(M) derivations replaced
+
+
+def oracle_maximal_ideals_within(ring, zmask):
+    """Greedy saturation: grow each principal ideal inside the set until no
+    element of the set can be added without escaping, then keep maximal results.
+    """
+    found = {}
+    zbits = list(bitset.iter_bits(zmask))
+    for z in zbits:
+        ideal = ideal_generated(ring, (z,))
+        if not bitset.is_subset(ideal.members, zmask):
+            continue
+        changed = True
+        while changed:
+            changed = False
+            for w in zbits:
+                if ideal.contains(w):
+                    continue
+                bigger = ideal_generated(ring, ideal.members_tuple() + (w,))
+                if bitset.is_subset(bigger.members, zmask):
+                    ideal = bigger
+                    changed = True
+        found[ideal.members] = ideal
+    maximal = [i for i in found.values()
+               if not any(o != i.members and bitset.is_subset(i.members, o) for o in found)]
+    return sorted(maximal, key=lambda i: i.members_tuple())
+
+
+def oracle_decomposition(module):
+    """Maximal prime candidates among Ass(M) and the saturated ideals inside Z,
+    checked to cover Z, each with the least m whose annihilator it is."""
+    zmask = zero_divisor_set(module)
+    candidates = {p.members: p for p, _ in associated_primes(module)}
+    for ideal in oracle_maximal_ideals_within(module.ring, zmask):
+        if is_prime_ideal(ideal)[0]:
+            candidates[ideal.members] = ideal
+    primes = sorted((i for i in candidates.values()
+                     if not any(o != i.members and bitset.is_subset(i.members, o)
+                                for o in candidates)),
+                    key=lambda i: i.members_tuple())
+    union = 0
+    for p in primes:
+        union |= p.members
+    assert union == zmask
+    witnesses = [next(m for m in module.elements() if m != module.zero
+                      and annihilator_ideal_of_element(module, m).members == p.members)
+                 for p in primes]
+    return [p.members_tuple() for p in primes], witnesses
+
+
+def oracle_property_a(module):
+    """Each saturated ideal inside Z with the least nonzero element it kills."""
+    zero_mask = 1 << module.zero
+    out = []
+    for ideal in oracle_maximal_ideals_within(module.ring, zero_divisor_set(module)):
+        ann = annihilator_in_module(ideal, module)
+        out.append((ideal.members_tuple(), bitset.lowest_bit(ann.members & ~zero_mask)))
+    return out
+
+
+def oracle_prime_ideals(ring):
+    return [i for i in enumerate_ideals(ring) if is_prime_ideal(i)[0]]
+
+
+def _klein_over_z4():
+    """Z/2 (+) Z/2 as a Z/4-module through Z/4 -> Z/2; not cyclic."""
+    z4 = build_zmod(4)
+    add = [[a ^ b for b in range(4)] for a in range(4)]
+    act = [[x if r % 2 else 0 for x in range(4)] for r in range(4)]
+    return module_from_tables(z4, add, act, 0, label="V4")
+
+
+def _oracle_modules():
+    z12 = ring_as_module(build_zmod(12))
+    s12 = direct_sum(z12, z12)
+    z4 = ring_as_module(build_zmod(4))
+    z2_over_z4 = quotient_module(z4, submodule_generated(z4, [2]))
+    z36 = build_zmod(36)
+    t = build_truncated_poly_ring(3, 2, 2)
+    return [
+        ring_as_module(build_truncated_poly_ring(2, 2, 3)),
+        ring_as_module(build_truncated_poly_ring(2, 3, 2)),
+        ring_as_module(t),
+        ring_as_module(quotient_ring(t, ideal_generated(t, [3]))),
+        s12,
+        quotient_module(s12, submodule_generated(s12, [27])),
+        quotient_module(s12, submodule_generated(s12, [6 * 12 + 4])),
+        direct_sum(z4, z2_over_z4),
+        ring_as_module(quotient_ring(z36, ideal_generated(z36, [12]))),
+        _klein_over_z4(),
+    ]
+
+
+def _assert_matches_oracles(module):
+    primes, witnesses = oracle_decomposition(module)
+    d = decompose_zero_divisors(module)
+    assert [p.members_tuple() for p in d.primes] == primes
+    assert list(d.witnesses) == witnesses
+    assert d.degree == len(primes) and d.incomparable
+    report = check_property_a(module)
+    assert report.holds and report.failure is None
+    assert [(i.members_tuple(), m) for i, m in report.witnesses] == oracle_property_a(module)
+    assert report.checked_ideals == len(primes)
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_zmod(self, n):
+        ring = build_zmod(n)
+        _assert_matches_oracles(ring_as_module(ring))
+        assert [p.members_tuple() for p in prime_ideals(ring)] == \
+               [p.members_tuple() for p in oracle_prime_ideals(ring)]
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_other_modules(self, index):
+        module = _oracle_modules()[index]
+        _assert_matches_oracles(module)
+        ring = module.ring
+        assert [p.members_tuple() for p in prime_ideals(ring)] == \
+               [p.members_tuple() for p in oracle_prime_ideals(ring)]
+
+    def test_zero_ring(self):
+        zero = build_zmod(1)
+        assert prime_ideals(zero) == oracle_prime_ideals(zero) == []
+        with pytest.raises(ZeroModuleError):
+            decompose_zero_divisors(ring_as_module(zero))
+        with pytest.raises(ZeroModuleError):
+            check_property_a(ring_as_module(zero))
 
 
 class TestDecomposition:
@@ -19,7 +166,7 @@ class TestDecomposition:
         d = decompose_zero_divisors(m6)
         assert isinstance(d, PrimeDecomposition)
         assert [p.members_tuple() for p in d.primes] == [(0, 2, 4), (0, 3)]
-        assert d.degree == 2 and d.covers and d.incomparable
+        assert d.degree == 2 and d.incomparable
         assert d.witnesses == (3, 2)
 
     def test_z4(self, m4):
