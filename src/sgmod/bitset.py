@@ -18,6 +18,11 @@ def mask_from_bools(flags: np.ndarray) -> int:
     return mask_of(np.flatnonzero(flags))
 
 
+def bools_from_mask(mask: int, size: int) -> np.ndarray:
+    """Membership of each index below size, as a bool array."""
+    return np.array([has_bit(mask, i) for i in range(size)], dtype=bool)
+
+
 def has_bit(mask: int, i: int) -> bool:
     return (mask >> i) & 1 == 1
 

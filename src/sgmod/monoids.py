@@ -1,8 +1,8 @@
 """Commutative monoids in two forms: finite Cayley tables and affine lattice monoids.
 
-Affine elements are arbitrary integer vectors in the ambient group Z^d; any
-submonoid of Z^d is cancellative and torsion-free, which is the only fact the
-algebra layer needs, so membership certification is deliberately omitted.
+Affine elements are vectors of non-negative integers: the affine monoid is
+N^d. As a submonoid of Z^d it is cancellative and torsion-free, which is the
+only fact the algebra layer needs.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Monoid:
         if self.is_finite:
             return isinstance(e, int) and not isinstance(e, bool) and 0 <= e < self.order
         return (isinstance(e, tuple) and len(e) == self.dim
-                and all(isinstance(x, int) for x in e))
+                and all(isinstance(x, int) and x >= 0 for x in e))
 
     def add(self, s: MonoidElement, t: MonoidElement) -> MonoidElement:
         if self.is_finite:
@@ -79,7 +79,7 @@ class Monoid:
 
 
 def free_monoid(dim: int, label: str | None = None) -> Monoid:
-    """The lattice monoid of integer vectors of the given dimension."""
+    """N^d: vectors of non-negative integers of the given dimension."""
     if dim < 1:
         raise PreconditionError("free monoid needs dim >= 1")
     return Monoid(kind="affine", dim=dim, label=label or f"N^{dim}")

@@ -299,7 +299,8 @@ def is_zero_divisor_series(f: Series, module: FiniteModule) -> ZeroDivisorVerdic
     if module.is_zero_module:
         raise ZeroModuleError("zero-divisor test needs a nonzero module")
     _require_good_monoid(f.monoid, "zero-divisor test")
-    ann = annihilator_in_module(content(f), module)
+    # Ann_M(c(f)) is the intersection of the Ann_M(a) over the coefficients a
+    ann = annihilator_in_module(f.coefficients, module)
     zero_mask = 1 << module.zero
     if ann.members == zero_mask:
         return ZeroDivisorVerdict(False, None, ann)

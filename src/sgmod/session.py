@@ -129,10 +129,9 @@ class _Builder:
                                    obj=f"commands[{i}]")
             for key, kind in reference_keys.items():
                 name = cmd.get(key)
-                if name is not None and name not in getattr(self.session, kind):
-                    raise SessionError(
-                        f"unresolved reference to {kind[:-1]} '{name}'",
-                        obj=f"commands[{i}]")
+                if name is not None and (not isinstance(name, str)
+                                         or name not in getattr(self.session, kind)):
+                    _named(self.session, kind, name, obj=f"commands[{i}]")  # raises
         return self.session
 
     def _resolve(self, kind: str, name: str):
@@ -178,7 +177,8 @@ class _Builder:
                 size_cap=settings.get("ring_cap", DEFAULT_RING_CAP))
         if kind == "quotient":
             base = self._resolve("rings", defn["ring"])
-            ideal = ideal_generated(base, [int(g) for g in defn.get("gens", [])])
+            gens = [_integer(g, "gens", obj) for g in defn.get("gens", [])]
+            ideal = ideal_generated(base, gens)
             return quotient_ring(base, ideal)
         if kind == "tables":
             # the cap is checked before the tables are audited
@@ -224,9 +224,12 @@ class _Builder:
 
     def _build_submodule(self, name: str, defn: dict) -> Submodule:
         module = self._resolve("modules", defn["module"])
+        obj = f"submodule '{name}'"
         if "members" in defn:
-            return submodule_from_members(module, [int(x) for x in defn["members"]])
-        return submodule_generated(module, [int(g) for g in defn.get("gens", [])])
+            return submodule_from_members(
+                module, [_integer(x, "members", obj) for x in defn["members"]])
+        return submodule_generated(module,
+                                   [_integer(g, "gens", obj) for g in defn.get("gens", [])])
 
     def _build_serie(self, name: str, defn: dict) -> Series:
         if "ring" in defn:
@@ -237,9 +240,11 @@ class _Builder:
             raise SessionError("series needs a 'ring' or 'module' key",
                                obj=f"series '{name}'")
         monoid = self._resolve("monoids", defn["monoid"])
+        obj = f"series '{name}'"
         terms = []
         for item in defn.get("terms", []):
-            terms.append((_exponent_for(monoid, item["exponent"]), int(item["coefficient"])))
+            terms.append((_exponent_for(monoid, item["exponent"], obj),
+                          _integer(item["coefficient"], "coefficient", obj)))
         return make_series(space, monoid, terms)
 
     # section name "series" strips to "serie"
@@ -262,14 +267,11 @@ def _integer(value, key: str, obj: str | None = None) -> int:
     return value
 
 
-def _exponent_key(raw):
+def _exponent_for(monoid: Monoid, raw, obj: str | None = None):
     if isinstance(raw, list):
-        return tuple(int(x) for x in raw)
-    return int(raw)
-
-
-def _exponent_for(monoid: Monoid, raw):
-    key = _exponent_key(raw)
+        key = tuple(_integer(x, "exponent", obj) for x in raw)
+    else:
+        key = _integer(raw, "exponent", obj)
     if not monoid.is_finite and isinstance(key, int) and monoid.dim == 1:
         return (key,)
     return key
@@ -400,9 +402,16 @@ def _get(session: Session, kind: str, command: dict, key: str):
     name = command.get(key)
     if name is None:
         raise SessionError(f"command '{command.get('op')}' needs a '{key}' argument")
+    return _named(session, kind, name)
+
+
+def _named(session: Session, kind: str, name, obj: str | None = None):
+    """The object a reference names; a reference that is not a string is an error."""
+    if not isinstance(name, str):
+        raise SessionError(f"{kind} are referenced by name, got {name!r}", obj=obj)
     store = getattr(session, kind)
     if name not in store:
-        raise SessionError(f"unresolved reference to {kind[:-1]} '{name}'")
+        raise SessionError(f"unresolved reference to {kind[:-1]} '{name}'", obj=obj)
     return store[name]
 
 
@@ -447,7 +456,7 @@ def _cmd_dm(session: Session, command: dict) -> dict:
     f = _get(session, "series", command, "f")
     g = _get(session, "series", command, "g")
     cap = command.get("cap")
-    result = dedekind_mertens_exponent(f, g, cap=None if cap is None else int(cap))
+    result = dedekind_mertens_exponent(f, g, cap=None if cap is None else _integer(cap, "cap"))
     return {
         "k_min": result.k_min,
         "cap_used": result.cap_used,
@@ -478,7 +487,7 @@ def _cmd_counterexample(session: Session, command: dict) -> dict:
     kind = command.get("kind")
     monoid = _get(session, "monoids", command, "monoid")
     module = _get(session, "modules", command, "module")
-    q = int(command.get("q", 1))
+    q = _integer(command.get("q", 1), "q")
     if kind == "noncancellative":
         witness = command.get("witness")
         if witness is None:

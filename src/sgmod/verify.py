@@ -1,8 +1,10 @@
 """Window-exhaustive verification of the transfer statements.
 
 Each verifier enumerates every coefficient assignment over a fixed exponent
-window, checks the statement instance by instance through the public
-operations, and reports pass / counterexample / skipped. A counterexample on
+window, checks the statement on every instance, and reports pass /
+counterexample / skipped. Window products come from one block kernel,
+_block_product, and content annihilators from the per-element annihilators
+of the coefficients (_content_annihilates). A counterexample on
 hypothesis-satisfying inputs signals an implementation bug (the statements are
 proven); its payload always replays through the public operations.
 
@@ -14,7 +16,7 @@ the window never refutes).
 
 from __future__ import annotations
 
-import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -31,7 +33,6 @@ from .finite_algebra import (
     FiniteModule,
     FiniteRing,
     Submodule,
-    annihilator_in_module,
     associated_primes,
     classify_submodule,
     ideal_action_submodule,
@@ -66,6 +67,7 @@ from .zd import (
 )
 
 DEFAULT_BUDGET = 10_000_000
+_BLOCK_ROWS = 1 << 16
 
 OUTCOME_PASS = "pass"
 OUTCOME_COUNTEREXAMPLE = "counterexample"
@@ -100,33 +102,43 @@ class SupportWindow:
                 raise PreconditionError(f"window exponent {e!r} outside {monoid.label}")
 
     def count(self, space_size: int) -> int:
-        """Number of coefficient assignments (the enumeration cardinality)."""
+        """Number of coefficient assignments (the enumeration cardinality):
+        j nonzero terms can sit at C(E, j) position sets, with |space| - 1
+        values each; summed over every j this is |space|^E."""
         e = len(self.exponents)
-        if self.max_support is None or self.max_support >= e:
-            return space_size ** e
-        total = 0
-        for j in range(self.max_support + 1):
-            total += _binom(e, j) * (space_size - 1) ** j
-        return total
+        cap = e if self.max_support is None else min(self.max_support, e)
+        return sum(math.comb(e, j) * (space_size - 1) ** j for j in range(cap + 1))
+
+    def coeff_array(self, space_size: int, zero_index: int) -> np.ndarray:
+        """Every supported coefficient tuple as one row, in lexicographic order.
+
+        Tuples grow one position at a time: a prefix below max_support takes
+        every value, a prefix at it takes only zero. No unsupported tuple is
+        ever built, so the work is linear in the count() the budget charges.
+        The array is column-major, so each column is a contiguous index
+        vector for the gathers of the kernels.
+        """
+        e = len(self.exponents)
+        cap = e if self.max_support is None else min(self.max_support, e)
+        rows = np.zeros((1, 0), dtype=np.intp)
+        support = np.zeros(1, dtype=np.intp)
+        for _ in self.exponents:
+            full = support >= cap
+            width = np.where(full, 1, space_size)
+            parent = np.repeat(np.arange(len(rows)), width)
+            value = np.arange(len(parent)) - (np.cumsum(width) - width)[parent]
+            value[full[parent]] = zero_index
+            rows = np.column_stack((rows[parent], value))
+            support = support[parent] + (value != zero_index)
+        return np.asfortranarray(rows)
 
     def iter_coeffs(self, space_size: int, zero_index: int):
-        """All coefficient tuples in lexicographic order, honoring max_support."""
-        cap = self.max_support
-        for tup in itertools.product(range(space_size), repeat=len(self.exponents)):
-            if cap is not None and sum(1 for c in tup if c != zero_index) > cap:
-                continue
-            yield tup
+        """The rows of coeff_array as tuples."""
+        return map(tuple, self.coeff_array(space_size, zero_index).tolist())
 
     def series(self, space, monoid: Monoid, coeffs) -> Series:
         terms = [(e, c) for e, c in zip(self.exponents, coeffs) if c != space.zero]
         return make_series(space, monoid, terms)
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 @dataclass
@@ -181,20 +193,60 @@ def _terms_payload(series: Series) -> list:
     return [[list(e) if isinstance(e, tuple) else e, c] for e, c in series.terms]
 
 
-def _product_layout(monoid: Monoid, exponents: tuple):
-    """Positions of pairwise exponent sums in a deduplicated product support."""
-    prod_exps: list = []
+def _product_layout(monoid: Monoid, exponents: tuple) -> tuple[int, list]:
+    """Size of the deduplicated product support, and the position of each
+    pairwise exponent sum in it."""
     index: dict = {}
     e_count = len(exponents)
     pos = [[0] * e_count for _ in range(e_count)]
     for i, a in enumerate(exponents):
         for j, b in enumerate(exponents):
-            e = monoid.add(a, b)
-            if e not in index:
-                index[e] = len(prod_exps)
-                prod_exps.append(e)
-            pos[i][j] = index[e]
-    return prod_exps, pos
+            pos[i][j] = index.setdefault(monoid.add(a, b), len(index))
+    return len(index), pos
+
+
+def _block_product(f_coeffs, table, add_table, right: np.ndarray, layout) -> np.ndarray:
+    """Coefficients of f * g for one left tuple f and every right-hand tuple g.
+
+    table[a] is the multiplication (or action) row of the coefficient a,
+    add_table the target's addition, right the (N, E) window array and layout
+    the _product_layout of the window. Returns an (n_prod, N) array; column n
+    holds the product with right[n].
+    """
+    n_prod, pos = layout
+    acc = np.empty((n_prod, len(right)), dtype=add_table.dtype)
+    # every product position receives a term: the first is stored, later ones added
+    stored = [False] * n_prod
+    for i, a in enumerate(f_coeffs):
+        row = table[a]
+        for j, k in enumerate(pos[i]):
+            if stored[k]:
+                acc[k] = add_table[acc[k], row[right[:, j]]]
+            else:
+                acc[k] = row[right[:, j]]
+                stored[k] = True
+    return acc
+
+
+def _content_annihilates(module: FiniteModule, coeffs: np.ndarray) -> np.ndarray:
+    """Per row f of coeffs, whether Ann_M(c(f)) is nonzero.
+
+    The ring elements killing a module element form an ideal, so
+    Ann_M(c(f)) is the intersection of the Ann_M(a) over the coefficients a
+    of f: the rows of action_table == zero are intersected as packed bit
+    rows, and no content ideal is closed. Rows are taken in blocks so the
+    packed rows in flight stay bounded.
+    """
+    nonzero = np.arange(module.size) != module.zero
+    kills = np.packbits(module.action_table[:, nonzero] == module.zero, axis=1)
+    out = np.empty(len(coeffs), dtype=bool)
+    for start in range(0, len(coeffs), _BLOCK_ROWS):
+        block = coeffs[start:start + _BLOCK_ROWS]
+        acc = kills[block[:, 0]]
+        for j in range(1, block.shape[1]):
+            acc &= kills[block[:, j]]
+        out[start:start + _BLOCK_ROWS] = acc.any(axis=1)
+    return out
 
 
 def _require_hypotheses(monoid: Monoid, statement: str) -> None:
@@ -251,45 +303,30 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
 
 def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                             statement) -> VerificationReport:
-    prod_exps, pos = _product_layout(monoid, window.exponents)
-    n_prod = len(prod_exps)
-    act = module._act_rows
-    madd = module._add_rows
-    rzero, mzero = ring.zero, module.zero
-
-    f_list = list(window.iter_coeffs(ring.size, rzero))
-    g_list = list(window.iter_coeffs(module.size, mzero))
-    g_zero_flags = [all(c == mzero for c in g) for g in g_list]
-    g_support = [sum(1 for c in g if c != mzero) for g in g_list]
+    layout = _product_layout(monoid, window.exponents)
+    mzero = module.zero
+    f_arr = window.coeff_array(ring.size, ring.zero)
+    g_arr = window.coeff_array(module.size, mzero)
+    g_list = g_arr.tolist()
+    g_nonzero = (g_arr != mzero).any(axis=1)
+    g_support = (g_arr != mzero).sum(axis=1).tolist()
     g_content = [submodule_generated(module, g) for g in g_list]
+    ann_nonzero = _content_annihilates(module, f_arr).tolist()
 
     dm_memo: dict = {}
-    zero_mask = 1 << mzero
     zero_product_pairs = 0
     witnesses_verified = 0
     max_k = 0
 
-    for f_coeffs in f_list:
+    for fi, f_coeffs in enumerate(f_arr.tolist()):
         cf = ideal_generated(ring, f_coeffs)
-        ann_nonzero = annihilator_in_module(cf, module).members != zero_mask
+        block = _block_product(f_coeffs, module.action_table, module.add_table, g_arr, layout)
+        vanishing = ((block == mzero).all(axis=0) & g_nonzero).tolist()
         killed = False
-        rows = [None if a == rzero else act[a] for a in f_coeffs]
-        for gi, g_coeffs in enumerate(g_list):
-            acc = [mzero] * n_prod
-            for i, arow in enumerate(rows):
-                if arow is None:
-                    continue
-                prow = pos[i]
-                for j, b in enumerate(g_coeffs):
-                    if b == mzero:
-                        continue
-                    k = prow[j]
-                    acc[k] = madd[acc[k]][arow[b]]
-            fg_zero = all(c == mzero for c in acc)
-
+        for gi, fg in enumerate(block.T.tolist()):
             # Dedekind-Mertens with the default cap |support(g)| + 1
             cg = g_content[gi]
-            cfg = submodule_generated(module, acc)
+            cfg = submodule_generated(module, fg)
             cap = g_support[gi] + 1
             dm_key = (cf.members, cg.members, cfg.members, cap)
             k_min = dm_memo.get(dm_key, -1)
@@ -298,7 +335,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                 dm_memo[dm_key] = k_min
             if k_min is None:
                 f_series = window.series(ring, monoid, f_coeffs)
-                g_series = window.series(module, monoid, g_coeffs)
+                g_series = window.series(module, monoid, g_list[gi])
                 return VerificationReport(
                     statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                     counterexample={
@@ -310,22 +347,22 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
             if k_min > max_k:
                 max_k = k_min
 
-            if fg_zero and not g_zero_flags[gi]:
+            if vanishing[gi]:
                 killed = True
                 zero_product_pairs += 1
                 f_series = window.series(ring, monoid, f_coeffs)
-                g_series = window.series(module, monoid, g_coeffs)
+                g_series = window.series(module, monoid, g_list[gi])
                 mccoy_witness(f_series, g_series)  # raises on failure
                 witnesses_verified += 1
 
-        if killed != ann_nonzero:
+        if killed != ann_nonzero[fi]:
             f_series = window.series(ring, monoid, f_coeffs)
             return VerificationReport(
                 statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                 counterexample={
                     "clause": "content_annihilator",
                     "f": _terms_payload(f_series),
-                    "annihilator_nonzero": ann_nonzero,
+                    "annihilator_nonzero": ann_nonzero[fi],
                     "window_partner_found": killed,
                 })
 
@@ -335,7 +372,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
         "max_dm_exponent": max_k,
         "zero_product_pairs": zero_product_pairs,
         "mccoy_witnesses_verified": witnesses_verified,
-        "content_criterion_series": len(f_list),
+        "content_criterion_series": len(f_arr),
     }
     return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
 
@@ -413,52 +450,29 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     if predicted > budget:
         return _skipped(statement, config, predicted, budget, t0)
 
-    prod_exps, pos = _product_layout(monoid, window.exponents)
-    n_prod = len(prod_exps)
-    mul = ring._mul_rows
-    radd = ring._add_rows
+    layout = _product_layout(monoid, window.exponents)
     rzero = ring.zero
-    f_list = list(window.iter_coeffs(ring.size, rzero))
+    f_arr = window.coeff_array(ring.size, rzero)
+    f_list = f_arr.tolist()
 
-    products: dict[tuple, list] = {}
-
-    def ring_product(f_coeffs, g_coeffs):
-        key = (f_coeffs, g_coeffs)
-        hit = products.get(key)
-        if hit is not None:
-            return hit
-        acc = [rzero] * n_prod
-        for i, a in enumerate(f_coeffs):
-            if a == rzero:
-                continue
-            arow = mul[a]
-            prow = pos[i]
-            for j, b in enumerate(g_coeffs):
-                if b == rzero:
-                    continue
-                k = prow[j]
-                acc[k] = radd[acc[k]][arow[b]]
-        products[key] = acc
-        return acc
+    def times_window(f_coeffs):
+        return _block_product(f_coeffs, ring.mul_table, ring.add_table, f_arr, layout)
 
     details: dict = {"ring_is_domain": is_domain, "primes_checked": len(primes),
                      "associated_primes_checked": len(ass)}
 
     if is_domain:
-        for f_coeffs in f_list:
-            if all(c == rzero for c in f_coeffs):
-                continue
-            for g_coeffs in f_list:
-                if all(c == rzero for c in g_coeffs):
-                    continue
-                if all(c == rzero for c in ring_product(f_coeffs, g_coeffs)):
-                    return VerificationReport(
-                        statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                        counterexample={
-                            "clause": "domain_transfer",
-                            "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
-                            "g": _terms_payload(window.series(ring, monoid, g_coeffs)),
-                        })
+        nonzero = (f_arr != rzero).any(axis=1)
+        for fi in np.flatnonzero(nonzero):
+            hits = np.flatnonzero((times_window(f_list[fi]) == rzero).all(axis=0) & nonzero)
+            if hits.size:
+                return VerificationReport(
+                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                    counterexample={
+                        "clause": "domain_transfer",
+                        "f": _terms_payload(window.series(ring, monoid, f_list[fi])),
+                        "g": _terms_payload(window.series(ring, monoid, f_list[hits[0]])),
+                    })
         details["domain_pairs"] = clause1
     else:
         a, b = is_prime_ideal(ideal_generated(ring, ()))[1] or (None, None)
@@ -473,45 +487,38 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
             details["non_domain_witness"] = [a, b]
 
     for p in primes:
-        ext = ExtendedIdeal(p, monoid)
-        in_p = [bitset.has_bit(p.members, x) for x in ring.elements()]
-        for f_coeffs in f_list:
-            f_out = any(not in_p[c] for c in f_coeffs)
-            if not f_out:
-                continue
-            for g_coeffs in f_list:
-                if not any(not in_p[c] for c in g_coeffs):
-                    continue
-                prod = ring_product(f_coeffs, g_coeffs)
-                if not any(not in_p[c] for c in prod):
-                    f_series = window.series(ring, monoid, f_coeffs)
-                    g_series = window.series(ring, monoid, g_coeffs)
-                    if not extended_ideal_membership(series_multiply(f_series, g_series), ext):
-                        raise InvariantViolation("extended prime violation failed replay")
-                    return VerificationReport(
-                        statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                        counterexample={
-                            "clause": "extended_prime",
-                            "prime": list(p.members_tuple()),
-                            "f": _terms_payload(f_series),
-                            "g": _terms_payload(g_series),
-                        })
-
-    for p, witness in ass:
-        in_p = [bitset.has_bit(p.members, x) for x in ring.elements()]
-        kills = [module.act(r, witness) == module.zero for r in ring.elements()]
-        for f_coeffs in f_list:
-            annihilates = all(kills[c] for c in f_coeffs)
-            member = all(in_p[c] for c in f_coeffs)
-            if annihilates != member:
+        in_p = bitset.bools_from_mask(p.members, ring.size)
+        outside = ~in_p[f_arr].all(axis=1)
+        for fi in np.flatnonzero(outside):
+            hits = np.flatnonzero(in_p[times_window(f_list[fi])].all(axis=0) & outside)
+            if hits.size:
+                f_series = window.series(ring, monoid, f_list[fi])
+                g_series = window.series(ring, monoid, f_list[hits[0]])
+                if not extended_ideal_membership(series_multiply(f_series, g_series),
+                                                 ExtendedIdeal(p, monoid)):
+                    raise InvariantViolation("extended prime violation failed replay")
                 return VerificationReport(
                     statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                     counterexample={
-                        "clause": "extended_associated_prime",
+                        "clause": "extended_prime",
                         "prime": list(p.members_tuple()),
-                        "witness": witness,
-                        "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
+                        "f": _terms_payload(f_series),
+                        "g": _terms_payload(g_series),
                     })
+
+    for p, witness in ass:
+        kills = module.action_table[:, witness] == module.zero
+        member = bitset.bools_from_mask(p.members, ring.size)
+        bad = np.flatnonzero(kills[f_arr].all(axis=1) != member[f_arr].all(axis=1))
+        if bad.size:
+            return VerificationReport(
+                statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                counterexample={
+                    "clause": "extended_associated_prime",
+                    "prime": list(p.members_tuple()),
+                    "witness": witness,
+                    "f": _terms_payload(window.series(ring, monoid, f_list[bad[0]])),
+                })
 
     return VerificationReport(statement, OUTCOME_PASS, predicted, config, details,
                               elapsed_ms=(time.perf_counter() - t0) * 1000.0)
@@ -547,12 +554,8 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     if predicted > budget:
         return _skipped(statement, config, predicted, budget, t0)
 
-    prod_exps, pos = _product_layout(monoid, window.exponents)
-    n_prod = len(prod_exps)
-    act = module._act_rows
-    madd = module._add_rows
-    rzero, mzero = ring.zero, module.zero
-    in_p = [sub.contains(x) for x in module.elements()]
+    layout = _product_layout(monoid, window.exponents)
+    in_p = bitset.bools_from_mask(sub.members, module.size)
     full = Submodule(module, module.full_mask)
 
     content_facts: dict = {}
@@ -580,37 +583,27 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
 
     prime_violation = None
     primary_violation = None
-    r_list = list(window.iter_coeffs(ring.size, rzero))
-    x_list = list(window.iter_coeffs(module.size, mzero))
-    for r_coeffs in r_list:
-        rows = [None if a == rzero else act[a] for a in r_coeffs]
-        for x_coeffs in x_list:
-            acc = [mzero] * n_prod
-            for i, arow in enumerate(rows):
-                if arow is None:
-                    continue
-                prow = pos[i]
-                for j, b in enumerate(x_coeffs):
-                    if b == mzero:
-                        continue
-                    k = prow[j]
-                    acc[k] = madd[acc[k]][arow[b]]
-            if not all(in_p[c] for c in acc):
-                continue
-            if all(in_p[c] for c in x_coeffs):
-                continue
-            prime_ok, primary_ok = facts_for(r_coeffs)
-            if not prime_ok and prime_violation is None:
-                prime_violation = {
-                    "r": _terms_payload(window.series(ring, monoid, r_coeffs)),
-                    "x": _terms_payload(window.series(module, monoid, x_coeffs)),
-                }
-            if not primary_ok and primary_violation is None:
-                primary_violation = {
-                    "r": _terms_payload(window.series(ring, monoid, r_coeffs)),
-                    "x": _terms_payload(window.series(module, monoid, x_coeffs)),
-                    "exponent_bound": ring.size,
-                }
+    x_arr = window.coeff_array(module.size, module.zero)
+    x_outside = ~in_p[x_arr].all(axis=1)
+    for r_coeffs in window.coeff_array(ring.size, ring.zero).tolist():
+        block = _block_product(r_coeffs, module.action_table, module.add_table, x_arr, layout)
+        # only the least x with r x in P[S] and x outside P[S] can be reported
+        hits = np.flatnonzero(in_p[block].all(axis=0) & x_outside)
+        if not hits.size:
+            continue
+        x_coeffs = x_arr[hits[0]].tolist()
+        prime_ok, primary_ok = facts_for(r_coeffs)
+        if not prime_ok and prime_violation is None:
+            prime_violation = {
+                "r": _terms_payload(window.series(ring, monoid, r_coeffs)),
+                "x": _terms_payload(window.series(module, monoid, x_coeffs)),
+            }
+        if not primary_ok and primary_violation is None:
+            primary_violation = {
+                "r": _terms_payload(window.series(ring, monoid, r_coeffs)),
+                "x": _terms_payload(window.series(module, monoid, x_coeffs)),
+                "exponent_bound": ring.size,
+            }
         if prime_violation is not None and primary_violation is not None:
             break
 
@@ -666,30 +659,18 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     if nf * ng > budget:
         return _skipped(statement, config, nf * ng, budget, t0)
 
-    prod_exps, pos = _product_layout(monoid, window.exponents)
-    n_prod = len(prod_exps)
-    n_exp = len(window.exponents)
-    act_np = module.action_table
-    madd_np = module.add_table
-    rzero, mzero = ring.zero, module.zero
-    zero_mask = 1 << mzero
+    layout = _product_layout(monoid, window.exponents)
+    mzero = module.zero
+    f_arr = window.coeff_array(ring.size, ring.zero)
+    content_verdicts = _content_annihilates(module, f_arr).tolist()
     # all window partners at once; each f multiplies against the whole block
-    partners = np.array(list(window.iter_coeffs(module.size, mzero)), dtype=np.int64)
+    partners = window.coeff_array(module.size, mzero)
     partner_nonzero = (partners != mzero).any(axis=1)
 
     regular_count = 0
     zig_count = 0
-    for f_coeffs in window.iter_coeffs(ring.size, rzero):
-        cf = ideal_generated(ring, f_coeffs)
-        by_content = annihilator_in_module(cf, module).members != zero_mask
-        acc = np.full((n_prod, partners.shape[0]), mzero, dtype=np.int64)
-        for i, a in enumerate(f_coeffs):
-            if a == rzero:
-                continue
-            arow = act_np[a]
-            for j in range(n_exp):
-                k = pos[i][j]
-                acc[k] = madd_np[acc[k], arow[partners[:, j]]]
+    for f_coeffs, by_content in zip(f_arr.tolist(), content_verdicts):
+        acc = _block_product(f_coeffs, module.action_table, module.add_table, partners, layout)
         by_search = bool(((acc == mzero).all(axis=0) & partner_nonzero).any())
         f_series = window.series(ring, monoid, f_coeffs)
         by_operation = is_zero_divisor_series(f_series, module).is_zero_divisor
@@ -748,25 +729,24 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
     if predicted > budget:
         return _skipped(statement, config, predicted, budget, t0)
 
-    zero_mask = 1 << module.zero
     prime_masks = [p.members for p in decomp.primes]
-    in_prime = [[bitset.has_bit(mask, x) for x in ring.elements()] for mask in prime_masks]
-
-    for f_coeffs in window.iter_coeffs(ring.size, ring.zero):
-        cf = ideal_generated(ring, f_coeffs)
-        zd = annihilator_in_module(cf, module).members != zero_mask
-        member = any(all(flags[c] for c in f_coeffs) for flags in in_prime)
-        if zd != member:
-            f_series = window.series(ring, monoid, f_coeffs)
-            verdict = is_zero_divisor_series(f_series, module)
-            return VerificationReport(
-                statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                counterexample={
-                    "clause": "membership",
-                    "f": _terms_payload(f_series),
-                    "is_zero_divisor": verdict.is_zero_divisor,
-                    "in_extended_union": member,
-                })
+    f_arr = window.coeff_array(ring.size, ring.zero)
+    # in_extended[i][n]: every coefficient of the n-th window series lies in p_i
+    in_extended = [bitset.bools_from_mask(mask, ring.size)[f_arr].all(axis=1)
+                   for mask in prime_masks]
+    member = np.any(in_extended, axis=0)
+    bad = np.flatnonzero(_content_annihilates(module, f_arr) != member)
+    if bad.size:
+        f_series = window.series(ring, monoid, f_arr[bad[0]].tolist())
+        verdict = is_zero_divisor_series(f_series, module)
+        return VerificationReport(
+            statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+            counterexample={
+                "clause": "membership",
+                "f": _terms_payload(f_series),
+                "is_zero_divisor": verdict.is_zero_divisor,
+                "in_extended_union": bool(member[bad[0]]),
+            })
 
     incomparability = []
     for i in range(n):
@@ -787,19 +767,20 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
 
     witness_checks = 0
     if very_few.holds:
-        for p, witness, flags in zip(decomp.primes, decomp.witnesses, in_prime):
-            kills = [module.act(r, witness) == module.zero for r in ring.elements()]
-            for f_coeffs in window.iter_coeffs(ring.size, ring.zero):
-                witness_checks += 1
-                if all(kills[c] for c in f_coeffs) != all(flags[c] for c in f_coeffs):
-                    return VerificationReport(
-                        statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                        counterexample={
-                            "clause": "extended_annihilator",
-                            "prime": list(p.members_tuple()),
-                            "witness": witness,
-                            "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
-                        })
+        for p, witness, extended in zip(decomp.primes, decomp.witnesses, in_extended):
+            kills = module.action_table[:, witness] == module.zero
+            bad = np.flatnonzero(kills[f_arr].all(axis=1) != extended)
+            if bad.size:
+                return VerificationReport(
+                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                    counterexample={
+                        "clause": "extended_annihilator",
+                        "prime": list(p.members_tuple()),
+                        "witness": witness,
+                        "f": _terms_payload(window.series(ring, monoid,
+                                                          f_arr[bad[0]].tolist())),
+                    })
+            witness_checks += nf
 
     primal = is_primal(module)
     if primal.is_primal != (n == 1):

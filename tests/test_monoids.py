@@ -53,6 +53,13 @@ class TestAddition:
         assert monoid_add(sat2, 1, 2) == 2
         assert monoid_add(c2, 1, 1) == 0
 
+    def test_free_monoid_is_n_to_the_d(self):
+        n2 = free_monoid(2)
+        assert n2.contains((0, 3))
+        assert not n2.contains((0, -1))
+        with pytest.raises(StructureMismatchError):
+            monoid_add(n2, (1, 0), (-1, 0))
+
     def test_variant_mismatch(self, sat2, nat):
         with pytest.raises(StructureMismatchError):
             monoid_add(sat2, (1,), 2)

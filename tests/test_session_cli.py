@@ -433,3 +433,88 @@ class TestStrictInputs:
         from sgmod.verify import SupportWindow
         with pytest.raises(PreconditionError, match="non-negative"):
             SupportWindow((0, 1), -1)
+
+    @pytest.mark.parametrize("command", [
+        {"op": "analyze", "module": ["M6"]},
+        {"op": "zdtest", "f": {"a": 1}, "module": "M6"},
+        {"op": "verify", "statement": "finite_ring_chain", "ring": ["R6"]},
+        {"op": "dm", "f": 1, "g": "f"},
+    ])
+    def test_non_string_reference_exit_two(self, tmp_path, command):
+        doc = minimal_doc()
+        doc["commands"] = [command]
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert "referenced by name" in error["message"]
+
+    @pytest.mark.parametrize("value", [["M6"], {"a": 1}, 7])
+    def test_non_string_reference_in_execute_is_an_error_record(self, value):
+        record = execute(load_session(DEMO), {"op": "analyze", "module": value})
+        assert record["status"] == "error"
+        assert record["payload"]["error"]["type"] == "SessionError"
+        assert "referenced by name" in record["payload"]["error"]["message"]
+
+    @pytest.mark.parametrize("section,defn,key", [
+        ("rings", {"kind": "quotient", "ring": "R6", "gens": [3.7]}, "gens"),
+        ("submodules", {"module": "M6", "gens": [2.5]}, "gens"),
+        ("submodules", {"module": "M6", "members": [0, 3.0]}, "members"),
+        ("series", {"ring": "R6", "monoid": "N",
+                    "terms": [{"exponent": 1, "coefficient": 1.5}]}, "coefficient"),
+        ("series", {"ring": "R6", "monoid": "N",
+                    "terms": [{"exponent": 1.5, "coefficient": 1}]}, "exponent"),
+        ("series", {"module": "M6", "monoid": "N2",
+                    "terms": [{"exponent": [0, 1.0], "coefficient": 1}]}, "exponent"),
+    ])
+    def test_non_integral_element_fields_exit_two(self, tmp_path, section, defn, key):
+        doc = minimal_doc()
+        doc["monoids"]["N2"] = {"kind": "free", "dim": 2}
+        doc.setdefault(section, {})["BAD"] = defn
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert f"'{key}' must be an integer" in error["message"]
+        assert "'BAD'" in error["message"]
+
+    @pytest.mark.parametrize("command,key", [
+        ({"op": "dm", "f": "f", "g": "f", "cap": 1.9}, "cap"),
+        ({"op": "counterexample", "kind": "noncancellative", "monoid": "Sat2",
+          "module": "M6", "q": 2.5}, "q"),
+        ({"op": "counterexample", "kind": "torsion", "monoid": "C2", "module": "M6",
+          "s": 1.0, "t": 0}, "exponent"),
+        ({"op": "verify", "statement": "mccoy_equivalence", "ring": "R6", "module": "M6",
+          "monoid": "N", "window": [[0], [1.5]]}, "exponent"),
+        ({"op": "verify", "statement": "regularity_transfer", "ring": "R6", "module": "M6",
+          "monoid": "N", "window": [0, 1.5]}, "exponent"),
+    ])
+    def test_non_integral_command_fields_exit_two(self, tmp_path, command, key):
+        doc = minimal_doc()
+        doc["monoids"].update({"Sat2": {"kind": "saturating", "c": 2},
+                               "C2": {"kind": "cyclic_group", "k": 2}})
+        doc["series"] = {"f": {"ring": "R6", "monoid": "N",
+                               "terms": [{"exponent": 0, "coefficient": 2}]}}
+        doc["commands"] = [command]
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        assert lines[0]["status"] == "error"
+        assert f"'{key}' must be an integer" in lines[0]["payload"]["error"]["message"]
+
+    def test_negative_window_exponent_outside_free_monoid_exit_two(self, tmp_path):
+        doc = minimal_doc()
+        doc["commands"] = [{"op": "verify", "statement": "mccoy_equivalence", "ring": "R6",
+                            "module": "M6", "monoid": "N", "window": [-1, 0]}]
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        assert lines[0]["status"] == "error"
+        assert "outside N^1" in lines[0]["payload"]["error"]["message"]
+
+    def test_negative_series_exponent_outside_free_monoid_exit_two(self, tmp_path):
+        doc = minimal_doc()
+        doc["series"] = {"BAD": {"ring": "R6", "monoid": "N",
+                                 "terms": [{"exponent": -1, "coefficient": 1}]}}
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        assert lines[0]["error"]["type"] == "SessionError"
+        assert "outside monoid N^1" in lines[0]["error"]["message"]

@@ -1,0 +1,293 @@
+"""The window kernel of the verifiers against the code it replaced.
+
+The oracles below are the superseded paths, kept as independent references:
+the filtered itertools.product enumeration of window tuples, the per-pair
+pure-Python convolution, and the content-annihilator verdict taken by closing
+the content ideal c(f) and annihilating it. The library now enumerates only
+supported tuples, multiplies one left tuple against every right-hand tuple at
+once, and reads Ann_M(c(f)) as the intersection of the Ann_M(a) over the
+coefficients a of f.
+"""
+
+import itertools
+from dataclasses import replace
+
+import pytest
+
+import sgmod.verify as verify_mod
+from sgmod import (
+    FiniteRing,
+    SupportWindow,
+    annihilator_in_module,
+    build_truncated_poly_ring,
+    build_zmod,
+    direct_sum,
+    free_monoid,
+    ideal_generated,
+    is_zero_divisor_series,
+    ring_as_module,
+    submodule_generated,
+    verify_domain_prime_extension,
+    verify_mccoy_equivalence,
+    verify_submodule_transfer,
+    verify_zero_divisor_transfer,
+)
+from sgmod.series import DMResult
+from sgmod.verify import _block_product, _content_annihilates, _product_layout
+
+NAT = free_monoid(1)
+NAT2 = free_monoid(2)
+
+WINDOWS_N = [
+    SupportWindow(((0,), (1,))),
+    SupportWindow(((0,), (1,), (2,)), max_support=1),
+    SupportWindow(((0,), (2,), (5,)), max_support=2),
+]
+WINDOWS_N2 = [
+    SupportWindow(((0, 0), (1, 0), (0, 1))),
+    SupportWindow(((0, 0), (1, 0), (0, 1), (1, 1)), max_support=1),
+]
+
+
+# ---------------------------------------------------------------------------
+# oracles: the superseded code paths
+
+
+def enumeration_oracle(window, size, zero):
+    """Every tuple of the full product, filtered by max_support."""
+    cap = window.max_support
+    return [t for t in itertools.product(range(size), repeat=len(window.exponents))
+            if cap is None or sum(1 for c in t if c != zero) <= cap]
+
+
+def convolution_oracle(f, g, layout, rows, add_rows, left_zero, zero):
+    """Product coefficients of one pair, one term at a time."""
+    n_prod, pos = layout
+    acc = [zero] * n_prod
+    for i, a in enumerate(f):
+        if a == left_zero:
+            continue
+        for j, b in enumerate(g):
+            if b == zero:
+                continue
+            k = pos[i][j]
+            acc[k] = add_rows[acc[k]][rows[a][b]]
+    return acc
+
+
+def content_oracle(ring, module, f):
+    """Ann_M(c(f)) != 0, with c(f) closed as an ideal first."""
+    ann = annihilator_in_module(ideal_generated(ring, f), module)
+    return ann.members != 1 << module.zero
+
+
+def relabeled_zmod(n, shift):
+    """Z/n with index i standing for the residue (i + shift) mod n, so the
+    zero is not index 0."""
+    idx = range(n)
+
+    def index(v):
+        return (v - shift) % n
+
+    add = [[index(a + b + 2 * shift) for b in idx] for a in idx]
+    mul = [[index((a + shift) * (b + shift)) for b in idx] for a in idx]
+    return FiniteRing(add, mul, index(0), index(1), label=f"Z/{n} shifted")
+
+
+def _cases():
+    cases = [(f"Z/{n}", build_zmod(n), None) for n in range(2, 13)]
+    cases.append(("Z/6 shifted", relabeled_zmod(6, 2), None))
+    cases.append(("F2[a,b]/m^3", build_truncated_poly_ring(2, 2, 3), None))
+    z12 = build_zmod(12)
+    cases.append(("Z/12 (+) Z/12", z12, direct_sum(ring_as_module(z12), ring_as_module(z12))))
+    return [(label, ring, module if module is not None else ring_as_module(ring))
+            for label, ring, module in cases]
+
+
+CASES = _cases()
+CASE_IDS = [label for label, _, _ in CASES]
+
+
+def _windows_up_to(size, limit):
+    """The windows of the parametrization with at most limit tuples over size."""
+    windows = [(NAT, w) for w in WINDOWS_N] + [(NAT2, w) for w in WINDOWS_N2]
+    return [(m, w) for m, w in windows if w.count(size) <= limit]
+
+
+# ---------------------------------------------------------------------------
+# enumeration
+
+# the oracle walks the full product, so only sizes where that stays small
+ENUMERATION_CASES = [(size, window) for size in [*range(1, 13), 64, 144]
+                     for window in WINDOWS_N + WINDOWS_N2
+                     if size ** len(window.exponents) <= 50_000]
+
+
+@pytest.mark.parametrize("size,window", ENUMERATION_CASES)
+def test_enumeration_matches_filtered_product(size, window):
+    for zero in sorted({0, size // 2, size - 1}):
+        got = window.coeff_array(size, zero)
+        assert [tuple(r) for r in got.tolist()] == enumeration_oracle(window, size, zero)
+        assert len(got) == window.count(size)
+
+
+def test_wide_sparse_window_enumerates_only_supported_tuples():
+    # the full product has 2^40 tuples; the supported ones number 41
+    window = SupportWindow(tuple((i,) for i in range(40)), max_support=1)
+    got = window.coeff_array(2, 0).tolist()
+    assert window.count(2) == len(got) == 41
+    expected = [[0] * 40] + [[0] * i + [1] + [0] * (39 - i) for i in range(39, -1, -1)]
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# block product
+
+
+@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
+def test_block_product_matches_pairwise_loop(label, ring, module):
+    act_rows, add_rows = module.action_table.tolist(), module.add_table.tolist()
+    for monoid, window in _windows_up_to(module.size, 25_000):
+        layout = _product_layout(monoid, window.exponents)
+        f_arr = window.coeff_array(ring.size, ring.zero)
+        g_arr = window.coeff_array(module.size, module.zero)
+        g_list = g_arr.tolist()
+        # about 50k oracle pairs: evenly spaced left tuples against every g
+        step = max(1, len(f_arr) * len(g_arr) // 50_000)
+        for f in f_arr[::step].tolist():
+            block = _block_product(f, module.action_table, module.add_table, g_arr, layout)
+            assert block.shape == (layout[0], len(g_arr))
+            expected = [convolution_oracle(f, g, layout, act_rows, add_rows, ring.zero,
+                                           module.zero) for g in g_list]
+            assert block.T.tolist() == expected
+
+
+def test_block_product_on_ring_tables():
+    ring = relabeled_zmod(6, 2)
+    window = WINDOWS_N[2]
+    layout = _product_layout(NAT, window.exponents)
+    f_arr = window.coeff_array(ring.size, ring.zero)
+    mul_rows, add_rows = ring.mul_table.tolist(), ring.add_table.tolist()
+    for f in f_arr.tolist():
+        block = _block_product(f, ring.mul_table, ring.add_table, f_arr, layout)
+        expected = [convolution_oracle(f, g, layout, mul_rows, add_rows, ring.zero, ring.zero)
+                    for g in f_arr.tolist()]
+        assert block.T.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# content annihilator
+
+
+@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
+def test_content_annihilator_matches_ideal_closure(label, ring, module):
+    for _, window in _windows_up_to(ring.size, 5000):
+        f_arr = window.coeff_array(ring.size, ring.zero)
+        got = _content_annihilates(module, f_arr).tolist()
+        assert got == [content_oracle(ring, module, f) for f in f_arr.tolist()]
+
+
+@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
+def test_zero_divisor_series_annihilator_matches_ideal_closure(label, ring, module):
+    window = WINDOWS_N[0]
+    for f in window.coeff_array(ring.size, ring.zero)[::7].tolist():
+        verdict = is_zero_divisor_series(window.series(ring, NAT, f), module)
+        closed = annihilator_in_module(ideal_generated(ring, f), module)
+        assert verdict.annihilator.members == closed.members
+        assert verdict.is_zero_divisor == content_oracle(ring, module, f)
+
+
+# ---------------------------------------------------------------------------
+# least witnesses: the first failing pair in the old pair order
+
+
+def _least_pair(ring, module, window, layout, fails):
+    """The first (f, g) in lexicographic pair order whose oracle product fails."""
+    act_rows, add_rows = module.action_table.tolist(), module.add_table.tolist()
+    g_list = enumeration_oracle(window, module.size, module.zero)
+    for f in enumeration_oracle(window, ring.size, ring.zero):
+        for g in g_list:
+            fg = convolution_oracle(f, g, layout, act_rows, add_rows, ring.zero, module.zero)
+            if fails(f, g, fg):
+                return f, g
+    return None
+
+
+def _terms(window, space, coeffs):
+    return verify_mod._terms_payload(window.series(space, NAT, coeffs))
+
+
+def test_planted_dm_failure_reports_the_least_pair(monkeypatch):
+    # every pair with a vanishing product and a nonzero g is declared a
+    # Dedekind-Mertens failure; the report must name the least such pair
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    zero_sub = 1 << m6.zero
+
+    def planted(cf, cg, cfg, cap):
+        if cfg.members == zero_sub and cg.members != zero_sub:
+            return DMResult(None, (), cap)
+        return DMResult(1, (), cap)
+
+    monkeypatch.setattr(verify_mod, "_dm_search", planted)
+    report = verify_mccoy_equivalence(z6, m6, NAT, window)
+    layout = _product_layout(NAT, window.exponents)
+    f, g = _least_pair(z6, m6, window, layout,
+                       lambda f, g, fg: all(c == 0 for c in fg) and any(g))
+    assert report.outcome == "counterexample"
+    assert report.counterexample["clause"] == "dedekind_mertens"
+    assert report.counterexample["f"] == _terms(window, z6, f)
+    assert report.counterexample["g"] == _terms(window, m6, g)
+
+
+def test_planted_domain_claim_reports_the_least_pair(monkeypatch):
+    # Z/6 declared a domain: the least pair of nonzero series with product 0
+    z6 = build_zmod(6)
+    window = SupportWindow(((0,), (1,)))
+    monkeypatch.setattr(verify_mod, "zero_divisor_set", lambda module: 1 << module.zero)
+    report = verify_domain_prime_extension(z6, None, NAT, window)
+    layout = _product_layout(NAT, window.exponents)
+    f, g = _least_pair(z6, z6.as_module(), window, layout,
+                       lambda f, g, fg: any(f) and any(g) and not any(fg))
+    assert report.counterexample == {"clause": "domain_transfer",
+                                     "f": _terms(window, z6, f), "g": _terms(window, z6, g)}
+
+
+def test_submodule_violation_is_the_least_pair():
+    z12 = build_zmod(12)
+    m12 = ring_as_module(z12)
+    sub = submodule_generated(m12, [4])
+    window = SupportWindow(((0,), (1,)))
+    report = verify_submodule_transfer(m12, sub, NAT, window)
+    layout = _product_layout(NAT, window.exponents)
+
+    def moves_m_out_of_p(f):
+        cf = ideal_generated(z12, f)
+        moved = {m12.act(a, x) for a in cf.members_tuple() for x in range(12)}
+        return any(not sub.contains(x) for x in moved)
+
+    f, g = _least_pair(z12, m12, window, layout,
+                       lambda f, g, fg: (all(sub.contains(c) for c in fg)
+                                         and not all(sub.contains(c) for c in g)
+                                         and moves_m_out_of_p(f)))
+    violation = report.details["expected_prime_violation"]
+    assert violation["r"] == _terms(window, z12, f)
+    assert violation["x"] == _terms(window, m12, g)
+
+
+def test_planted_decomposition_reports_the_least_series(monkeypatch):
+    # drop the prime (3) from the decomposition of Z/6: the least window series
+    # that is a zero-divisor but not inside (2)[S] must be reported
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    real = verify_mod.decompose_zero_divisors(m6)
+    planted = replace(real, primes=real.primes[:1], witnesses=real.witnesses[:1], degree=1)
+    monkeypatch.setattr(verify_mod, "decompose_zero_divisors", lambda module: planted)
+    report = verify_zero_divisor_transfer(z6, m6, NAT, window)
+    in_p = planted.primes[0].contains
+    least = next(f for f in enumeration_oracle(window, 6, 0)
+                 if content_oracle(z6, m6, f) != all(in_p(c) for c in f))
+    assert report.counterexample["clause"] == "membership"
+    assert report.counterexample["f"] == _terms(window, z6, least)
