@@ -111,7 +111,10 @@ class FiniteModule:
         self.action_table = act
         self.zero = int(zero)
         self.label = label
-        validate_module(self)
+        # the ring axioms imply the module axioms of R acting on itself, so a
+        # module built on the ring's own table objects needs no second audit
+        if not (add is ring.add_table and act is ring.mul_table and self.zero == ring.zero):
+            validate_module(self)
         self.neg_table = np.argmax(add == self.zero, axis=1)
         self._add_rows = add.tolist()
         self._act_rows = act.tolist()
@@ -475,8 +478,9 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     ring on the normalized generator tuple.
     """
     gset = sorted({int(g) for g in gens} - {ring.zero})
+    size = ring.size
     for g in gset:
-        if not 0 <= g < ring.size:
+        if not 0 <= g < size:
             raise PreconditionError(f"generator {g} outside {ring.label}")
     key = ("igen", tuple(gset))
     hit = ring._cache.get(key)
@@ -645,8 +649,9 @@ def quotient_module(module: FiniteModule, sub: Submodule) -> FiniteModule:
 def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> Submodule:
     """Closure of the generators under addition and the ring action."""
     gset = sorted({int(g) for g in gens} - {module.zero})
+    size = module.size
     for g in gset:
-        if not 0 <= g < module.size:
+        if not 0 <= g < size:
             raise PreconditionError(f"generator {g} outside {module.label}")
     key = ("sgen", tuple(gset))
     hit = module._cache.get(key)

@@ -68,6 +68,7 @@ from .zd import (
 
 DEFAULT_BUDGET = 10_000_000
 _BLOCK_ROWS = 1 << 16
+_BLOCK_PAIRS = 1 << 12
 
 OUTCOME_PASS = "pass"
 OUTCOME_COUNTEREXAMPLE = "counterexample"
@@ -205,27 +206,38 @@ def _product_layout(monoid: Monoid, exponents: tuple) -> tuple[int, list]:
     return len(index), pos
 
 
-def _block_product(f_coeffs, table, add_table, right: np.ndarray, layout) -> np.ndarray:
-    """Coefficients of f * g for one left tuple f and every right-hand tuple g.
+def _block_product(left: np.ndarray, table, add_table, right: np.ndarray,
+                   layout) -> np.ndarray:
+    """Coefficients of f * g for every left tuple f and right-hand tuple g.
 
-    table[a] is the multiplication (or action) row of the coefficient a,
-    add_table the target's addition, right the (N, E) window array and layout
-    the _product_layout of the window. Returns an (n_prod, N) array; column n
-    holds the product with right[n].
+    left is an (F, E) block of left tuples, table[a] the multiplication (or
+    action) row of the coefficient a, add_table the target's addition, right
+    the (N, E) window array and layout the _product_layout of the window.
+    Returns an (n_prod, F, N) array; [:, a, b] holds left[a] * right[b].
     """
     n_prod, pos = layout
-    acc = np.empty((n_prod, len(right)), dtype=add_table.dtype)
+    acc = np.empty((n_prod, len(left), len(right)), dtype=add_table.dtype)
     # every product position receives a term: the first is stored, later ones added
     stored = [False] * n_prod
-    for i, a in enumerate(f_coeffs):
-        row = table[a]
+    for i in range(left.shape[1]):
+        rows = table.take(left[:, i], axis=0)
         for j, k in enumerate(pos[i]):
+            # one take and no index arithmetic: every extra (F, N) temporary
+            # page-faults afresh on wide windows
+            term = rows.take(right[:, j], axis=1)
             if stored[k]:
-                acc[k] = add_table[acc[k], row[right[:, j]]]
+                acc[k] = add_table[acc[k], term]
             else:
-                acc[k] = row[right[:, j]]
+                acc[k] = term
                 stored[k] = True
     return acc
+
+
+def _left_blocks(left: np.ndarray, right: np.ndarray) -> list:
+    """Slices of left rows holding at most _BLOCK_PAIRS pairs against right,
+    and at least one row each, in order."""
+    step = max(1, _BLOCK_PAIRS // len(right))
+    return [slice(start, start + step) for start in range(0, len(left), step)]
 
 
 def _content_annihilates(module: FiniteModule, coeffs: np.ndarray) -> np.ndarray:
@@ -301,77 +313,146 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
     return report
 
 
+class _Contents:
+    """Ids of the contents of coefficient tuples over one ring or module.
+
+    A tuple's content is the ideal or submodule its coefficients generate.
+    Tuples are keyed by their packed coefficient-presence bits, zero left
+    out: one uint64 when the space has at most 64 elements, whose sorts and
+    searches are far cheaper than those of raw bytes, and a byte string
+    otherwise. The keys met so far are kept sorted with their ids, so a block
+    of tuples is looked up with one searchsorted and close runs once per
+    distinct key; equal contents share one id, numbered by their member
+    masks, and objects[id] is the content itself.
+    """
+
+    def __init__(self, space, close):
+        self.space = space
+        self.close = close
+        words = -(-space.size // 64)
+        self.keys = np.empty(0, dtype=np.uint64 if words == 1
+                             else np.dtype((np.void, 8 * words)))
+        self.key_ids = np.empty(0, dtype=np.int64)
+        self.by_members: dict = {}
+        self.objects: list = []
+
+    def ids(self, coeffs: np.ndarray) -> np.ndarray:
+        """The content id of every row of coeffs."""
+        present = np.zeros((len(coeffs), self.space.size), dtype=bool)
+        present[np.arange(len(coeffs))[:, None], coeffs] = True
+        present[:, self.space.zero] = False
+        packed = np.zeros((len(coeffs), self.keys.dtype.itemsize), dtype=np.uint8)
+        packed[:, :-(-self.space.size // 8)] = np.packbits(present, axis=1)
+        keys = packed.view(self.keys.dtype).ravel()
+        pos = np.searchsorted(self.keys, keys)
+        new = pos == len(self.keys)
+        new[~new] = self.keys[pos[~new]] != keys[~new]
+        if new.any():
+            fresh, first = np.unique(keys[new], return_index=True)
+            fresh_ids = [self._id(present[row]) for row in np.flatnonzero(new)[first]]
+            merged = np.concatenate((self.keys, fresh))
+            order = np.argsort(merged)
+            self.keys = merged[order]
+            self.key_ids = np.concatenate((self.key_ids, fresh_ids))[order]
+            pos = np.searchsorted(self.keys, keys)
+        return self.key_ids[pos]
+
+    def _id(self, present: np.ndarray) -> int:
+        content = self.close(self.space, np.flatnonzero(present).tolist())
+        cid = self.by_members.get(content.members)
+        if cid is None:
+            cid = self.by_members[content.members] = len(self.objects)
+            self.objects.append(content)
+        return cid
+
+
 def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                             statement) -> VerificationReport:
+    """Left rows go in blocks of at most _BLOCK_PAIRS pairs. Each pair's
+    Dedekind-Mertens instance (c(f), c(g), c(fg), cap) is one int64 code, and
+    the search runs once per distinct instance; rows are then read in order,
+    so the least failing pair is reported and every vanishing product before
+    it replays its McCoy witness."""
     layout = _product_layout(monoid, window.exponents)
     mzero = module.zero
     f_arr = window.coeff_array(ring.size, ring.zero)
     g_arr = window.coeff_array(module.size, mzero)
     g_list = g_arr.tolist()
     g_nonzero = (g_arr != mzero).any(axis=1)
-    g_support = (g_arr != mzero).sum(axis=1).tolist()
-    g_content = [submodule_generated(module, g) for g in g_list]
     ann_nonzero = _content_annihilates(module, f_arr).tolist()
+    ideals = _Contents(ring, ideal_generated)
+    subs = _Contents(module, submodule_generated)
+    # Dedekind-Mertens with the default cap |support(g)| + 1: c(g) and the
+    # cap depend on g alone, so each g falls in one class of the pair codes
+    g_cap = (g_arr != mzero).sum(axis=1) + 1
+    cap_radix = len(window.exponents) + 2
+    g_keys, g_class = np.unique(subs.ids(g_arr) * cap_radix + g_cap, return_inverse=True)
+    g_classes = [divmod(key, cap_radix) for key in g_keys.tolist()]
+    n_g = len(g_arr)
 
     dm_memo: dict = {}
     zero_product_pairs = 0
-    witnesses_verified = 0
     max_k = 0
 
-    for fi, f_coeffs in enumerate(f_arr.tolist()):
-        cf = ideal_generated(ring, f_coeffs)
-        block = _block_product(f_coeffs, module.action_table, module.add_table, g_arr, layout)
-        vanishing = ((block == mzero).all(axis=0) & g_nonzero).tolist()
-        killed = False
-        for gi, fg in enumerate(block.T.tolist()):
-            # Dedekind-Mertens with the default cap |support(g)| + 1
-            cg = g_content[gi]
-            cfg = submodule_generated(module, fg)
-            cap = g_support[gi] + 1
-            dm_key = (cf.members, cg.members, cfg.members, cap)
-            k_min = dm_memo.get(dm_key, -1)
+    for rows in _left_blocks(f_arr, g_arr):
+        f_block = f_arr[rows]
+        cf = ideals.ids(f_block)
+        block = _block_product(f_block, module.action_table, module.add_table, g_arr, layout)
+        cfg = subs.ids(block.reshape(layout[0], -1).T)
+        n_subs = len(subs.objects)
+        codes = ((cf[:, None] * len(g_classes) + g_class) * n_subs).ravel() + cfg
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        # k_min per distinct code; 0 stands for "no exponent within the cap"
+        k_of = np.empty(len(distinct), dtype=np.int64)
+        for n, code in enumerate(distinct.tolist()):
+            rest, cfg_id = divmod(code, n_subs)
+            key = (*divmod(rest, len(g_classes)), cfg_id)
+            k_min = dm_memo.get(key, -1)
             if k_min == -1:
-                k_min = _dm_search(cf, cg, cfg, cap).k_min
-                dm_memo[dm_key] = k_min
-            if k_min is None:
+                cg_id, cap = g_classes[key[1]]
+                k_min = _dm_search(ideals.objects[key[0]], subs.objects[cg_id],
+                                   subs.objects[cfg_id], cap).k_min
+                dm_memo[key] = k_min
+            k_of[n] = k_min or 0
+        k_block = k_of[inverse].reshape(len(f_block), n_g)
+        vanishing = (block == mzero).all(axis=0) & g_nonzero
+
+        for r, f_coeffs in enumerate(f_block.tolist()):
+            fails = np.flatnonzero(k_block[r] == 0)
+            end = int(fails[0]) if fails.size else n_g
+            replays = np.flatnonzero(vanishing[r, :end]).tolist()
+            if replays:
                 f_series = window.series(ring, monoid, f_coeffs)
-                g_series = window.series(module, monoid, g_list[gi])
+                for gi in replays:  # mccoy_witness raises on failure
+                    mccoy_witness(f_series, window.series(module, monoid, g_list[gi]))
+                zero_product_pairs += len(replays)
+            if fails.size:
                 return VerificationReport(
                     statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                     counterexample={
                         "clause": "dedekind_mertens",
-                        "f": _terms_payload(f_series),
-                        "g": _terms_payload(g_series),
-                        "reason": f"no exponent within cap {cap}",
+                        "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
+                        "g": _terms_payload(window.series(module, monoid, g_list[end])),
+                        "reason": f"no exponent within cap {int(g_cap[end])}",
                     })
-            if k_min > max_k:
-                max_k = k_min
-
-            if vanishing[gi]:
-                killed = True
-                zero_product_pairs += 1
-                f_series = window.series(ring, monoid, f_coeffs)
-                g_series = window.series(module, monoid, g_list[gi])
-                mccoy_witness(f_series, g_series)  # raises on failure
-                witnesses_verified += 1
-
-        if killed != ann_nonzero[fi]:
-            f_series = window.series(ring, monoid, f_coeffs)
-            return VerificationReport(
-                statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                counterexample={
-                    "clause": "content_annihilator",
-                    "f": _terms_payload(f_series),
-                    "annihilator_nonzero": ann_nonzero[fi],
-                    "window_partner_found": killed,
-                })
+            killed = bool(replays)
+            if killed != ann_nonzero[rows.start + r]:
+                return VerificationReport(
+                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                    counterexample={
+                        "clause": "content_annihilator",
+                        "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
+                        "annihilator_nonzero": ann_nonzero[rows.start + r],
+                        "window_partner_found": killed,
+                    })
+        max_k = max(max_k, int(k_block.max()))
 
     details = {
         "branch": "hypotheses_hold",
         "pairs": predicted,
         "max_dm_exponent": max_k,
         "zero_product_pairs": zero_product_pairs,
-        "mccoy_witnesses_verified": witnesses_verified,
+        "mccoy_witnesses_verified": zero_product_pairs,
         "content_criterion_series": len(f_arr),
     }
     return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
@@ -455,8 +536,9 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     f_arr = window.coeff_array(ring.size, rzero)
     f_list = f_arr.tolist()
 
-    def times_window(f_coeffs):
-        return _block_product(f_coeffs, ring.mul_table, ring.add_table, f_arr, layout)
+    def times_window(fi):
+        return _block_product(f_arr[fi:fi + 1], ring.mul_table, ring.add_table, f_arr,
+                              layout)[:, 0]
 
     details: dict = {"ring_is_domain": is_domain, "primes_checked": len(primes),
                      "associated_primes_checked": len(ass)}
@@ -464,7 +546,7 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     if is_domain:
         nonzero = (f_arr != rzero).any(axis=1)
         for fi in np.flatnonzero(nonzero):
-            hits = np.flatnonzero((times_window(f_list[fi]) == rzero).all(axis=0) & nonzero)
+            hits = np.flatnonzero((times_window(fi) == rzero).all(axis=0) & nonzero)
             if hits.size:
                 return VerificationReport(
                     statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
@@ -490,7 +572,7 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
         in_p = bitset.bools_from_mask(p.members, ring.size)
         outside = ~in_p[f_arr].all(axis=1)
         for fi in np.flatnonzero(outside):
-            hits = np.flatnonzero(in_p[times_window(f_list[fi])].all(axis=0) & outside)
+            hits = np.flatnonzero(in_p[times_window(fi)].all(axis=0) & outside)
             if hits.size:
                 f_series = window.series(ring, monoid, f_list[fi])
                 g_series = window.series(ring, monoid, f_list[hits[0]])
@@ -585,8 +667,10 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     primary_violation = None
     x_arr = window.coeff_array(module.size, module.zero)
     x_outside = ~in_p[x_arr].all(axis=1)
-    for r_coeffs in window.coeff_array(ring.size, ring.zero).tolist():
-        block = _block_product(r_coeffs, module.action_table, module.add_table, x_arr, layout)
+    r_arr = window.coeff_array(ring.size, ring.zero)
+    for ri, r_coeffs in enumerate(r_arr.tolist()):
+        block = _block_product(r_arr[ri:ri + 1], module.action_table, module.add_table,
+                               x_arr, layout)[:, 0]
         # only the least x with r x in P[S] and x outside P[S] can be reported
         hits = np.flatnonzero(in_p[block].all(axis=0) & x_outside)
         if not hits.size:
@@ -663,15 +747,19 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     mzero = module.zero
     f_arr = window.coeff_array(ring.size, ring.zero)
     content_verdicts = _content_annihilates(module, f_arr).tolist()
-    # all window partners at once; each f multiplies against the whole block
+    # all window partners at once, against blocks of f
     partners = window.coeff_array(module.size, mzero)
     partner_nonzero = (partners != mzero).any(axis=1)
+    search_verdicts = []
+    for rows in _left_blocks(f_arr, partners):
+        acc = _block_product(f_arr[rows], module.action_table, module.add_table, partners,
+                             layout)
+        search_verdicts += ((acc == mzero).all(axis=0) & partner_nonzero).any(axis=1).tolist()
 
     regular_count = 0
     zig_count = 0
-    for f_coeffs, by_content in zip(f_arr.tolist(), content_verdicts):
-        acc = _block_product(f_coeffs, module.action_table, module.add_table, partners, layout)
-        by_search = bool(((acc == mzero).all(axis=0) & partner_nonzero).any())
+    for f_coeffs, by_content, by_search in zip(f_arr.tolist(), content_verdicts,
+                                               search_verdicts):
         f_series = window.series(ring, monoid, f_coeffs)
         by_operation = is_zero_divisor_series(f_series, module).is_zero_divisor
         if not (by_content == by_search == by_operation):

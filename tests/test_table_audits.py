@@ -309,6 +309,60 @@ class TestFallbackGuard:
                                              build_zmod(6).mul_table))
 
 
+class TestRingAsModule:
+    """R acting on itself is built without a second audit of the ring's tables."""
+
+    @pytest.mark.parametrize("ring", valid_rings(), ids=lambda r: r.label)
+    def test_explicit_audit_passes(self, ring):
+        module = ring.as_module()
+        assert module.add_table is ring.add_table
+        assert module.action_table is ring.mul_table
+        fa.validate_module(module)
+        assert assert_module_agrees(module) is None
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_explicit_audit_passes_relabelled(self, m):
+        tables = product_ring_tables(m, seed=m)
+        ring = fa.FiniteRing(tables.add_table, tables.mul_table, tables.zero, tables.one)
+        fa.validate_module(ring.as_module())
+
+    def test_own_tables_are_not_audited_again(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fa, "validate_module", calls.append)
+        ring = build_zmod(12)
+        ring.as_module()
+        fa.FiniteModule(ring, ring.add_table, ring.mul_table, ring.zero)
+        assert calls == []
+        # copies of the same tables are audited
+        copied = fa.FiniteModule(ring, ring.add_table.copy(), ring.mul_table.copy(), ring.zero)
+        listed = fa.FiniteModule(ring, ring.add_table.tolist(), ring.mul_table, ring.zero)
+        assert calls == [copied, listed]
+
+    @pytest.mark.parametrize("which", ["add", "action"])
+    def test_corrupted_copy_raises_the_audit_error(self, which):
+        ring = build_zmod(6)
+        add, act = ring.add_table, ring.mul_table
+        bad = (add if which == "add" else act).copy()
+        bad[2, 3] = (bad[2, 3] + 1) % 6
+        if which == "add":
+            add = bad
+        else:
+            act = bad
+        expected = failure(fa._scan_module, module_tables(ring, add, act))
+        assert expected is not None
+        with pytest.raises(AxiomError) as exc:
+            fa.FiniteModule(ring, add, act, ring.zero, label="M")
+        assert str(exc.value) == expected
+
+    def test_own_tables_with_another_zero_are_audited(self):
+        ring = build_zmod(6)
+        expected = failure(fa._scan_module, module_tables(ring, ring.add_table,
+                                                          ring.mul_table, zero=1))
+        with pytest.raises(AxiomError) as exc:
+            fa.FiniteModule(ring, ring.add_table, ring.mul_table, 1, label="M")
+        assert str(exc.value) == expected
+
+
 class TestGenerators:
     @pytest.mark.parametrize("ring", valid_rings(), ids=lambda r: r.label)
     def test_greedy_generators_span(self, ring):

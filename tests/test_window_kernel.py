@@ -2,16 +2,19 @@
 
 The oracles below are the superseded paths, kept as independent references:
 the filtered itertools.product enumeration of window tuples, the per-pair
-pure-Python convolution, and the content-annihilator verdict taken by closing
-the content ideal c(f) and annihilating it. The library now enumerates only
-supported tuples, multiplies one left tuple against every right-hand tuple at
-once, and reads Ann_M(c(f)) as the intersection of the Ann_M(a) over the
-coefficients a of f.
+pure-Python convolution, the content-annihilator verdict taken by closing
+the content ideal c(f) and annihilating it, and the per-pair loop of
+mccoy_equivalence, which closed c(fg) and probed the Dedekind-Mertens memo
+once per pair. The library now enumerates only supported tuples, multiplies
+a block of left tuples against every right-hand tuple at once, reads
+Ann_M(c(f)) as the intersection of the Ann_M(a) over the coefficients a of
+f, and looks up each distinct Dedekind-Mertens instance of a block once.
 """
 
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import sgmod.verify as verify_mod
@@ -29,10 +32,11 @@ from sgmod import (
     submodule_generated,
     verify_domain_prime_extension,
     verify_mccoy_equivalence,
+    verify_regularity_transfer,
     verify_submodule_transfer,
     verify_zero_divisor_transfer,
 )
-from sgmod.series import DMResult
+from sgmod.series import DMResult, _dm_search
 from sgmod.verify import _block_product, _content_annihilates, _product_layout
 
 NAT = free_monoid(1)
@@ -79,6 +83,57 @@ def content_oracle(ring, module, f):
     """Ann_M(c(f)) != 0, with c(f) closed as an ideal first."""
     ann = annihilator_in_module(ideal_generated(ring, f), module)
     return ann.members != 1 << module.zero
+
+
+def mccoy_oracle(ring, module, monoid, window, dm_search=_dm_search, content=None):
+    """The per-pair loop of mccoy_equivalence on the good branch.
+
+    Returns the counterexample (or None) and the details it would report,
+    the number of vanishing pairs before the report, and the Dedekind-Mertens
+    instances (c(f), c(g), c(fg), cap) it looked up, as member masks.
+    """
+    if content is None:
+        content = lambda f: content_oracle(ring, module, f)  # noqa: E731
+    layout = _product_layout(monoid, window.exponents)
+    act_rows, add_rows = module.action_table.tolist(), module.add_table.tolist()
+    # the enumeration has its own oracle above; the full product is too large here
+    g_list = window.coeff_array(module.size, module.zero).tolist()
+    dm_memo: dict = {}
+    vanishing = 0
+    max_k = 0
+
+    def terms(space, coeffs):
+        return verify_mod._terms_payload(window.series(space, monoid, coeffs))
+
+    def done(counterexample, details=None):
+        return counterexample, details, vanishing, set(dm_memo)
+
+    f_list = window.coeff_array(ring.size, ring.zero).tolist()
+    for f in f_list:
+        cf = ideal_generated(ring, f)
+        killed = False
+        for g in g_list:
+            fg = convolution_oracle(f, g, layout, act_rows, add_rows, ring.zero, module.zero)
+            cap = sum(1 for c in g if c != module.zero) + 1
+            key = (cf.members, submodule_generated(module, g).members,
+                   submodule_generated(module, fg).members, cap)
+            if key not in dm_memo:
+                dm_memo[key] = dm_search(cf, submodule_generated(module, g),
+                                         submodule_generated(module, fg), cap).k_min
+            if dm_memo[key] is None:
+                return done({"clause": "dedekind_mertens", "f": terms(ring, f),
+                             "g": terms(module, g), "reason": f"no exponent within cap {cap}"})
+            max_k = max(max_k, dm_memo[key])
+            if any(c != module.zero for c in g) and all(c == module.zero for c in fg):
+                killed = True
+                vanishing += 1
+        if killed != content(f):
+            return done({"clause": "content_annihilator", "f": terms(ring, f),
+                         "annihilator_nonzero": content(f), "window_partner_found": killed})
+    return done(None, {"branch": "hypotheses_hold", "pairs": len(f_list) * len(g_list),
+                       "max_dm_exponent": max_k, "zero_product_pairs": vanishing,
+                       "mccoy_witnesses_verified": vanishing,
+                       "content_criterion_series": len(f_list)})
 
 
 def relabeled_zmod(n, shift):
@@ -152,14 +207,20 @@ def test_block_product_matches_pairwise_loop(label, ring, module):
         f_arr = window.coeff_array(ring.size, ring.zero)
         g_arr = window.coeff_array(module.size, module.zero)
         g_list = g_arr.tolist()
-        # about 50k oracle pairs: evenly spaced left tuples against every g
+        # about 50k oracle pairs: evenly spaced left tuples against every g,
+        # multiplied in blocks of one to three rows
         step = max(1, len(f_arr) * len(g_arr) // 50_000)
-        for f in f_arr[::step].tolist():
-            block = _block_product(f, module.action_table, module.add_table, g_arr, layout)
-            assert block.shape == (layout[0], len(g_arr))
-            expected = [convolution_oracle(f, g, layout, act_rows, add_rows, ring.zero,
-                                           module.zero) for g in g_list]
-            assert block.T.tolist() == expected
+        sample = f_arr[::step]
+        start, height = 0, 1
+        while start < len(sample):
+            rows = sample[start:start + height]
+            block = _block_product(rows, module.action_table, module.add_table, g_arr, layout)
+            assert block.shape == (layout[0], len(rows), len(g_arr))
+            for a, f in enumerate(rows.tolist()):
+                expected = [convolution_oracle(f, g, layout, act_rows, add_rows, ring.zero,
+                                               module.zero) for g in g_list]
+                assert block[:, a].T.tolist() == expected
+            start, height = start + height, height % 3 + 1
 
 
 def test_block_product_on_ring_tables():
@@ -168,11 +229,12 @@ def test_block_product_on_ring_tables():
     layout = _product_layout(NAT, window.exponents)
     f_arr = window.coeff_array(ring.size, ring.zero)
     mul_rows, add_rows = ring.mul_table.tolist(), ring.add_table.tolist()
-    for f in f_arr.tolist():
-        block = _block_product(f, ring.mul_table, ring.add_table, f_arr, layout)
+    # the whole window as one left block
+    block = _block_product(f_arr, ring.mul_table, ring.add_table, f_arr, layout)
+    for a, f in enumerate(f_arr.tolist()):
         expected = [convolution_oracle(f, g, layout, mul_rows, add_rows, ring.zero, ring.zero)
                     for g in f_arr.tolist()]
-        assert block.T.tolist() == expected
+        assert block[:, a].T.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +353,150 @@ def test_planted_decomposition_reports_the_least_series(monkeypatch):
                  if content_oracle(z6, m6, f) != all(in_p(c) for c in f))
     assert report.counterexample["clause"] == "membership"
     assert report.counterexample["f"] == _terms(window, z6, least)
+
+
+# ---------------------------------------------------------------------------
+# mccoy_equivalence: block-batched lookups against the per-pair loop
+
+# the spanning windows, plus small ones that fit the larger spaces
+MCCOY_WINDOWS = ([(NAT, w) for w in WINDOWS_N] + [(NAT2, w) for w in WINDOWS_N2]
+                 + [(NAT, SupportWindow(((2,),))),
+                    (NAT, SupportWindow(((0,), (3,)), max_support=1)),
+                    (NAT2, SupportWindow(((1, 0), (0, 1)), max_support=1))])
+
+
+def _mccoy_windows(ring, module, limit):
+    return [(m, w) for m, w in MCCOY_WINDOWS
+            if w.count(ring.size) * w.count(module.size) <= limit]
+
+
+def _spy(monkeypatch, name):
+    """Wrap verify_mod.<name>; the returned list collects the arguments of
+    every call."""
+    real = getattr(verify_mod, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify_mod, name, spy)
+    return calls
+
+
+def _dm_instances(calls):
+    return [(cf.members, cg.members, cfg.members, cap) for cf, cg, cfg, cap in calls]
+
+
+@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
+def test_mccoy_matches_per_pair_loop(label, ring, module, monkeypatch):
+    windows = _mccoy_windows(ring, module, 25_000)
+    assert any(w.max_support is None for _, w in windows)
+    assert any(w.max_support is not None for _, w in windows)
+    witnesses = _spy(monkeypatch, "mccoy_witness")
+    searches = _spy(monkeypatch, "_dm_search")
+    for monoid, window in windows:
+        witnesses.clear()
+        searches.clear()
+        report = verify_mccoy_equivalence(ring, module, monoid, window)
+        counterexample, details, vanishing, instances = mccoy_oracle(ring, module, monoid,
+                                                                     window)
+        assert counterexample is None
+        assert report.outcome == "pass"
+        assert report.details == details
+        # every vanishing pair replays its witness; each instance is searched once
+        assert len(witnesses) == vanishing
+        searched = _dm_instances(searches)
+        assert len(searched) == len(set(searched))
+        assert set(searched) == instances
+
+
+# Z/6 over the window {0, 1, 2} has 216 right-hand tuples: one, two and three
+# left rows per block, and the default blocks
+BLOCK_PAIRS = [1, 2 * 216, 3 * 216 + 1, verify_mod._BLOCK_PAIRS]
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_planted_dm_failure_in_a_later_block(block_pairs, monkeypatch):
+    # pairs with c(f) = (3), a nonzero g and a vanishing product are declared
+    # Dedekind-Mertens failures; the least one has f = 3x^2, the fourth row
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    zero_sub = 1 << m6.zero
+    three = ideal_generated(z6, [3]).members
+
+    def planted(cf, cg, cfg, cap):
+        if cf.members == three and cfg.members == zero_sub and cg.members != zero_sub:
+            return DMResult(None, (), cap)
+        return DMResult(1, (), cap)
+
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    counterexample, _, vanishing, _ = mccoy_oracle(z6, m6, NAT, window, dm_search=planted)
+    monkeypatch.setattr(verify_mod, "_dm_search", planted)
+    witnesses = _spy(monkeypatch, "mccoy_witness")
+    report = verify_mccoy_equivalence(z6, m6, NAT, window)
+    layout = _product_layout(NAT, window.exponents)
+    f, g = _least_pair(z6, m6, window, layout,
+                       lambda f, g, fg: (set(f) - {0} == {3} and not any(fg) and any(g)))
+    assert f == (0, 0, 3)
+    assert report.outcome == "counterexample"
+    assert report.counterexample == counterexample
+    assert report.counterexample["f"] == _terms(window, z6, f)
+    assert report.counterexample["g"] == _terms(window, m6, g)
+    # the vanishing pairs before the failing one all replayed their witnesses
+    assert len(witnesses) == vanishing > 0
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_planted_content_failure_in_a_later_block(block_pairs, monkeypatch):
+    # series with content (2) are declared to have a zero annihilator; the
+    # least one is f = 2x^2, the third row
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    two = ideal_generated(z6, [2]).members
+
+    def planted_content(f):
+        return ideal_generated(z6, f).members != two and content_oracle(z6, m6, f)
+
+    def planted(module, coeffs):
+        return np.array([planted_content(f) for f in coeffs.tolist()])
+
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(verify_mod, "_content_annihilates", planted)
+    witnesses = _spy(monkeypatch, "mccoy_witness")
+    report = verify_mccoy_equivalence(z6, m6, NAT, window)
+    counterexample, _, vanishing, _ = mccoy_oracle(z6, m6, NAT, window,
+                                                   content=planted_content)
+    least = next(f for f in enumeration_oracle(window, 6, 0)
+                 if planted_content(f) != content_oracle(z6, m6, f))
+    assert least == (0, 0, 2)
+    assert report.counterexample == counterexample
+    assert report.counterexample == {"clause": "content_annihilator",
+                                     "f": _terms(window, z6, least),
+                                     "annihilator_nonzero": False,
+                                     "window_partner_found": True}
+    assert len(witnesses) == vanishing > 0
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_planted_regularity_failure_in_a_later_block(block_pairs, monkeypatch):
+    # the same planted content verdict: the window search of every block must
+    # still find the partner of the least disagreeing series, f = 2x^2
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    two = ideal_generated(z6, [2]).members
+
+    def planted(module, coeffs):
+        return np.array([ideal_generated(z6, f).members != two and content_oracle(z6, m6, f)
+                         for f in coeffs.tolist()])
+
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(verify_mod, "_content_annihilates", planted)
+    report = verify_regularity_transfer(z6, m6, NAT, window)
+    assert report.counterexample == {"f": _terms(window, z6, (0, 0, 2)),
+                                     "content_annihilator": False,
+                                     "window_search": True,
+                                     "zero_divisor_operation": True}
