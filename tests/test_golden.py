@@ -1,6 +1,10 @@
 """Pinned payload hashes: `sgmod run` on the sessions in tests/data must give
 exactly the per-record `payload_hash` lists in golden_hashes.json.
 
+The two `*_seed11.json` sessions are `perfbench/gen.py --seed 11` output for
+the verify_window and module_structure workloads, so the window verifiers are
+pinned on the benchmark's own inputs.
+
 A refactor that keeps behaviour keeps these lists. A deliberate change of a
 payload regenerates them and says why in CHANGES.md.
 """
