@@ -113,12 +113,17 @@ class FiniteModule:
         self.label = label
         # the ring axioms imply the module axioms of R acting on itself, so a
         # module built on the ring's own table objects needs no second audit
-        if not (add is ring.add_table and act is ring.mul_table and self.zero == ring.zero):
+        # and shares the ring's negation and row lists
+        if add is ring.add_table and act is ring.mul_table and self.zero == ring.zero:
+            self.neg_table = ring.neg_table
+            self._add_rows, self._act_rows = ring._add_rows, ring._mul_rows
+            self._neg_list = ring._neg_list
+        else:
             validate_module(self)
-        self.neg_table = np.argmax(add == self.zero, axis=1)
-        self._add_rows = add.tolist()
-        self._act_rows = act.tolist()
-        self._neg_list = self.neg_table.tolist()
+            self.neg_table = np.argmax(add == self.zero, axis=1)
+            self._add_rows = add.tolist()
+            self._act_rows = act.tolist()
+            self._neg_list = self.neg_table.tolist()
         self._cache: dict = {}
 
     @property
@@ -432,6 +437,17 @@ def build_truncated_poly_ring(p: int, nvars: int, cap: int,
     return FiniteRing(add, mul, 0, 1, label=label, meta=meta)
 
 
+def _distinct(values: np.ndarray, size: int) -> list[int]:
+    """The distinct entries of an array of element indices below size, sorted.
+
+    A mask over the elements, not np.unique: a plain np.unique call imports
+    numpy.ma on its first use in a process.
+    """
+    seen = np.zeros(size, dtype=bool)
+    seen[values.ravel()] = True
+    return np.flatnonzero(seen).tolist()
+
+
 def _require_ideal(ideal: Ideal) -> None:
     ring = ideal.ring
     mem = ideal.members
@@ -440,11 +456,11 @@ def _require_ideal(ideal: Ideal) -> None:
     idx = list(bitset.iter_bits(mem))
     sums = ring.add_table[np.ix_(idx, idx)]
     prods = ring.mul_table[:, idx]
-    for v in np.unique(sums):
-        if not bitset.has_bit(mem, int(v)):
+    for v in _distinct(sums, ring.size):
+        if not bitset.has_bit(mem, v):
             raise PreconditionError(f"not an ideal of {ring.label}: not closed under add")
-    for v in np.unique(prods):
-        if not bitset.has_bit(mem, int(v)):
+    for v in _distinct(prods, ring.size):
+        if not bitset.has_bit(mem, v):
             raise PreconditionError(f"not an ideal of {ring.label}: not closed under multiplication")
 
 
@@ -456,8 +472,8 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> FiniteRing:
     idx = list(bitset.iter_bits(ideal.members))
     n = ring.size
     rep = ring.add_table[:, idx].min(axis=1)  # coset representative = least member
-    reps = np.unique(rep)
-    qindex = {int(r): i for i, r in enumerate(reps)}
+    reps = _distinct(rep, n)
+    qindex = {r: i for i, r in enumerate(reps)}
     to_q = np.array([qindex[int(rep[x])] for x in range(n)])
     qadd = to_q[ring.add_table[np.ix_(reps, reps)]]
     qmul = to_q[ring.mul_table[np.ix_(reps, reps)]]
@@ -513,8 +529,7 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
         return hit
     ia = list(bitset.iter_bits(a.members))
     ib = list(bitset.iter_bits(b.members))
-    prods = np.unique(ring.mul_table[np.ix_(ia, ib)])
-    out = ideal_generated(ring, (int(v) for v in prods))
+    out = ideal_generated(ring, _distinct(ring.mul_table[np.ix_(ia, ib)], ring.size))
     ring._cache[key] = out
     ring._cache[("iprod", b.members, a.members)] = out
     return out
@@ -622,11 +637,11 @@ def _require_submodule(sub: Submodule) -> None:
     if not bitset.has_bit(mem, module.zero):
         raise PreconditionError(f"not a submodule of {module.label}: missing zero")
     idx = list(bitset.iter_bits(mem))
-    for v in np.unique(module.add_table[np.ix_(idx, idx)]):
-        if not bitset.has_bit(mem, int(v)):
+    for v in _distinct(module.add_table[np.ix_(idx, idx)], module.size):
+        if not bitset.has_bit(mem, v):
             raise PreconditionError(f"not a submodule of {module.label}: not add-closed")
-    for v in np.unique(module.action_table[:, idx]):
-        if not bitset.has_bit(mem, int(v)):
+    for v in _distinct(module.action_table[:, idx], module.size):
+        if not bitset.has_bit(mem, v):
             raise PreconditionError(f"not a submodule of {module.label}: not action-closed")
 
 
@@ -637,8 +652,8 @@ def quotient_module(module: FiniteModule, sub: Submodule) -> FiniteModule:
     _require_submodule(sub)
     idx = list(bitset.iter_bits(sub.members))
     rep = module.add_table[:, idx].min(axis=1)
-    reps = np.unique(rep)
-    qindex = {int(r): i for i, r in enumerate(reps)}
+    reps = _distinct(rep, module.size)
+    qindex = {r: i for i, r in enumerate(reps)}
     to_q = np.array([qindex[int(rep[x])] for x in range(module.size)])
     qadd = to_q[module.add_table[np.ix_(reps, reps)]]
     qact = to_q[module.action_table[:, reps]]
@@ -694,8 +709,8 @@ def ideal_action_submodule(ideal: Ideal, sub: Submodule) -> Submodule:
     if not ia or not ix:
         out = submodule_generated(module, ())
     else:
-        prods = np.unique(module.action_table[np.ix_(ia, ix)])
-        out = submodule_generated(module, (int(v) for v in prods))
+        out = submodule_generated(module,
+                                  _distinct(module.action_table[np.ix_(ia, ix)], module.size))
     module._cache[key] = out
     return out
 

@@ -259,9 +259,28 @@ def mccoy_witness(f: Series, g: Series) -> int:
         raise PreconditionError("g must be nonzero")
     if not series_multiply(f, g).is_zero:
         raise PreconditionError("McCoy witness requires f*g = 0")
-    module = g.space
-    cf = content(f)
-    level = content(g)  # c(f)^0 c(g)
+    m = content_mccoy_witness(content(f), content(g))
+    if not series_multiply(f, constant_series(g.space, f.monoid, m)).is_zero:
+        raise InvariantViolation("McCoy witness failed replay")
+    return m
+
+
+def content_mccoy_witness(cf: Ideal, cg: Submodule) -> int:
+    """The McCoy witness of every vanishing pair with contents cf and cg.
+
+    The least nonzero element of the last nonzero level c(f)^(t-1) c(g) of
+    the descending chain c(f)^k c(g); it depends on f and g only through
+    their contents, so it is memoized per module on the pair. A chain that
+    repeats before reaching zero, impossible when fg = 0 under the monoid
+    hypotheses, raises an invariant violation. The caller replays the
+    witness against f.
+    """
+    module = cg.module
+    key = ("mccoy", cf.members, cg.members)
+    hit = module._cache.get(key)
+    if hit is not None:
+        return hit
+    level = cg  # c(f)^0 c(g)
     zero_mask = 1 << module.zero
     while True:
         nxt = ideal_action_submodule(cf, level)
@@ -273,8 +292,7 @@ def mccoy_witness(f: Series, g: Series) -> int:
     m = bitset.lowest_bit(level.members & ~zero_mask)
     if m is None:
         raise InvariantViolation("no nonzero element at the last nonzero level")
-    if not series_multiply(f, constant_series(module, f.monoid, m)).is_zero:
-        raise InvariantViolation("McCoy witness failed replay")
+    module._cache[key] = m
     return m
 
 

@@ -33,6 +33,7 @@ from .finite_algebra import (
     FiniteModule,
     FiniteRing,
     Submodule,
+    annihilator_in_module,
     associated_primes,
     classify_submodule,
     ideal_action_submodule,
@@ -53,10 +54,10 @@ from .series import (
     build_noncancellative_counterexample,
     build_torsion_counterexample,
     constant_series,
+    content_mccoy_witness,
     extended_ideal_membership,
     is_zero_divisor_series,
     make_series,
-    mccoy_witness,
     series_multiply,
 )
 from .zd import (
@@ -236,7 +237,7 @@ def _block_product(left: np.ndarray, table, add_table, right: np.ndarray,
 def _left_blocks(left: np.ndarray, right: np.ndarray) -> list:
     """Slices of left rows holding at most _BLOCK_PAIRS pairs against right,
     and at least one row each, in order."""
-    step = max(1, _BLOCK_PAIRS // len(right))
+    step = max(1, _BLOCK_PAIRS // max(1, len(right)))
     return [slice(start, start + step) for start in range(0, len(left), step)]
 
 
@@ -259,6 +260,17 @@ def _content_annihilates(module: FiniteModule, coeffs: np.ndarray) -> np.ndarray
             acc &= kills[block[:, j]]
         out[start:start + _BLOCK_ROWS] = acc.any(axis=1)
     return out
+
+
+def _replay_mccoy_witnesses(module: FiniteModule, f_rows: np.ndarray,
+                            witnesses: np.ndarray) -> None:
+    """Raise unless every coefficient of f_rows[i] kills witnesses[i].
+
+    That is f * m = 0 for the constant series m: the replay mccoy_witness
+    makes, for all pairs at once.
+    """
+    if not (module.action_table[f_rows, witnesses[:, None]] == module.zero).all():
+        raise InvariantViolation("McCoy witness failed replay")
 
 
 def _require_hypotheses(monoid: Monoid, statement: str) -> None:
@@ -370,23 +382,24 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                             statement) -> VerificationReport:
     """Left rows go in blocks of at most _BLOCK_PAIRS pairs. Each pair's
     Dedekind-Mertens instance (c(f), c(g), c(fg), cap) is one int64 code, and
-    the search runs once per distinct instance; rows are then read in order,
-    so the least failing pair is reported and every vanishing product before
-    it replays its McCoy witness."""
+    the search runs once per distinct instance. The least row with a failure
+    is reported at its least g, and every vanishing product before that pair
+    replays its McCoy witness: the witness depends only on (c(f), c(g)), so it
+    is computed once per content pair and the replays of a block run at once."""
     layout = _product_layout(monoid, window.exponents)
     mzero = module.zero
     f_arr = window.coeff_array(ring.size, ring.zero)
     g_arr = window.coeff_array(module.size, mzero)
-    g_list = g_arr.tolist()
     g_nonzero = (g_arr != mzero).any(axis=1)
-    ann_nonzero = _content_annihilates(module, f_arr).tolist()
+    ann_nonzero = _content_annihilates(module, f_arr)
     ideals = _Contents(ring, ideal_generated)
     subs = _Contents(module, submodule_generated)
     # Dedekind-Mertens with the default cap |support(g)| + 1: c(g) and the
     # cap depend on g alone, so each g falls in one class of the pair codes
     g_cap = (g_arr != mzero).sum(axis=1) + 1
     cap_radix = len(window.exponents) + 2
-    g_keys, g_class = np.unique(subs.ids(g_arr) * cap_radix + g_cap, return_inverse=True)
+    g_cg = subs.ids(g_arr)
+    g_keys, g_class = np.unique(g_cg * cap_radix + g_cap, return_inverse=True)
     g_classes = [divmod(key, cap_radix) for key in g_keys.tolist()]
     n_g = len(g_arr)
 
@@ -415,36 +428,45 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                 dm_memo[key] = k_min
             k_of[n] = k_min or 0
         k_block = k_of[inverse].reshape(len(f_block), n_g)
-        vanishing = (block == mzero).all(axis=0) & g_nonzero
-
-        for r, f_coeffs in enumerate(f_block.tolist()):
-            fails = np.flatnonzero(k_block[r] == 0)
-            end = int(fails[0]) if fails.size else n_g
-            replays = np.flatnonzero(vanishing[r, :end]).tolist()
-            if replays:
-                f_series = window.series(ring, monoid, f_coeffs)
-                for gi in replays:  # mccoy_witness raises on failure
-                    mccoy_witness(f_series, window.series(module, monoid, g_list[gi]))
-                zero_product_pairs += len(replays)
-            if fails.size:
+        # every vanishing pair before its row's first Dedekind-Mertens failure
+        # replays; the first row with a failure or a content mismatch is reported
+        dm_fails = k_block == 0
+        end = np.where(dm_fails.any(axis=1), dm_fails.argmax(axis=1), n_g)
+        replay = ((block == mzero).all(axis=0) & g_nonzero
+                  & (np.arange(n_g) < end[:, None]))
+        killed = replay.any(axis=1)
+        bad = np.flatnonzero((end < n_g) | (killed != ann_nonzero[rows]))
+        last = int(bad[0]) if bad.size else len(f_block) - 1
+        pair_rows, pair_cols = np.nonzero(replay[:last + 1])
+        if pair_rows.size:
+            # one witness per (c(f), c(g)) pair, replayed on every vanishing pair
+            pair_codes = cf[pair_rows] * n_subs + g_cg[pair_cols]
+            witness_codes, witness_of = np.unique(pair_codes, return_inverse=True)
+            witnesses = np.array([content_mccoy_witness(ideals.objects[code // n_subs],
+                                                        subs.objects[code % n_subs])
+                                  for code in witness_codes.tolist()], dtype=np.intp)
+            _replay_mccoy_witnesses(module, f_block[pair_rows], witnesses[witness_of])
+            zero_product_pairs += len(pair_rows)
+        if bad.size:
+            f_coeffs = f_block[last].tolist()
+            if end[last] < n_g:
+                gi = int(end[last])
                 return VerificationReport(
                     statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                     counterexample={
                         "clause": "dedekind_mertens",
                         "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
-                        "g": _terms_payload(window.series(module, monoid, g_list[end])),
-                        "reason": f"no exponent within cap {int(g_cap[end])}",
+                        "g": _terms_payload(window.series(module, monoid, g_arr[gi].tolist())),
+                        "reason": f"no exponent within cap {int(g_cap[gi])}",
                     })
-            killed = bool(replays)
-            if killed != ann_nonzero[rows.start + r]:
-                return VerificationReport(
-                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                    counterexample={
-                        "clause": "content_annihilator",
-                        "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
-                        "annihilator_nonzero": ann_nonzero[rows.start + r],
-                        "window_partner_found": killed,
-                    })
+            return VerificationReport(
+                statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                counterexample={
+                    "clause": "content_annihilator",
+                    "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
+                    "annihilator_nonzero": bool(ann_nonzero[rows][last]),
+                    "window_partner_found": bool(killed[last]),
+                })
         max_k = max(max_k, int(k_block.max()))
 
     details = {
@@ -716,15 +738,49 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
 # regularity transfer
 
 
+def _socle_partners(module: FiniteModule, window: SupportWindow) -> np.ndarray:
+    """The nonzero window tuples over (0 :_M p), for each p in Ass(M) in turn.
+
+    The socles of distinct maximal ideals meet only in zero, so no tuple
+    repeats.
+    """
+    mzero = module.zero
+    parts = []
+    for p, _ in associated_primes(module):
+        socle = np.array(annihilator_in_module(p, module).members_tuple(), dtype=np.intp)
+        tuples = socle[window.coeff_array(len(socle), int(np.searchsorted(socle, mzero)))]
+        parts.append(tuples[(tuples != mzero).any(axis=1)])
+    return np.asfortranarray(np.concatenate(parts))
+
+
+def _partner_search(module: FiniteModule, f_arr: np.ndarray, partners: np.ndarray,
+                    layout) -> list:
+    """Per row f of f_arr, whether f * g = 0 for some row g of partners."""
+    verdicts = []
+    for rows in _left_blocks(f_arr, partners):
+        acc = _block_product(f_arr[rows], module.action_table, module.add_table, partners,
+                             layout)
+        verdicts += (acc == module.zero).all(axis=0).any(axis=1).tolist()
+    return verdicts
+
+
 def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: Monoid,
                                window: SupportWindow,
                                budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Three-way agreement for every window f: the content annihilator verdict,
-    the window search for an annihilating partner (complete here because a
-    constant witness always fits any window), and the public zero-divisor test.
+    the window search for an annihilating partner, and the public
+    zero-divisor test.
 
-    Instances: |R[S] window| adjudicated series; the budget accounts for the
-    inner search, |R[S] window| * |M[S] window| evaluated pairs.
+    The search runs over socle partners only: the nonzero window tuples whose
+    coefficients all lie in (0 :_M p) for one p in Ass(M). That loses no
+    partner. The g in the window with fg = 0 form an R-submodule, since r g
+    keeps the support of g. If it is nonzero it holds a simple submodule
+    R h = R/m, so m kills every coefficient of h, and m = Ann(c) for a nonzero
+    coefficient c, so m is in Ass(M).
+
+    Instances: |R[S] window| adjudicated series; the budget charges the full
+    search, |R[S] window| * |M[S] window| pairs, of which the socle partners
+    are a subset.
     """
     t0 = time.perf_counter()
     statement = "regularity_transfer"
@@ -744,17 +800,9 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
         return _skipped(statement, config, nf * ng, budget, t0)
 
     layout = _product_layout(monoid, window.exponents)
-    mzero = module.zero
     f_arr = window.coeff_array(ring.size, ring.zero)
     content_verdicts = _content_annihilates(module, f_arr).tolist()
-    # all window partners at once, against blocks of f
-    partners = window.coeff_array(module.size, mzero)
-    partner_nonzero = (partners != mzero).any(axis=1)
-    search_verdicts = []
-    for rows in _left_blocks(f_arr, partners):
-        acc = _block_product(f_arr[rows], module.action_table, module.add_table, partners,
-                             layout)
-        search_verdicts += ((acc == mzero).all(axis=0) & partner_nonzero).any(axis=1).tolist()
+    search_verdicts = _partner_search(module, f_arr, _socle_partners(module, window), layout)
 
     regular_count = 0
     zig_count = 0

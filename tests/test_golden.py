@@ -12,9 +12,12 @@ payload regenerates them and says why in CHANGES.md.
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sgmod
 from sgmod.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -31,3 +34,19 @@ def test_payload_hashes_match_pinned(session):
     assert code == 0
     assert records[-1]["summary"]["errors"] == 0
     assert [r["payload_hash"] for r in records[:-1]] == GOLDEN[session]
+
+
+def test_window_session_does_not_import_numpy_ma():
+    # a plain np.unique imports numpy.ma on its first call, about 17 ms per
+    # process; the library keeps off that path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgmod.__file__)))
+    script = ("import io, sys\n"
+              "from sgmod.cli import main\n"
+              "code = main(['run', sys.argv[1]], stream=io.StringIO())\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", script,
+                          os.path.join(DATA, "verify_window_seed11.json")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "False"]

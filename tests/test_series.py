@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sgmod import (
     ExtendedIdeal,
     HypothesisError,
+    InvariantViolation,
     PreconditionError,
     StructureMismatchError,
     build_noncancellative_counterexample,
@@ -19,6 +20,7 @@ from sgmod import (
     extended_ideal_membership,
     ideal_action_submodule,
     ideal_generated,
+    ideal_power,
     is_zero_divisor_series,
     make_series,
     mccoy_witness,
@@ -27,8 +29,10 @@ from sgmod import (
     series_add,
     series_multiply,
     series_neg,
+    submodule_generated,
     zero_series,
 )
+from sgmod.series import content_mccoy_witness
 
 
 def ring_series(ring, monoid, *coeffs):
@@ -234,6 +238,49 @@ class TestMcCoy:
                 assert m != 0
                 assert all(z6.mul(c, m) == 0 for c in f.coefficients)
         assert hits > 0
+
+
+class TestContentMcCoyWitness:
+    """The witness of a content pair against the ideal powers c(f)^k c(g)."""
+
+    @staticmethod
+    def power_oracle(cf, cg):
+        """Least nonzero element of c(f)^(t-1) c(g) for the least t with
+        c(f)^t c(g) = 0, or None when no t <= |R| exists."""
+        module = cg.module
+        for t in range(1, cf.ring.size + 1):
+            if ideal_action_submodule(ideal_power(cf, t), cg).is_zero:
+                level = ideal_action_submodule(ideal_power(cf, t - 1), cg)
+                return min(x for x in level.members_tuple() if x != module.zero)
+        return None
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_matches_ideal_powers_on_zmod(self, n):
+        ring = build_zmod(n)
+        module = ring_as_module(ring)
+        chains = 0
+        for a in range(n):
+            cf = ideal_generated(ring, [a])
+            for b in range(1, n):
+                cg = submodule_generated(module, [b])
+                expected = self.power_oracle(cf, cg)
+                if expected is None:
+                    with pytest.raises(InvariantViolation):
+                        content_mccoy_witness(cf, cg)
+                    continue
+                assert content_mccoy_witness(cf, cg) == expected
+                chains += not ideal_action_submodule(cf, cg).is_zero
+        assert chains > 0
+
+    def test_long_chain_on_truncated_ring(self, trunc):
+        # m, m^2, then zero: the witness is the least nonzero element of m^2
+        a, b = trunc.meta["generators"]
+        module = ring_as_module(trunc)
+        m = ideal_generated(trunc, [a, b])
+        whole = submodule_generated(module, [trunc.one])
+        square = ideal_power(m, 2)
+        assert content_mccoy_witness(m, whole) == min(square.members_tuple()[1:])
+        assert content_mccoy_witness(m, whole) == self.power_oracle(m, whole)
 
 
 class TestZeroDivisorSeries:

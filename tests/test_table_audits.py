@@ -338,6 +338,23 @@ class TestRingAsModule:
         listed = fa.FiniteModule(ring, ring.add_table.tolist(), ring.mul_table, ring.zero)
         assert calls == [copied, listed]
 
+    def test_own_tables_share_the_ring_mirrors(self):
+        ring = build_zmod(12)
+        module = ring.as_module()
+        assert module._add_rows is ring._add_rows
+        assert module._act_rows is ring._mul_rows
+        assert module._neg_list is ring._neg_list
+        assert module.neg_table is ring.neg_table
+        # copied tables build lists of their own, with the same entries
+        copied = fa.FiniteModule(ring, ring.add_table.copy(), ring.mul_table.copy(), ring.zero)
+        for mine, theirs in [(copied._add_rows, ring._add_rows),
+                             (copied._act_rows, ring._mul_rows),
+                             (copied._neg_list, ring._neg_list)]:
+            assert mine is not theirs
+            assert mine == theirs
+        assert copied.neg_table is not ring.neg_table
+        assert np.array_equal(copied.neg_table, ring.neg_table)
+
     @pytest.mark.parametrize("which", ["add", "action"])
     def test_corrupted_copy_raises_the_audit_error(self, which):
         ring = build_zmod(6)

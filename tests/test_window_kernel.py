@@ -5,10 +5,14 @@ the filtered itertools.product enumeration of window tuples, the per-pair
 pure-Python convolution, the content-annihilator verdict taken by closing
 the content ideal c(f) and annihilating it, and the per-pair loop of
 mccoy_equivalence, which closed c(fg) and probed the Dedekind-Mertens memo
-once per pair. The library now enumerates only supported tuples, multiplies
-a block of left tuples against every right-hand tuple at once, reads
-Ann_M(c(f)) as the intersection of the Ann_M(a) over the coefficients a of
-f, and looks up each distinct Dedekind-Mertens instance of a block once.
+once per pair and replayed mccoy_witness on every vanishing pair, and the
+search of regularity_transfer for an annihilating partner among all window
+tuples. The library now enumerates only supported tuples, multiplies a block
+of left tuples against every right-hand tuple at once, reads Ann_M(c(f)) as
+the intersection of the Ann_M(a) over the coefficients a of f, looks up each
+distinct Dedekind-Mertens instance of a block once, computes one McCoy
+witness per content pair (c(f), c(g)), and searches partners only among the
+window tuples over the socles (0 :_M p) of the associated primes p.
 """
 
 import itertools
@@ -20,6 +24,7 @@ import pytest
 import sgmod.verify as verify_mod
 from sgmod import (
     FiniteRing,
+    InvariantViolation,
     SupportWindow,
     annihilator_in_module,
     build_truncated_poly_ring,
@@ -28,6 +33,9 @@ from sgmod import (
     free_monoid,
     ideal_generated,
     is_zero_divisor_series,
+    mccoy_witness,
+    module_from_tables,
+    quotient_module,
     ring_as_module,
     submodule_generated,
     verify_domain_prime_extension,
@@ -37,7 +45,13 @@ from sgmod import (
     verify_zero_divisor_transfer,
 )
 from sgmod.series import DMResult, _dm_search
-from sgmod.verify import _block_product, _content_annihilates, _product_layout
+from sgmod.verify import (
+    _block_product,
+    _content_annihilates,
+    _partner_search,
+    _product_layout,
+    _socle_partners,
+)
 
 NAT = free_monoid(1)
 NAT2 = free_monoid(2)
@@ -89,8 +103,9 @@ def mccoy_oracle(ring, module, monoid, window, dm_search=_dm_search, content=Non
     """The per-pair loop of mccoy_equivalence on the good branch.
 
     Returns the counterexample (or None) and the details it would report,
-    the number of vanishing pairs before the report, and the Dedekind-Mertens
-    instances (c(f), c(g), c(fg), cap) it looked up, as member masks.
+    the (f, m) replay of every vanishing pair before the report, with m the
+    McCoy witness of the pair, and the Dedekind-Mertens instances
+    (c(f), c(g), c(fg), cap) it looked up, as member masks.
     """
     if content is None:
         content = lambda f: content_oracle(ring, module, f)  # noqa: E731
@@ -99,14 +114,14 @@ def mccoy_oracle(ring, module, monoid, window, dm_search=_dm_search, content=Non
     # the enumeration has its own oracle above; the full product is too large here
     g_list = window.coeff_array(module.size, module.zero).tolist()
     dm_memo: dict = {}
-    vanishing = 0
+    replays = []
     max_k = 0
 
     def terms(space, coeffs):
         return verify_mod._terms_payload(window.series(space, monoid, coeffs))
 
     def done(counterexample, details=None):
-        return counterexample, details, vanishing, set(dm_memo)
+        return counterexample, details, replays, set(dm_memo)
 
     f_list = window.coeff_array(ring.size, ring.zero).tolist()
     for f in f_list:
@@ -126,13 +141,15 @@ def mccoy_oracle(ring, module, monoid, window, dm_search=_dm_search, content=Non
             max_k = max(max_k, dm_memo[key])
             if any(c != module.zero for c in g) and all(c == module.zero for c in fg):
                 killed = True
-                vanishing += 1
+                m = mccoy_witness(window.series(ring, monoid, f),
+                                  window.series(module, monoid, g))
+                replays.append((tuple(f), m))
         if killed != content(f):
             return done({"clause": "content_annihilator", "f": terms(ring, f),
                          "annihilator_nonzero": content(f), "window_partner_found": killed})
     return done(None, {"branch": "hypotheses_hold", "pairs": len(f_list) * len(g_list),
-                       "max_dm_exponent": max_k, "zero_product_pairs": vanishing,
-                       "mccoy_witnesses_verified": vanishing,
+                       "max_dm_exponent": max_k, "zero_product_pairs": len(replays),
+                       "mccoy_witnesses_verified": len(replays),
                        "content_criterion_series": len(f_list)})
 
 
@@ -149,12 +166,31 @@ def relabeled_zmod(n, shift):
     return FiniteRing(add, mul, index(0), index(1), label=f"Z/{n} shifted")
 
 
+def shifted_z3_over_z6(z6):
+    """Z/3 as a Z/6-module from explicit tables, index i standing for the
+    residue (i + 1) mod 3, so the zero is index 2."""
+    idx = range(3)
+    add = [[(a + b + 1) % 3 for b in idx] for a in idx]
+    act = [[(r * (x + 1) - 1) % 3 for x in idx] for r in range(6)]
+    return module_from_tables(z6, add, act, 2, label="Z/3 tables")
+
+
 def _cases():
     cases = [(f"Z/{n}", build_zmod(n), None) for n in range(2, 13)]
     cases.append(("Z/6 shifted", relabeled_zmod(6, 2), None))
     cases.append(("F2[a,b]/m^3", build_truncated_poly_ring(2, 2, 3), None))
     z12 = build_zmod(12)
     cases.append(("Z/12 (+) Z/12", z12, direct_sum(ring_as_module(z12), ring_as_module(z12))))
+    z4 = build_zmod(4)
+    m4 = ring_as_module(z4)
+    z2_over_z4 = quotient_module(m4, submodule_generated(m4, [2]))
+    cases.append(("Z/4 (+) Z/2", z4, direct_sum(m4, z2_over_z4)))
+    z6 = build_zmod(6)
+    m66 = direct_sum(ring_as_module(z6), ring_as_module(z6))
+    # (Z/6 (+) Z/6) / <(2, 0)> is Z/2 (+) Z/6: associated primes (2) and (3)
+    cases.append(("(Z/6 (+) Z/6)/<(2,0)>", z6,
+                  quotient_module(m66, submodule_generated(m66, [2 * 6]))))
+    cases.append(("Z/3 tables over Z/6", z6, shifted_z3_over_z6(z6)))
     return [(label, ring, module if module is not None else ring_as_module(ring))
             for label, ring, module in cases]
 
@@ -388,15 +424,21 @@ def _dm_instances(calls):
     return [(cf.members, cg.members, cfg.members, cap) for cf, cg, cfg, cap in calls]
 
 
+def _replayed(calls):
+    """The (f, m) pairs replayed through _replay_mccoy_witnesses, in order."""
+    return [(tuple(f), m) for _, f_rows, ms in calls
+            for f, m in zip(f_rows.tolist(), ms.tolist())]
+
+
 @pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
 def test_mccoy_matches_per_pair_loop(label, ring, module, monkeypatch):
     windows = _mccoy_windows(ring, module, 25_000)
     assert any(w.max_support is None for _, w in windows)
     assert any(w.max_support is not None for _, w in windows)
-    witnesses = _spy(monkeypatch, "mccoy_witness")
+    replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
     searches = _spy(monkeypatch, "_dm_search")
     for monoid, window in windows:
-        witnesses.clear()
+        replays.clear()
         searches.clear()
         report = verify_mccoy_equivalence(ring, module, monoid, window)
         counterexample, details, vanishing, instances = mccoy_oracle(ring, module, monoid,
@@ -404,8 +446,9 @@ def test_mccoy_matches_per_pair_loop(label, ring, module, monkeypatch):
         assert counterexample is None
         assert report.outcome == "pass"
         assert report.details == details
-        # every vanishing pair replays its witness; each instance is searched once
-        assert len(witnesses) == vanishing
+        # every vanishing pair replays the witness mccoy_witness gives it;
+        # each instance is searched once
+        assert _replayed(replays) == vanishing
         searched = _dm_instances(searches)
         assert len(searched) == len(set(searched))
         assert set(searched) == instances
@@ -434,7 +477,7 @@ def test_planted_dm_failure_in_a_later_block(block_pairs, monkeypatch):
     monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
     counterexample, _, vanishing, _ = mccoy_oracle(z6, m6, NAT, window, dm_search=planted)
     monkeypatch.setattr(verify_mod, "_dm_search", planted)
-    witnesses = _spy(monkeypatch, "mccoy_witness")
+    replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
     report = verify_mccoy_equivalence(z6, m6, NAT, window)
     layout = _product_layout(NAT, window.exponents)
     f, g = _least_pair(z6, m6, window, layout,
@@ -444,8 +487,10 @@ def test_planted_dm_failure_in_a_later_block(block_pairs, monkeypatch):
     assert report.counterexample == counterexample
     assert report.counterexample["f"] == _terms(window, z6, f)
     assert report.counterexample["g"] == _terms(window, m6, g)
-    # the vanishing pairs before the failing one all replayed their witnesses
-    assert len(witnesses) == vanishing > 0
+    # the vanishing pairs before the failing one all replayed their witnesses,
+    # and no pair after it
+    assert len(vanishing) > 0
+    assert _replayed(replays) == vanishing
 
 
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
@@ -465,7 +510,7 @@ def test_planted_content_failure_in_a_later_block(block_pairs, monkeypatch):
 
     monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
     monkeypatch.setattr(verify_mod, "_content_annihilates", planted)
-    witnesses = _spy(monkeypatch, "mccoy_witness")
+    replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
     report = verify_mccoy_equivalence(z6, m6, NAT, window)
     counterexample, _, vanishing, _ = mccoy_oracle(z6, m6, NAT, window,
                                                    content=planted_content)
@@ -477,7 +522,8 @@ def test_planted_content_failure_in_a_later_block(block_pairs, monkeypatch):
                                      "f": _terms(window, z6, least),
                                      "annihilator_nonzero": False,
                                      "window_partner_found": True}
-    assert len(witnesses) == vanishing > 0
+    assert len(vanishing) > 0
+    assert _replayed(replays) == vanishing
 
 
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
@@ -500,3 +546,61 @@ def test_planted_regularity_failure_in_a_later_block(block_pairs, monkeypatch):
                                      "content_annihilator": False,
                                      "window_search": True,
                                      "zero_divisor_operation": True}
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_planted_wrong_witness_fails_replay(block_pairs, monkeypatch):
+    # pairs with c(f) = (2) are given the witness 1, which 2 does not kill;
+    # f = 2x^2 vanishes against g = 3, so the replay must raise
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    two = ideal_generated(z6, [2]).members
+    real = verify_mod.content_mccoy_witness
+
+    def planted(cf, cg):
+        return 1 if cf.members == two else real(cf, cg)
+
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(verify_mod, "content_mccoy_witness", planted)
+    with pytest.raises(InvariantViolation, match="McCoy witness failed replay"):
+        verify_mccoy_equivalence(z6, m6, NAT, window)
+
+
+# ---------------------------------------------------------------------------
+# regularity_transfer: socle partners against the full window search
+
+REGULARITY_WINDOWS = MCCOY_WINDOWS + [(NAT2, SupportWindow(((1, 0), (0, 1))))]
+
+
+def partner_search_oracle(module, window, f_arr, layout):
+    """Per row f, whether f * g = 0 for some nonzero g of the whole window."""
+    partners = window.coeff_array(module.size, module.zero)
+    nonzero = (partners != module.zero).any(axis=1)
+    verdicts = []
+    for start in range(0, len(f_arr), 8):
+        block = _block_product(f_arr[start:start + 8], module.action_table, module.add_table,
+                               partners, layout)
+        verdicts += ((block == module.zero).all(axis=0) & nonzero).any(axis=1).tolist()
+    return verdicts
+
+
+@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
+def test_socle_partner_search_matches_full_window(label, ring, module):
+    windows = [(m, w) for m, w in REGULARITY_WINDOWS
+               if w.count(ring.size) * w.count(module.size) <= 20_000_000]
+    assert {(m is NAT2, w.max_support is None) for m, w in windows} == {
+        (False, False), (False, True), (True, False), (True, True)}
+    for monoid, window in windows:
+        layout = _product_layout(monoid, window.exponents)
+        f_arr = window.coeff_array(ring.size, ring.zero)
+        expected = partner_search_oracle(module, window, f_arr, layout)
+        partners = _socle_partners(module, window)
+        rows = [tuple(r) for r in partners.tolist()]
+        assert len(set(rows)) == len(rows) < window.count(module.size)
+        assert all(any(c != module.zero for c in r) for r in rows)
+        assert _partner_search(module, f_arr, partners, layout) == expected
+        report = verify_regularity_transfer(ring, module, monoid, window, budget=10**9)
+        assert report.outcome == "pass"
+        assert report.details["zero_divisors"] == sum(expected)
+        assert report.instances_checked == len(f_arr)
