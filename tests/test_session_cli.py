@@ -414,7 +414,8 @@ class TestStrictInputs:
         assert "SGMOD_BUDGET must be an integer" in error["message"]
 
     @pytest.mark.parametrize("max_support,message", [
-        (-1, "max_support must be non-negative"),
+        (-1, "max_support must be at least 1"),
+        (0, "max_support must be at least 1"),
         (1.5, "'max_support' must be an integer"),
         (True, "'max_support' must be an integer"),
     ])
@@ -431,7 +432,7 @@ class TestStrictInputs:
     def test_negative_max_support_rejected_by_window(self):
         from sgmod.errors import PreconditionError
         from sgmod.verify import SupportWindow
-        with pytest.raises(PreconditionError, match="non-negative"):
+        with pytest.raises(PreconditionError, match="at least 1"):
             SupportWindow((0, 1), -1)
 
     @pytest.mark.parametrize("command", [

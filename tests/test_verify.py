@@ -37,7 +37,7 @@ class TestSupportWindow:
         w = SupportWindow(((0,), (1,), (2,)), max_support=1)
         # empty series plus 3 positions * 5 nonzero coefficients
         assert w.count(6) == 16
-        assert len(list(w.iter_coeffs(6, 0))) == 16
+        assert len(w.coeff_array(6, 0).tolist()) == 16
 
     def test_distinct_exponents_required(self):
         with pytest.raises(PreconditionError):
@@ -49,8 +49,14 @@ class TestSupportWindow:
             W3.validate_for(sat2)
 
     def test_enumeration_order_is_lexicographic(self):
-        got = list(W2.iter_coeffs(2, 0))
-        assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        got = W2.coeff_array(2, 0).tolist()
+        assert got == [[0, 0], [0, 1], [1, 0], [1, 1]]
+
+    def test_max_support_at_least_one(self):
+        # a window of the zero tuple alone would check nothing
+        with pytest.raises(PreconditionError, match="max_support must be at least 1, got 0"):
+            SupportWindow(W2.exponents, max_support=0)
+        assert SupportWindow(W2.exponents, max_support=1).count(6) == 11
 
 
 class TestMcCoyEquivalence:

@@ -31,11 +31,13 @@ from sgmod import (
     build_zmod,
     direct_sum,
     free_monoid,
+    ideal_action_submodule,
     ideal_generated,
     is_zero_divisor_series,
     mccoy_witness,
     module_from_tables,
     quotient_module,
+    quotient_ring,
     ring_as_module,
     submodule_generated,
     verify_domain_prime_extension,
@@ -175,6 +177,16 @@ def shifted_z3_over_z6(z6):
     return module_from_tables(z6, add, act, 2, label="Z/3 tables")
 
 
+def non_gaussian_ring():
+    """F2[a,b]/(a^2, b^2), 16 elements; a is index 2 and b index 4 of both
+    F2[a,b]/m^3 and the quotient. f = g = a + bX has fg = 0, but
+    c(f) c(g) = (ab) is not zero, so the McCoy chain of the pair has two
+    nonzero levels."""
+    t = build_truncated_poly_ring(2, 2, 3)
+    a_squared, b_squared = 8, 32
+    return quotient_ring(t, ideal_generated(t, [a_squared, b_squared]))
+
+
 def _cases():
     cases = [(f"Z/{n}", build_zmod(n), None) for n in range(2, 13)]
     cases.append(("Z/6 shifted", relabeled_zmod(6, 2), None))
@@ -191,6 +203,7 @@ def _cases():
     cases.append(("(Z/6 (+) Z/6)/<(2,0)>", z6,
                   quotient_module(m66, submodule_generated(m66, [2 * 6]))))
     cases.append(("Z/3 tables over Z/6", z6, shifted_z3_over_z6(z6)))
+    cases.append(("F2[a,b]/(a^2,b^2)", non_gaussian_ring(), None))
     return [(label, ring, module if module is not None else ring_as_module(ring))
             for label, ring, module in cases]
 
@@ -391,6 +404,31 @@ def test_planted_decomposition_reports_the_least_series(monkeypatch):
     assert report.counterexample["f"] == _terms(window, z6, least)
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_planted_witness_reports_each_extended_annihilator_clause(index, monkeypatch):
+    # the associated prime index of Z/6 is given the witness 1, which only 0
+    # kills: both verifiers run the same check, each under its own clause
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    real = verify_mod.decompose_zero_divisors(m6)
+    witnesses = tuple(1 if i == index else w for i, w in enumerate(real.witnesses))
+    planted = replace(real, witnesses=witnesses)
+    monkeypatch.setattr(verify_mod, "decompose_zero_divisors", lambda module: planted)
+    monkeypatch.setattr(verify_mod, "associated_primes",
+                        lambda module: list(zip(planted.primes, planted.witnesses)))
+    prime = planted.primes[index]
+    least = next(f for f in enumeration_oracle(window, 6, 0)
+                 if all(m6.act(c, 1) == 0 for c in f) != all(prime.contains(c) for c in f))
+    expected = {"prime": list(prime.members_tuple()), "witness": 1,
+                "f": _terms(window, z6, least)}
+    for verifier, clause in [(verify_zero_divisor_transfer, "extended_annihilator"),
+                             (verify_domain_prime_extension, "extended_associated_prime")]:
+        report = verifier(z6, m6, NAT, window)
+        assert report.outcome == "counterexample"
+        assert report.counterexample == {"clause": clause, **expected}
+
+
 # ---------------------------------------------------------------------------
 # mccoy_equivalence: block-batched lookups against the per-pair loop
 
@@ -452,6 +490,28 @@ def test_mccoy_matches_per_pair_loop(label, ring, module, monkeypatch):
         searched = _dm_instances(searches)
         assert len(searched) == len(set(searched))
         assert set(searched) == instances
+
+
+def test_non_gaussian_mccoy_chain_matches_per_pair_loop(monkeypatch):
+    # the window {0, 1} holds f = g = a + bX; c(f) kills no nonzero element
+    # of c(g), so its witness sits on the second level of the chain
+    ring = non_gaussian_ring()
+    module = ring_as_module(ring)
+    a, b = 2, 4
+    assert ring.size == 16 and ring.mul(a, a) == ring.mul(b, b) == ring.zero
+    cf = ideal_generated(ring, [a, b])
+    assert ideal_action_submodule(cf, submodule_generated(module, [a, b])).members \
+        == submodule_generated(module, [ring.mul(a, b)]).members != 1 << module.zero
+    window = SupportWindow(((0,), (1,)))
+    replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
+    report = verify_mccoy_equivalence(ring, module, NAT, window)
+    counterexample, details, vanishing, _ = mccoy_oracle(ring, module, NAT, window)
+    assert counterexample is None
+    assert report.outcome == "pass"
+    assert report.details == details
+    assert details["max_dm_exponent"] == 2 and details["mccoy_witnesses_verified"] == 1152
+    assert _replayed(replays) == vanishing
+    assert ((a, b), ring.mul(a, b)) in vanishing
 
 
 # Z/6 over the window {0, 1, 2} has 216 right-hand tuples: one, two and three

@@ -3,6 +3,7 @@ import pytest
 
 from sgmod import (
     FiniteModule,
+    Ideal,
     PrimeDecomposition,
     ZeroModuleError,
     annihilator_ideal_of_element,
@@ -30,7 +31,8 @@ from sgmod import bitset
 
 
 # ---------------------------------------------------------------------------
-# oracles: the generic ideal searches that the Ass(M) derivations replaced
+# oracles: the generic ideal searches and the predicate checks that the Ass(M)
+# derivations replaced
 
 
 def oracle_maximal_ideals_within(ring, zmask):
@@ -91,6 +93,44 @@ def oracle_property_a(module):
     return out
 
 
+def oracle_very_few(module):
+    """Whether the union of Ass(M) is Z(M), and the least element it misses."""
+    zmask = zero_divisor_set(module)
+    union = 0
+    for p, _ in associated_primes(module):
+        union |= p.members
+    return union == zmask, bitset.lowest_bit(zmask & ~union)
+
+
+def oracle_incomparable(primes):
+    """No prime of the list inside another one."""
+    return all(not bitset.is_subset(primes[i].members, primes[j].members)
+               for i in range(len(primes)) for j in range(len(primes)) if i != j)
+
+
+def oracle_primal(module):
+    """Closure of Z(M) under addition, then under the action, pair by pair.
+
+    Returns whether Z(M) is an ideal, its members when it is, and the first
+    violation ("add" | "action", a, b) otherwise; a Z(M) that is an ideal is
+    checked to be prime and the only associated prime.
+    """
+    zmask = zero_divisor_set(module)
+    ring = module.ring
+    zbits = list(bitset.iter_bits(zmask))
+    for a in zbits:
+        for b in zbits:
+            if not bitset.has_bit(zmask, ring.add(a, b)):
+                return False, None, ("add", a, b)
+    for r in ring.elements():
+        for z in zbits:
+            if not bitset.has_bit(zmask, ring.mul(r, z)):
+                return False, None, ("action", r, z)
+    assert is_prime_ideal(Ideal(ring, zmask))[0]
+    assert [p.members for p, _ in associated_primes(module)] == [zmask]
+    return True, bitset.members(zmask), None
+
+
 def oracle_prime_ideals(ring):
     return [i for i in enumerate_ideals(ring) if is_prime_ideal(i)[0]]
 
@@ -134,6 +174,15 @@ def _assert_matches_oracles(module):
     assert report.holds and report.failure is None
     assert [(i.members_tuple(), m) for i, m in report.witnesses] == oracle_property_a(module)
     assert report.checked_ideals == len(primes)
+    assert d.incomparable == oracle_incomparable(d.primes)
+    very_few = has_very_few_zero_divisors(module)
+    assert (very_few.holds, very_few.uncovered) == oracle_very_few(module)
+    assert [p.members_tuple() for p in very_few.primes] == primes
+    assert list(very_few.witnesses) == witnesses
+    primal = is_primal(module)
+    ideal = primal.zero_divisor_ideal
+    assert (primal.is_primal, None if ideal is None else ideal.members_tuple(),
+            primal.violation) == oracle_primal(module)
 
 
 class TestAgainstOracles:
@@ -157,8 +206,9 @@ class TestAgainstOracles:
         assert prime_ideals(zero) == oracle_prime_ideals(zero) == []
         with pytest.raises(ZeroModuleError):
             decompose_zero_divisors(ring_as_module(zero))
-        with pytest.raises(ZeroModuleError):
-            check_property_a(ring_as_module(zero))
+        for report in (check_property_a, has_very_few_zero_divisors, is_primal):
+            with pytest.raises(ZeroModuleError):
+                report(ring_as_module(zero))
 
 
 class TestDecomposition:
