@@ -42,10 +42,6 @@ def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def lowest_bit(mask: int) -> int | None:
     if mask == 0:
         return None

@@ -1,6 +1,9 @@
 import itertools
+from dataclasses import replace
 
 import pytest
+
+import sgmod.verify as verify_mod
 
 from sgmod import (
     HypothesisError,
@@ -244,6 +247,26 @@ class TestFiniteRingChain:
     def test_zero_ring_rejected(self):
         with pytest.raises(ZeroModuleError):
             verify_finite_ring_chain(build_zmod(1))
+
+    def _planted(self, monkeypatch, ring, plant):
+        real = verify_mod.decompose_zero_divisors(ring_as_module(ring))
+        planted = replace(real, primes=plant(real.primes))
+        monkeypatch.setattr(verify_mod, "decompose_zero_divisors", lambda module: planted)
+        return verify_finite_ring_chain(ring)
+
+    def test_missing_prime_reports_the_least_uncovered_zero_divisor(self, z6, monkeypatch):
+        # Z(Z/6) = {0, 2, 3, 4}; without (3) the element 3 is left uncovered
+        report = self._planted(monkeypatch, z6, lambda primes: primes[:1])
+        assert report.outcome == "counterexample"
+        assert report.counterexample == {"clause": "very_few", "element": 3,
+                                         "in_union": False, "primes": [[0, 2, 4]]}
+
+    def test_repeated_prime_reports_the_nested_pair(self, z6, monkeypatch):
+        # the union still is Z(Z/6), but the first prime sits inside the third
+        report = self._planted(monkeypatch, z6, lambda primes: primes + primes[:1])
+        assert report.outcome == "counterexample"
+        assert report.counterexample == {"clause": "incomparable", "pair": [0, 2],
+                                         "primes": [[0, 2, 4], [0, 3], [0, 2, 4]]}
 
 
 class TestCounterexamplePayloadReplay:

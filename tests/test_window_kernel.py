@@ -5,14 +5,16 @@ the filtered itertools.product enumeration of window tuples, the per-pair
 pure-Python convolution, the content-annihilator verdict taken by closing
 the content ideal c(f) and annihilating it, and the per-pair loop of
 mccoy_equivalence, which closed c(fg) and probed the Dedekind-Mertens memo
-once per pair and replayed mccoy_witness on every vanishing pair, and the
-search of regularity_transfer for an annihilating partner among all window
-tuples. The library now enumerates only supported tuples, multiplies a block
-of left tuples against every right-hand tuple at once, reads Ann_M(c(f)) as
-the intersection of the Ann_M(a) over the coefficients a of f, looks up each
-distinct Dedekind-Mertens instance of a block once, computes one McCoy
-witness per content pair (c(f), c(g)), and searches partners only among the
-window tuples over the socles (0 :_M p) of the associated primes p.
+once per pair and replayed mccoy_witness on every vanishing pair, the search
+of regularity_transfer for an annihilating partner among all window tuples,
+and the closure of each row's content. The library now enumerates only
+supported tuples, multiplies a block of left tuples against every right-hand
+tuple at once, reads Ann_M(c(f)) as the intersection of the Ann_M(a) over the
+coefficients a of f, reads c(f) off a join table of content ids, looks up
+each distinct Dedekind-Mertens instance of a block once, computes one McCoy
+witness per content pair (c(f), c(g)), calls is_zero_divisor_series once per
+content in regularity_transfer, and searches partners only among the window
+tuples over the socles (0 :_M p) of the associated primes p.
 """
 
 import itertools
@@ -50,6 +52,7 @@ from sgmod.series import DMResult, _dm_search
 from sgmod.verify import (
     _block_product,
     _content_annihilates,
+    _ContentLattice,
     _partner_search,
     _product_layout,
     _socle_partners,
@@ -306,6 +309,46 @@ def test_zero_divisor_series_annihilator_matches_ideal_closure(label, ring, modu
         closed = annihilator_in_module(ideal_generated(ring, f), module)
         assert verdict.annihilator.members == closed.members
         assert verdict.is_zero_divisor == content_oracle(ring, module, f)
+
+
+# ---------------------------------------------------------------------------
+# content lattice: join-table ids against the per-row closure
+
+
+def _lattice_rows(lattice, close, coeffs, seen):
+    """Check the ids of coeffs against closing each row, and collect every
+    (id, members) pair in seen."""
+    ids = lattice.ids(coeffs).tolist()
+    members = [close(lattice.space, row).members for row in coeffs.tolist()]
+    assert [lattice.objects[i].members for i in ids] == members
+    seen.update(zip(ids, members))
+
+
+@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
+def test_content_lattice_matches_per_row_closure(label, ring, module):
+    # window tuples over ring and module, then the product columns of one
+    # block: the lattices keep their ids across all of these calls
+    ideals = _ContentLattice(ring, ring.mul_table, ideal_generated)
+    subs = _ContentLattice(module, module.action_table, submodule_generated)
+    ideal_ids, sub_ids = set(), set()
+    for _, window in _windows_up_to(ring.size, 5000):
+        _lattice_rows(ideals, ideal_generated, window.coeff_array(ring.size, ring.zero),
+                      ideal_ids)
+    for _, window in _windows_up_to(module.size, 5000):
+        _lattice_rows(subs, submodule_generated, window.coeff_array(module.size, module.zero),
+                      sub_ids)
+    window = WINDOWS_N[0]
+    layout = _product_layout(NAT, window.exponents)
+    f_arr = window.coeff_array(ring.size, ring.zero)
+    g_arr = window.coeff_array(module.size, module.zero)
+    # left rows from the middle of the window on, about 10k pairs
+    rows = np.linspace(len(f_arr) // 2, len(f_arr) - 1, max(1, 10_000 // len(g_arr)))
+    block = _block_product(f_arr[rows.astype(int)], module.action_table, module.add_table,
+                           g_arr, layout)
+    _lattice_rows(subs, submodule_generated, block.reshape(layout[0], -1).T, sub_ids)
+    # equal ids exactly when the members are equal
+    for seen in (ideal_ids, sub_ids):
+        assert len(seen) == len({i for i, _ in seen}) == len({m for _, m in seen})
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +651,79 @@ def test_planted_regularity_failure_in_a_later_block(block_pairs, monkeypatch):
                                      "zero_divisor_operation": True}
 
 
+def _window_row(window, series):
+    coeffs = dict(series.terms)
+    return tuple(coeffs.get(e, series.space.zero) for e in window.exponents)
+
+
+def _plant_zero_divisor_test(monkeypatch, content_members, change):
+    """Pass the verdicts of is_zero_divisor_series on series with the given
+    content through change."""
+    real = verify_mod.is_zero_divisor_series
+
+    def planted(f, module):
+        verdict = real(f, module)
+        if ideal_generated(f.space, f.coefficients).members == content_members:
+            return change(verdict)
+        return verdict
+
+    monkeypatch.setattr(verify_mod, "is_zero_divisor_series", planted)
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_regularity_calls_the_zero_divisor_test_once_per_content(block_pairs, monkeypatch):
+    # Z/6 has four ideals, each the content of some window f; each is tested
+    # on its least f
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    calls = _spy(monkeypatch, "is_zero_divisor_series")
+    report = verify_regularity_transfer(z6, m6, NAT, window)
+    least = {}
+    for f in enumeration_oracle(window, 6, 0):
+        least.setdefault(ideal_generated(z6, f).members, f)
+    assert report.outcome == "pass"
+    assert len(least) == 4
+    assert sorted(_window_row(window, f) for f, _ in calls) == sorted(least.values())
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_regularity_wrong_zero_divisor_witness_fails_replay(block_pairs, monkeypatch):
+    # series with content (2) are given the witness 1, which 2 does not kill
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    _plant_zero_divisor_test(monkeypatch, ideal_generated(z6, [2]).members,
+                             lambda verdict: replace(verdict, witness=1))
+    with pytest.raises(InvariantViolation):
+        verify_regularity_transfer(z6, m6, NAT, window)
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_regularity_planted_operation_verdict_reports_the_least_series(block_pairs,
+                                                                       monkeypatch):
+    # series with content (3) are declared regular by the public test; the
+    # least one is f = 3x^2, the fourth row
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    three = ideal_generated(z6, [3]).members
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    _plant_zero_divisor_test(monkeypatch, three,
+                             lambda verdict: replace(verdict, is_zero_divisor=False,
+                                                     witness=None))
+    report = verify_regularity_transfer(z6, m6, NAT, window)
+    least = next(f for f in enumeration_oracle(window, 6, 0)
+                 if ideal_generated(z6, f).members == three)
+    assert least == (0, 0, 3)
+    assert report.counterexample == {"f": _terms(window, z6, least),
+                                     "content_annihilator": True,
+                                     "window_search": True,
+                                     "zero_divisor_operation": False}
+
+
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
 def test_planted_wrong_witness_fails_replay(block_pairs, monkeypatch):
     # pairs with c(f) = (2) are given the witness 1, which 2 does not kill;
@@ -659,7 +775,7 @@ def test_socle_partner_search_matches_full_window(label, ring, module):
         rows = [tuple(r) for r in partners.tolist()]
         assert len(set(rows)) == len(rows) < window.count(module.size)
         assert all(any(c != module.zero for c in r) for r in rows)
-        assert _partner_search(module, f_arr, partners, layout) == expected
+        assert _partner_search(module, f_arr, partners, layout).tolist() == expected
         report = verify_regularity_transfer(ring, module, monoid, window, budget=10**9)
         assert report.outcome == "pass"
         assert report.details["zero_divisors"] == sum(expected)
