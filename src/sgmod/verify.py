@@ -3,9 +3,9 @@
 Each verifier enumerates every coefficient assignment over a fixed exponent
 window, checks the statement on every instance, and reports pass /
 counterexample / skipped. Window products come from one block kernel,
-_block_product, contents c(f) from one join table (_ContentLattice), and
-content annihilators from the per-element annihilators of the coefficients
-(_content_annihilates). A counterexample on
+_block_product, contents c(f) from one lattice of content ids
+(_ContentLattice), and content annihilators from the per-element annihilators
+of the coefficients (_content_annihilates). A counterexample on
 hypothesis-satisfying inputs signals an implementation bug (the statements are
 proven); its payload always replays through the public operations.
 
@@ -343,11 +343,11 @@ class _ContentLattice:
 
     A tuple's content c(f) = Σ R·aᵢ is the ideal or submodule its
     coefficients generate: the join of the principal contents R·aᵢ. So
-    principal[a] is the id of R·a, and ids folds a join table over the
-    columns of a block, one gather per window position. Each join is closed
-    once per id pair, when a block first meets it, and the table lives as
-    long as the lattice, so later blocks share its ids. Equal contents share
-    one id, and objects[id] is the content itself.
+    principal[a] is the id of R·a, and ids folds the join over the columns
+    of a block, one position at a time. Joins are memoised per id pair met,
+    so each is closed once, and the memo lives as long as the lattice, so
+    later blocks share its ids. Equal contents share one id, and objects[id]
+    is the content itself.
     """
 
     def __init__(self, space, table, close):
@@ -356,7 +356,7 @@ class _ContentLattice:
         self.close = close
         self.by_members: dict = {}
         self.objects: list = []
-        self.join = np.empty((0, 0), dtype=np.intp)
+        self.join: dict = {}
         # R·a is the set of the r·a, as R has a one: elements whose sets are
         # equal share one closure
         cyclic = np.zeros((space.size, space.size), dtype=bool)
@@ -373,16 +373,18 @@ class _ContentLattice:
         return acc
 
     def _join(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        out = self.join[left, right]
-        if (out >= 0).all():
-            return out
-        # close each id pair the table lacks once, however many rows meet it
-        pairs = np.zeros(self.join.shape, dtype=bool)
-        pairs[left[out < 0], right[out < 0]] = True
-        for i, j in zip(*(a.tolist() for a in np.nonzero(pairs))):
-            members = self.objects[i].members | self.objects[j].members
-            self.join[i, j] = self.join[j, i] = self._id(members, bitset.iter_bits(members))
-        return self.join[left, right]
+        """The id of the join of left[k] and right[k], for every k."""
+        dims = (len(self.objects),) * 2
+        codes, inverse = np.unique(np.ravel_multi_index((left, right), dims),
+                                   return_inverse=True)
+        out = []
+        for pair in zip(*(a.tolist() for a in np.unravel_index(codes, dims))):
+            cid = self.join.get(pair)
+            if cid is None:
+                members = self.objects[pair[0]].members | self.objects[pair[1]].members
+                cid = self.join[pair] = self._id(members, bitset.iter_bits(members))
+            out.append(cid)
+        return np.array(out, dtype=np.intp)[inverse]
 
     def _id(self, members: int, gens) -> int:
         """The id of the content with these members if there is one (so a
@@ -393,8 +395,6 @@ class _ContentLattice:
             cid = self.by_members.setdefault(content.members, len(self.objects))
             if cid == len(self.objects):
                 self.objects.append(content)
-                if cid == len(self.join):
-                    self.join = np.pad(self.join, (0, cid + 1), constant_values=-1)
         return cid
 
 
@@ -411,6 +411,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     mzero = module.zero
     f_arr = window.coeff_array(ring.size, ring.zero)
     g_arr = window.coeff_array(module.size, mzero)
+    g_nonzero = (g_arr != mzero).any(axis=1)
     ann_nonzero = _content_annihilates(module, f_arr)
     ideals = _ContentLattice(ring, ring.mul_table, ideal_generated)
     subs = _ContentLattice(module, module.action_table, submodule_generated)
@@ -425,7 +426,8 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
         return _dm_search(ideals.objects[cf_id], subs.objects[cg_id], subs.objects[cfg_id],
                           cap).k_min or 0
 
-    zero_product_pairs = max_k = 0
+    zero_product_pairs = 0
+    max_k = 0
 
     for rows in _left_blocks(f_arr, g_arr):
         f_block = f_arr[rows]
@@ -443,7 +445,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
         # replays; the first row with a failure or a content mismatch is reported
         dm_fails = k_block == 0
         end = np.where(dm_fails.any(axis=1), dm_fails.argmax(axis=1), n_g)
-        replay = ((block == mzero).all(axis=0) & (g_cap > 1)
+        replay = ((block == mzero).all(axis=0) & g_nonzero
                   & (np.arange(n_g) < end[:, None]))
         killed = replay.any(axis=1)
         bad = np.flatnonzero((end < n_g) | (killed != ann_nonzero[rows]))
@@ -460,19 +462,25 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
             _replay_mccoy_witnesses(module, f_block[pair_rows], witnesses[witness_of])
             zero_product_pairs += len(pair_rows)
         if bad.size:
-            f_terms = _terms_payload(window.series(ring, monoid, f_block[last].tolist()))
-            gi = int(end[last])
-            if gi < n_g:
-                counterexample = {
-                    "clause": "dedekind_mertens", "f": f_terms,
-                    "g": _terms_payload(window.series(module, monoid, g_arr[gi].tolist())),
-                    "reason": f"no exponent within cap {int(g_cap[gi])}"}
-            else:
-                counterexample = {"clause": "content_annihilator", "f": f_terms,
-                                  "annihilator_nonzero": bool(ann_nonzero[rows][last]),
-                                  "window_partner_found": bool(killed[last])}
-            return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                                      counterexample=counterexample)
+            f_coeffs = f_block[last].tolist()
+            if end[last] < n_g:
+                gi = int(end[last])
+                return VerificationReport(
+                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                    counterexample={
+                        "clause": "dedekind_mertens",
+                        "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
+                        "g": _terms_payload(window.series(module, monoid, g_arr[gi].tolist())),
+                        "reason": f"no exponent within cap {int(g_cap[gi])}",
+                    })
+            return VerificationReport(
+                statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                counterexample={
+                    "clause": "content_annihilator",
+                    "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
+                    "annihilator_nonzero": bool(ann_nonzero[rows][last]),
+                    "window_partner_found": bool(killed[last]),
+                })
         max_k = max(max_k, int(k_block.max()))
 
     details = {
@@ -662,21 +670,25 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
 
     contents = _ContentLattice(ring, ring.mul_table, ideal_generated)
 
-    def moves_into_p(ideal):
-        return bitset.is_subset(ideal_action_submodule(ideal, full).members, sub.members)
-
     @cache
     def facts_for(cid):
-        """(c(r) M inside P, some power c(r)^n M inside P) for the content id."""
-        cr = power = contents.objects[cid]
-        while not moves_into_p(power):
-            nxt = ideal_product(power, cr)
-            if nxt.members == power.members:  # stabilized above P: no power works
-                return False, False
-            power = nxt
-        return power is cr, True
+        cr = contents.objects[cid]
+        prime_ok = bitset.is_subset(ideal_action_submodule(cr, full).members, sub.members)
+        primary_ok = prime_ok
+        if not primary_ok:
+            power = cr
+            while True:
+                nxt = ideal_product(power, cr)
+                if bitset.is_subset(ideal_action_submodule(nxt, full).members, sub.members):
+                    primary_ok = True
+                    break
+                if nxt.members == power.members:  # stabilized above P: no power works
+                    break
+                power = nxt
+        return prime_ok, primary_ok
 
-    prime_violation = primary_violation = None
+    prime_violation = None
+    primary_violation = None
     x_arr = window.coeff_array(module.size, module.zero)
     x_outside = ~in_p[x_arr].all(axis=1)
     r_arr = window.coeff_array(ring.size, ring.zero)
@@ -688,15 +700,19 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
         hits = np.flatnonzero(in_p[block].all(axis=0) & x_outside)
         if not hits.size:
             continue
+        x_coeffs = x_arr[hits[0]].tolist()
         prime_ok, primary_ok = facts_for(r_content[ri])
-        if (prime_ok or prime_violation) and (primary_ok or primary_violation):
-            continue
-        pair = {"r": _terms_payload(window.series(ring, monoid, r_coeffs)),
-                "x": _terms_payload(window.series(module, monoid, x_arr[hits[0]].tolist()))}
         if not prime_ok and prime_violation is None:
-            prime_violation = pair
+            prime_violation = {
+                "r": _terms_payload(window.series(ring, monoid, r_coeffs)),
+                "x": _terms_payload(window.series(module, monoid, x_coeffs)),
+            }
         if not primary_ok and primary_violation is None:
-            primary_violation = {**pair, "exponent_bound": ring.size}
+            primary_violation = {
+                "r": _terms_payload(window.series(ring, monoid, r_coeffs)),
+                "x": _terms_payload(window.series(module, monoid, x_coeffs)),
+                "exponent_bound": ring.size,
+            }
         if prime_violation is not None and primary_violation is not None:
             break
 
@@ -741,12 +757,14 @@ def _socle_partners(module: FiniteModule, window: SupportWindow) -> np.ndarray:
 
 
 def _partner_search(module: FiniteModule, f_arr: np.ndarray, partners: np.ndarray,
-                    layout) -> np.ndarray:
+                    layout) -> list:
     """Per row f of f_arr, whether f * g = 0 for some row g of partners."""
-    verdicts = [(_block_product(f_arr[rows], module.action_table, module.add_table, partners,
-                                layout) == module.zero).all(axis=0).any(axis=1)
-                for rows in _left_blocks(f_arr, partners)]
-    return np.concatenate(verdicts)
+    verdicts = []
+    for rows in _left_blocks(f_arr, partners):
+        acc = _block_product(f_arr[rows], module.action_table, module.add_table, partners,
+                             layout)
+        verdicts += (acc == module.zero).all(axis=0).any(axis=1).tolist()
+    return verdicts
 
 
 def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: Monoid,
@@ -762,6 +780,11 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     keeps the support of g. If it is nonzero it holds a simple submodule
     R h = R/m, so m kills every coefficient of h, and m = Ann(c) for a nonzero
     coefficient c, so m is in Ass(M).
+
+    The public test sees f only through c(f), so it runs on the least f of
+    each content only: its regular verdicts are checked there, and its
+    witness replays on every zero-divisor f of the content. It is not run on
+    a content whose least f lies past the reported f.
 
     Instances: |R[S] window| adjudicated series; the budget charges the full
     search, |R[S] window| * |M[S] window| pairs, of which the socle partners
@@ -786,29 +809,39 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     layout = _product_layout(monoid, window.exponents)
     f_arr = window.coeff_array(ring.size, ring.zero)
     by_content = _content_annihilates(module, f_arr)
-    by_search = _partner_search(module, f_arr, _socle_partners(module, window), layout)
-    # the public test sees f only through c(f): one call per content, on its
-    # least f, and its witness replays on every zero-divisor f it stands for
+    by_search = np.array(_partner_search(module, f_arr, _socle_partners(module, window),
+                                         layout), dtype=bool)
+    mismatch = np.flatnonzero(by_content != by_search)
+    last = int(mismatch[0]) if mismatch.size else nf
+    # contents in the order of their least f, until one lies past the least
+    # disagreeing f found so far
     contents = _ContentLattice(ring, ring.mul_table, ideal_generated)
     _, least, content_of = np.unique(contents.ids(f_arr), return_index=True,
                                      return_inverse=True)
-    verdicts = [is_zero_divisor_series(window.series(ring, monoid, f_arr[i].tolist()), module)
-                for i in least.tolist()]
-    by_operation = np.array([v.is_zero_divisor for v in verdicts], dtype=bool)[content_of]
-    witness = np.array([v.witness if v.is_zero_divisor else module.zero for v in verdicts],
-                       dtype=np.intp)[content_of]
-    bad = np.flatnonzero((by_content != by_search) | (by_content != by_operation))
-    last = int(bad[0]) if bad.size else nf - 1
-    replay = np.flatnonzero(by_operation[:last + 1])
-    _replay_mccoy_witnesses(module, f_arr[replay], witness[replay])
-    if bad.size:
+    # first_f[c, v]: the least f of content c whose content verdict is v
+    first_f = np.full((len(least), 2), nf)
+    np.minimum.at(first_f, (content_of, by_content.astype(np.intp)), np.arange(nf))
+    is_zd = np.zeros(len(least), dtype=bool)
+    witness = np.full(len(least), module.zero, dtype=np.intp)
+    for c in np.argsort(least).tolist():
+        if least[c] > last:
+            break
+        verdict = is_zero_divisor_series(
+            window.series(ring, monoid, f_arr[least[c]].tolist()), module)
+        if verdict.is_zero_divisor:
+            is_zd[c], witness[c] = True, verdict.witness
+        last = min(last, int(first_f[c, int(not verdict.is_zero_divisor)]))
+    # every zero-divisor f up to the reported one replays its content's witness
+    replay = np.flatnonzero(is_zd[content_of[:last + 1]])
+    _replay_mccoy_witnesses(module, f_arr[replay], witness[content_of[replay]])
+    if last < nf:
         return VerificationReport(
             statement, OUTCOME_COUNTEREXAMPLE, nf, config,
             counterexample={
                 "f": _terms_payload(window.series(ring, monoid, f_arr[last].tolist())),
                 "content_annihilator": bool(by_content[last]),
                 "window_search": bool(by_search[last]),
-                "zero_divisor_operation": bool(by_operation[last]),
+                "zero_divisor_operation": bool(is_zd[content_of[last]]),
             })
 
     zig_count = int(by_content.sum())
@@ -874,13 +907,16 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
 
     # the primes are maximal, so each holds an element outside each other one
     incomparability = []
-    for i, j in permutations(range(n), 2):
-        a = bitset.lowest_bit(prime_masks[i] & ~prime_masks[j])
-        const = constant_series(ring, monoid, a)
-        if (not extended_ideal_membership(const, ExtendedIdeal(decomp.primes[i], monoid))
-                or extended_ideal_membership(const, ExtendedIdeal(decomp.primes[j], monoid))):
-            raise InvariantViolation("incomparability witness failed replay")
-        incomparability.append({"i": i, "j": j, "constant_witness": a})
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            a = bitset.lowest_bit(prime_masks[i] & ~prime_masks[j])
+            const = constant_series(ring, monoid, a)
+            if (not extended_ideal_membership(const, ExtendedIdeal(decomp.primes[i], monoid))
+                    or extended_ideal_membership(const, ExtendedIdeal(decomp.primes[j], monoid))):
+                raise InvariantViolation("incomparability witness failed replay")
+            incomparability.append({"i": i, "j": j, "constant_witness": a})
 
     counterexample = _extended_annihilator_violation(
         ring, module, monoid, window, f_arr, zip(decomp.primes, decomp.witnesses),

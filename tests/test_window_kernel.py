@@ -17,6 +17,7 @@ content in regularity_transfer, and searches partners only among the window
 tuples over the socles (0 :_M p) of the associated primes p.
 """
 
+import functools
 import itertools
 from dataclasses import replace
 
@@ -349,6 +350,34 @@ def test_content_lattice_matches_per_row_closure(label, ring, module):
     # equal ids exactly when the members are equal
     for seen in (ideal_ids, sub_ids):
         assert len(seen) == len({i for i, _ in seen}) == len({m for _, m in seen})
+
+
+def test_content_lattice_memo_holds_only_the_pairs_met(monkeypatch):
+    # (Z/2)^8 over Z/2 with the window {0, 1}: 262,144 pairs, and the
+    # submodule contents are the 11,051 spans of at most two vectors. A table
+    # over all id pairs would hold 11,051^2 cells; the memo holds one id per
+    # distinct pair the joins met.
+    z2 = build_zmod(2)
+    module = functools.reduce(direct_sum, [ring_as_module(z2)] * 8)
+    lattices = []
+
+    class Recording(_ContentLattice):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.met = set()
+            lattices.append(self)
+
+        def _join(self, left, right):
+            self.met.update(zip(left.tolist(), right.tolist()))
+            return super()._join(left, right)
+
+    monkeypatch.setattr(verify_mod, "_ContentLattice", Recording)
+    report = verify_mccoy_equivalence(z2, module, NAT, SupportWindow(((0,), (1,))))
+    assert report.outcome == "pass"
+    subs = lattices[1]
+    assert len(subs.objects) == 11_051
+    assert set(subs.join) == subs.met
+    assert len(subs.join) < len(subs.objects) ** 2 // 1000
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +753,33 @@ def test_regularity_planted_operation_verdict_reports_the_least_series(block_pai
                                      "zero_divisor_operation": False}
 
 
+def test_regularity_skips_contents_past_the_reported_series(monkeypatch):
+    # Z/12: series with content (3) are declared regular, so f = 3x^2, the
+    # fourth row, is reported; the contents (4) and (6) are first met past
+    # it, so the public test is never run on them
+    z12 = build_zmod(12)
+    m12 = ring_as_module(z12)
+    window = SupportWindow(((0,), (1,), (2,)))
+    real = verify_mod.is_zero_divisor_series
+    three, later = ideal_generated(z12, [3]).members, {ideal_generated(z12, [a]).members
+                                                        for a in (4, 6)}
+
+    def planted(f, module):
+        content = ideal_generated(f.space, f.coefficients).members
+        assert content not in later, "zero-divisor test run past the reported series"
+        verdict = real(f, module)
+        if content == three:
+            return replace(verdict, is_zero_divisor=False, witness=None)
+        return verdict
+
+    monkeypatch.setattr(verify_mod, "is_zero_divisor_series", planted)
+    report = verify_regularity_transfer(z12, m12, NAT, window)
+    assert report.counterexample == {"f": _terms(window, z12, (0, 0, 3)),
+                                     "content_annihilator": True,
+                                     "window_search": True,
+                                     "zero_divisor_operation": False}
+
+
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
 def test_planted_wrong_witness_fails_replay(block_pairs, monkeypatch):
     # pairs with c(f) = (2) are given the witness 1, which 2 does not kill;
@@ -775,7 +831,7 @@ def test_socle_partner_search_matches_full_window(label, ring, module):
         rows = [tuple(r) for r in partners.tolist()]
         assert len(set(rows)) == len(rows) < window.count(module.size)
         assert all(any(c != module.zero for c in r) for r in rows)
-        assert _partner_search(module, f_arr, partners, layout).tolist() == expected
+        assert _partner_search(module, f_arr, partners, layout) == expected
         report = verify_regularity_transfer(ring, module, monoid, window, budget=10**9)
         assert report.outcome == "pass"
         assert report.details["zero_divisors"] == sum(expected)
