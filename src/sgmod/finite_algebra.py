@@ -55,10 +55,6 @@ class FiniteRing:
         self.meta = dict(meta or {})
         validate_ring(self)
         self.neg_table = np.argmax(add == self.zero, axis=1)
-        # plain nested lists beat numpy scalar indexing in the hot scan loops
-        self._add_rows = add.tolist()
-        self._mul_rows = mul.tolist()
-        self._neg_list = self.neg_table.tolist()
         self._cache: dict = {}
 
     @property
@@ -77,13 +73,13 @@ class FiniteRing:
         return range(self.size)
 
     def add(self, a: int, b: int) -> int:
-        return self._add_rows[a][b]
+        return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul_rows[a][b]
+        return int(self.mul_table[a, b])
 
     def neg(self, a: int) -> int:
-        return self._neg_list[a]
+        return int(self.neg_table[a])
 
     def as_module(self) -> "FiniteModule":
         """The ring acting on itself by multiplication (memoized per ring)."""
@@ -113,17 +109,12 @@ class FiniteModule:
         self.label = label
         # the ring axioms imply the module axioms of R acting on itself, so a
         # module built on the ring's own table objects needs no second audit
-        # and shares the ring's negation and row lists
+        # and shares the ring's negation table
         if add is ring.add_table and act is ring.mul_table and self.zero == ring.zero:
             self.neg_table = ring.neg_table
-            self._add_rows, self._act_rows = ring._add_rows, ring._mul_rows
-            self._neg_list = ring._neg_list
         else:
             validate_module(self)
             self.neg_table = np.argmax(add == self.zero, axis=1)
-            self._add_rows = add.tolist()
-            self._act_rows = act.tolist()
-            self._neg_list = self.neg_table.tolist()
         self._cache: dict = {}
 
     @property
@@ -142,13 +133,13 @@ class FiniteModule:
         return range(self.size)
 
     def add(self, x: int, y: int) -> int:
-        return self._add_rows[x][y]
+        return int(self.add_table[x, y])
 
     def act(self, r: int, x: int) -> int:
-        return self._act_rows[r][x]
+        return int(self.action_table[r, x])
 
     def neg(self, x: int) -> int:
-        return self._neg_list[x]
+        return int(self.neg_table[x])
 
     def __repr__(self) -> str:
         return f"FiniteModule({self.label!r}, size={self.size}, over={self.ring.label!r})"
@@ -448,33 +439,22 @@ def _distinct(values: np.ndarray, size: int) -> list[int]:
     return np.flatnonzero(seen).tolist()
 
 
-def _require_ideal(ideal: Ideal) -> None:
-    ring = ideal.ring
-    mem = ideal.members
-    if not bitset.has_bit(mem, ring.zero):
-        raise PreconditionError(f"not an ideal of {ring.label}: missing zero")
-    idx = list(bitset.iter_bits(mem))
-    sums = ring.add_table[np.ix_(idx, idx)]
-    prods = ring.mul_table[:, idx]
-    for v in _distinct(sums, ring.size):
-        if not bitset.has_bit(mem, v):
-            raise PreconditionError(f"not an ideal of {ring.label}: not closed under add")
-    for v in _distinct(prods, ring.size):
-        if not bitset.has_bit(mem, v):
-            raise PreconditionError(f"not an ideal of {ring.label}: not closed under multiplication")
+def _cosets(add_table: np.ndarray, members: int) -> tuple[list[int], np.ndarray]:
+    """The least element of each additive coset of the subgroup with these
+    members, sorted, and the index in that list of every element's coset."""
+    rep = add_table[:, list(bitset.iter_bits(members))].min(axis=1)
+    reps = _distinct(rep, len(rep))
+    position = np.zeros(len(rep), dtype=np.int64)
+    position[reps] = np.arange(len(reps))
+    return reps, position[rep]
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> FiniteRing:
     """Ring of additive cosets of the ideal; tables induced and re-validated."""
     if ideal.ring is not ring and not same_ring(ideal.ring, ring):
         raise PreconditionError("ideal belongs to a different ring")
-    _require_ideal(ideal)
-    idx = list(bitset.iter_bits(ideal.members))
-    n = ring.size
-    rep = ring.add_table[:, idx].min(axis=1)  # coset representative = least member
-    reps = _distinct(rep, n)
-    qindex = {r: i for i, r in enumerate(reps)}
-    to_q = np.array([qindex[int(rep[x])] for x in range(n)])
+    _require_submodule(Submodule(ring.as_module(), ideal.members))
+    reps, to_q = _cosets(ring.add_table, ideal.members)
     qadd = to_q[ring.add_table[np.ix_(reps, reps)]]
     qmul = to_q[ring.mul_table[np.ix_(reps, reps)]]
     mem = ideal.members_tuple()
@@ -488,34 +468,9 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> FiniteRing:
 
 
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
-    """Smallest subset containing gens closed under add and ring multiplication.
-
-    Closure iterates add/mul saturation to a fixpoint; results are memoized per
-    ring on the normalized generator tuple.
-    """
-    gset = sorted({int(g) for g in gens} - {ring.zero})
-    size = ring.size
-    for g in gset:
-        if not 0 <= g < size:
-            raise PreconditionError(f"generator {g} outside {ring.label}")
-    key = ("igen", tuple(gset))
-    hit = ring._cache.get(key)
-    if hit is not None:
-        return hit
-    in_set = np.zeros(ring.size, dtype=bool)
-    in_set[ring.zero] = True
-    in_set[gset] = True
-    while True:
-        idx = np.flatnonzero(in_set)
-        reach = np.zeros(ring.size, dtype=bool)
-        reach[ring.add_table[np.ix_(idx, idx)].ravel()] = True
-        reach[ring.mul_table[:, idx].ravel()] = True
-        if not (reach & ~in_set).any():
-            break
-        in_set |= reach
-    ideal = Ideal(ring, bitset.mask_from_bools(in_set))
-    ring._cache[key] = ideal
-    return ideal
+    """Smallest ideal containing gens: the ideals of R are the submodules of
+    R acting on itself, so this is their submodule closure in R_R."""
+    return Ideal(ring, submodule_generated(ring.as_module(), gens).members)
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -650,15 +605,11 @@ def quotient_module(module: FiniteModule, sub: Submodule) -> FiniteModule:
     if sub.module is not module and not same_module(sub.module, module):
         raise PreconditionError("submodule belongs to a different module")
     _require_submodule(sub)
-    idx = list(bitset.iter_bits(sub.members))
-    rep = module.add_table[:, idx].min(axis=1)
-    reps = _distinct(rep, module.size)
-    qindex = {r: i for i, r in enumerate(reps)}
-    to_q = np.array([qindex[int(rep[x])] for x in range(module.size)])
+    reps, to_q = _cosets(module.add_table, sub.members)
     qadd = to_q[module.add_table[np.ix_(reps, reps)]]
     qact = to_q[module.action_table[:, reps]]
     return FiniteModule(module.ring, qadd, qact, int(to_q[module.zero]),
-                        label=f"{module.label}/N{len(idx)}")
+                        label=f"{module.label}/N{sub.members.bit_count()}")
 
 
 def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> Submodule:
@@ -799,7 +750,7 @@ def associated_primes(module: FiniteModule) -> list[tuple[Ideal, int]]:
 
 
 def classify_submodule(module: FiniteModule, sub: Submodule) -> SubmoduleClassification:
-    """Prime/primary classification by exhaustive scan over all (r, x) pairs.
+    """Prime/primary classification over all (r, x) pairs at once.
 
     The primary test searches exponents n = 1..|R|; powers of a ring element
     cycle within |R| steps, so the bound is exhaustive, not heuristic.
@@ -807,42 +758,29 @@ def classify_submodule(module: FiniteModule, sub: Submodule) -> SubmoduleClassif
     if sub.module is not module and not same_module(sub.module, module):
         raise PreconditionError("submodule belongs to a different module")
     ring = module.ring
-    in_p = [sub.contains(x) for x in module.elements()]
+    in_p = bitset.bools_from_mask(sub.members, module.size)
     proper = sub.members != module.full_mask
 
     # per-r facts: does r M sit inside P, and does some power r^n M
-    all_in = []
-    power_in = []
-    for r in ring.elements():
-        row_in = all(in_p[v] for v in module._act_rows[r])
-        all_in.append(row_in)
-        found = row_in
-        if not found:
-            rp = r
-            for _ in range(ring.size - 1):
-                rp = ring.mul(rp, r)
-                if all(in_p[v] for v in module._act_rows[rp]):
-                    found = True
-                    break
-        power_in.append(found)
+    lands = in_p[module.action_table]  # lands[r, x]: r x in P
+    all_in = lands.all(axis=1)
+    power_in = all_in.copy()
+    r = np.arange(ring.size)
+    rp = r
+    for _ in range(ring.size - 1):
+        rp = ring.mul_table[rp, r]
+        power_in |= all_in[rp]
 
-    # the per-r facts settle both conditions at the first qualifying x, so a
-    # single lex scan yields the lexicographically least witness of each kind
-    prime_viol = None
-    primary_viol = None
-    for r in ring.elements():
-        if all_in[r] and power_in[r]:
-            continue
-        row = module._act_rows[r]
-        for x in module.elements():
-            if in_p[row[x]] and not in_p[x]:
-                if prime_viol is None and not all_in[r]:
-                    prime_viol = (r, x)
-                if primary_viol is None and not power_in[r]:
-                    primary_viol = (r, x, ring.size)
-                break
-        if prime_viol is not None and primary_viol is not None:
-            break
+    # the per-r facts settle both conditions at the least x with r x in P and
+    # x outside P, so the least such r of each kind gives the least witness
+    escapes = lands & ~in_p
+    least_x = escapes.argmax(axis=1)
+    escaping = escapes.any(axis=1)
+    prime_r = np.flatnonzero(escaping & ~all_in)
+    primary_r = np.flatnonzero(escaping & ~power_in)
+    prime_viol = (int(prime_r[0]), int(least_x[prime_r[0]])) if prime_r.size else None
+    primary_viol = ((int(primary_r[0]), int(least_x[primary_r[0]]), ring.size)
+                    if primary_r.size else None)
     return SubmoduleClassification(
         is_proper=proper,
         is_prime=proper and prime_viol is None,

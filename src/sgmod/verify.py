@@ -18,7 +18,6 @@ the window never refutes).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import permutations
@@ -148,10 +147,9 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
     counterexample: dict | None = None
     skip_reason: str | None = None
-    elapsed_ms: float = 0.0
 
     def to_payload(self) -> dict:
-        """Deterministic report body; elapsed time stays out of the hash section."""
+        """Deterministic report body."""
         return {
             "statement": self.statement,
             "outcome": self.outcome,
@@ -175,15 +173,13 @@ def _config_echo(window: SupportWindow | None = None, budget: int | None = None,
     return cfg
 
 
-def _skipped(statement: str, config: dict, predicted: int, budget: int,
-             t0: float) -> VerificationReport:
+def _skipped(statement: str, config: dict, predicted: int, budget: int) -> VerificationReport:
     return VerificationReport(
         statement=statement,
         outcome=OUTCOME_SKIPPED,
         instances_checked=0,
         config=config,
         skip_reason=f"predicted {predicted} instances exceeds budget {budget}",
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
@@ -311,7 +307,6 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
     Instances: |R|^E * |M|^E window pairs on the good branch, (|M|-1)^2
     construction replays on the failure branch.
     """
-    t0 = time.perf_counter()
     statement = "mccoy_equivalence"
     if module.is_zero_module:
         raise ZeroModuleError(f"{statement} needs a nonzero module")
@@ -324,18 +319,16 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
     tf, tf_wit = is_torsion_free(monoid)
 
     if canc and tf:
-        nf = window.count(ring.size)
-        ng = window.count(module.size)
-        predicted = nf * ng
-        if predicted > budget:
-            return _skipped(statement, config, predicted, budget, t0)
-        report = _mccoy_equivalence_good(ring, module, monoid, window, config,
-                                         predicted, statement)
+        predicted = window.count(ring.size) * window.count(module.size)
     else:
-        report = _mccoy_equivalence_bad(module, monoid, config, statement,
-                                        canc, canc_wit, tf_wit)
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return report
+        predicted = (module.size - 1) ** 2
+    if predicted > budget:
+        return _skipped(statement, config, predicted, budget)
+    if canc and tf:
+        return _mccoy_equivalence_good(ring, module, monoid, window, config,
+                                       predicted, statement)
+    return _mccoy_equivalence_bad(module, monoid, config, predicted, statement,
+                                  canc, canc_wit, tf_wit)
 
 
 class _ContentLattice:
@@ -494,10 +487,9 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
 
 
-def _mccoy_equivalence_bad(module, monoid, config, statement, canc, canc_wit,
+def _mccoy_equivalence_bad(module, monoid, config, predicted, statement, canc, canc_wit,
                            tf_wit) -> VerificationReport:
     nz = [m for m in module.elements() if m != module.zero]
-    instances = len(nz) ** 2
     constructions = []
     if not canc:
         for q in nz:
@@ -505,7 +497,7 @@ def _mccoy_equivalence_bad(module, monoid, config, statement, canc, canc_wit,
             for m in nz:
                 if series_multiply(f, constant_series(module, monoid, m)).is_zero:
                     return VerificationReport(
-                        statement, OUTCOME_COUNTEREXAMPLE, instances, config,
+                        statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                         counterexample={"clause": "construction_replay",
                                         "f": _terms_payload(f), "m": m})
             constructions.append({"q": q, "f": _terms_payload(f), "g": _terms_payload(g)})
@@ -519,7 +511,7 @@ def _mccoy_equivalence_bad(module, monoid, config, statement, canc, canc_wit,
             for m in nz:
                 if series_multiply(h, constant_series(module, monoid, m)).is_zero:
                     return VerificationReport(
-                        statement, OUTCOME_COUNTEREXAMPLE, instances, config,
+                        statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                         counterexample={"clause": "construction_replay",
                                         "h": _terms_payload(h), "m": m})
             constructions.append({"q": q, "k": k, "h": _terms_payload(h),
@@ -532,7 +524,7 @@ def _mccoy_equivalence_bad(module, monoid, config, statement, canc, canc_wit,
         "constructions": constructions,
         "note": "single-annihilator property fails: each product vanishes, no module element kills the left factor",
     }
-    return VerificationReport(statement, OUTCOME_PASS, instances, config, details)
+    return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +541,6 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
 
     Instances: domain pairs + |primes| * |R[S] window|^2 + |Ass| * |R[S] window|.
     """
-    t0 = time.perf_counter()
     statement = "domain_prime_extension"
     _require_hypotheses(monoid, statement)
     window.validate_for(monoid)
@@ -565,7 +556,7 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     clause1 = (nf - 1) ** 2 if is_domain else 1
     predicted = clause1 + len(primes) * nf * nf + len(ass) * nf
     if predicted > budget:
-        return _skipped(statement, config, predicted, budget, t0)
+        return _skipped(statement, config, predicted, budget)
 
     layout = _product_layout(monoid, window.exponents)
     rzero = ring.zero
@@ -630,8 +621,7 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
         return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                                   counterexample=counterexample)
 
-    return VerificationReport(statement, OUTCOME_PASS, predicted, config, details,
-                              elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +640,6 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
 
     Instances: |R[S] window| * |M[S] window| pairs.
     """
-    t0 = time.perf_counter()
     statement = "submodule_transfer"
     _require_hypotheses(monoid, statement)
     window.validate_for(monoid)
@@ -662,7 +651,7 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     nx = window.count(module.size)
     predicted = nr * nx
     if predicted > budget:
-        return _skipped(statement, config, predicted, budget, t0)
+        return _skipped(statement, config, predicted, budget)
 
     layout = _product_layout(monoid, window.exponents)
     in_p = bitset.bools_from_mask(sub.members, module.size)
@@ -733,8 +722,7 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
         return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                                   details, counterexample={"clause": "primary_transfer",
                                                            **primary_violation})
-    return VerificationReport(statement, OUTCOME_PASS, predicted, config, details,
-                              elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +778,6 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     search, |R[S] window| * |M[S] window| pairs, of which the socle partners
     are a subset.
     """
-    t0 = time.perf_counter()
     statement = "regularity_transfer"
     if module.is_zero_module:
         raise ZeroModuleError(f"{statement} needs a nonzero module")
@@ -804,7 +791,7 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     nf = window.count(ring.size)
     ng = window.count(module.size)
     if nf * ng > budget:
-        return _skipped(statement, config, nf * ng, budget, t0)
+        return _skipped(statement, config, nf * ng, budget)
 
     layout = _product_layout(monoid, window.exponents)
     f_arr = window.coeff_array(ring.size, ring.zero)
@@ -849,8 +836,7 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
                "zero_divisors": zig_count,
                # Property (A) holds on every associated prime (zd.check_property_a)
                "property_a_ideals": len(associated_primes(module))}
-    return VerificationReport(statement, OUTCOME_PASS, nf, config, details,
-                              elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    return VerificationReport(statement, OUTCOME_PASS, nf, config, details)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +856,6 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
     Instances: |R[S] window| + n(n-1) incomparability pairs
     + n * |R[S] window| witness checks.
     """
-    t0 = time.perf_counter()
     statement = "zero_divisor_transfer"
     if module.is_zero_module:
         raise ZeroModuleError(f"{statement} needs a nonzero module")
@@ -886,7 +871,7 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
     nf = window.count(ring.size)
     predicted = nf + n * (n - 1) + n * nf
     if predicted > budget:
-        return _skipped(statement, config, predicted, budget, t0)
+        return _skipped(statement, config, predicted, budget)
 
     prime_masks = [p.members for p in decomp.primes]
     f_arr = window.coeff_array(ring.size, ring.zero)
@@ -934,8 +919,7 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
         "window_series": nf,
         "witness_checks": n * nf,
     }
-    return VerificationReport(statement, OUTCOME_PASS, predicted, config, details,
-                              elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +935,6 @@ def verify_finite_ring_chain(ring: FiniteRing) -> VerificationReport:
     bug in the decomposition. The non-reversibility half needs infinite rings
     and is reported as out of scope, not tested.
     """
-    t0 = time.perf_counter()
     statement = "finite_ring_chain"
     config = _config_echo(ring=ring)
     module = ring_as_module(ring)
@@ -977,5 +960,4 @@ def verify_finite_ring_chain(ring: FiniteRing) -> VerificationReport:
         "primes": primes,
         "non_reversibility": "out of scope (needs infinite rings)",
     }
-    return VerificationReport(statement, OUTCOME_PASS, 2, config, details,
-                              elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+    return VerificationReport(statement, OUTCOME_PASS, 2, config, details)

@@ -8,6 +8,8 @@ from sgmod import (
     Ideal,
     PreconditionError,
     SizeCapError,
+    Submodule,
+    SubmoduleClassification,
     ZeroModuleError,
     annihilator_ideal_of_element,
     annihilator_in_module,
@@ -353,6 +355,90 @@ class TestClassifySubmodule:
             for mask in all_submodule_masks(module):
                 cls = classify_submodule(module, submodule_from_members(module, members(mask)))
                 assert not cls.is_prime or cls.is_primary
+
+
+def oracle_classify(module, sub):
+    """The per-(r, x) scan that classify_submodule replaced: per-r facts with
+    the power search stopping at the first r^n M inside P, then one lex scan
+    for the least witness of each kind."""
+    ring = module.ring
+    act = module.action_table.tolist()
+    in_p = [sub.contains(x) for x in module.elements()]
+    proper = sub.members != module.full_mask
+    all_in = []
+    power_in = []
+    for r in ring.elements():
+        row_in = all(in_p[v] for v in act[r])
+        all_in.append(row_in)
+        found = row_in
+        if not found:
+            rp = r
+            for _ in range(ring.size - 1):
+                rp = ring.mul(rp, r)
+                if all(in_p[v] for v in act[rp]):
+                    found = True
+                    break
+        power_in.append(found)
+    prime_viol = None
+    primary_viol = None
+    for r in ring.elements():
+        if all_in[r] and power_in[r]:
+            continue
+        for x in module.elements():
+            if in_p[act[r][x]] and not in_p[x]:
+                if prime_viol is None and not all_in[r]:
+                    prime_viol = (r, x)
+                if primary_viol is None and not power_in[r]:
+                    primary_viol = (r, x, ring.size)
+                break
+        if prime_viol is not None and primary_viol is not None:
+            break
+    return SubmoduleClassification(
+        is_proper=proper,
+        is_prime=proper and prime_viol is None,
+        is_primary=proper and primary_viol is None,
+        prime_violation=prime_viol,
+        primary_violation=primary_viol,
+    )
+
+
+def submodules_on_two_generators(module):
+    """Every submodule generated by one or two elements: Rx + Ry depends only
+    on Rx and Ry, so one generator per cyclic submodule suffices."""
+    cyclic = {}
+    for x in module.elements():
+        cyclic.setdefault(submodule_generated(module, [x]).members, x)
+    gens = sorted(cyclic.values())
+    subs = {submodule_generated(module, [x, y]).members: None
+            for i, x in enumerate(gens) for y in gens[i:]}
+    return [Submodule(module, mask) for mask in sorted(subs)]
+
+
+class TestClassifySubmoduleOracle:
+    """classify_submodule against the per-(r, x) scan, witnesses included."""
+
+    @pytest.mark.parametrize("n", range(1, 37))
+    def test_every_submodule_of_zmod(self, n):
+        module = ring_as_module(build_zmod(n))
+        for d in range(1, n + 1):
+            if n % d == 0:
+                sub = submodule_generated(module, [d % n])
+                assert classify_submodule(module, sub) == oracle_classify(module, sub)
+
+    def test_two_generator_submodules(self, m12):
+        t = build_truncated_poly_ring(2, 2, 3)
+        a_squared, b_squared = 8, 32
+        non_gaussian = quotient_ring(t, ideal_generated(t, [a_squared, b_squared]))
+        for module in (direct_sum(m12, m12), ring_as_module(non_gaussian)):
+            for sub in submodules_on_two_generators(module):
+                assert classify_submodule(module, sub) == oracle_classify(module, sub)
+
+    def test_quotient_modules(self, m6, mt):
+        m66 = direct_sum(m6, m6)
+        for module in (quotient_module(m66, submodule_generated(m66, [2 * 6])),
+                       quotient_module(mt, submodule_generated(mt, [2]))):
+            for sub in submodules_on_two_generators(module):
+                assert classify_submodule(module, sub) == oracle_classify(module, sub)
 
 
 class TestAxiomAudits:

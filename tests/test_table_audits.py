@@ -7,6 +7,9 @@ the scan's.
 """
 
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -341,17 +344,9 @@ class TestRingAsModule:
     def test_own_tables_share_the_ring_mirrors(self):
         ring = build_zmod(12)
         module = ring.as_module()
-        assert module._add_rows is ring._add_rows
-        assert module._act_rows is ring._mul_rows
-        assert module._neg_list is ring._neg_list
         assert module.neg_table is ring.neg_table
-        # copied tables build lists of their own, with the same entries
+        # copied tables build a negation table of their own, with the same entries
         copied = fa.FiniteModule(ring, ring.add_table.copy(), ring.mul_table.copy(), ring.zero)
-        for mine, theirs in [(copied._add_rows, ring._add_rows),
-                             (copied._act_rows, ring._mul_rows),
-                             (copied._neg_list, ring._neg_list)]:
-            assert mine is not theirs
-            assert mine == theirs
         assert copied.neg_table is not ring.neg_table
         assert np.array_equal(copied.neg_table, ring.neg_table)
 
@@ -378,6 +373,52 @@ class TestRingAsModule:
         with pytest.raises(AxiomError) as exc:
             fa.FiniteModule(ring, ring.add_table, ring.mul_table, 1, label="M")
         assert str(exc.value) == expected
+
+
+def _entries(op, rows, cols=None):
+    """op over every index (pair) as an array; every value must be a Python int."""
+    if cols is None:
+        out = [op(a) for a in range(rows)]
+        assert all(type(v) is int for v in out)
+    else:
+        out = [[op(a, b) for b in range(cols)] for a in range(rows)]
+        assert all(type(v) is int for row in out for v in row)
+    return np.array(out)
+
+
+class TestTablesOnly:
+    """A ring or module is its numpy index tables; no Python lists mirror them."""
+
+    def test_scalar_accessors_read_the_tables(self):
+        ring = build_truncated_poly_ring(2, 2, 3)
+        own = ring.as_module()
+        quotient = quotient_module(own, submodule_generated(own, [2]))
+        n = ring.size
+        assert np.array_equal(_entries(ring.add, n, n), ring.add_table)
+        assert np.array_equal(_entries(ring.mul, n, n), ring.mul_table)
+        assert np.array_equal(_entries(ring.neg, n), ring.neg_table)
+        for module in (own, quotient):
+            m = module.size
+            assert np.array_equal(_entries(module.add, m, m), module.add_table)
+            assert np.array_equal(_entries(module.act, n, m), module.action_table)
+            assert np.array_equal(_entries(module.neg, m), module.neg_table)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_ring_and_its_module_build_in_bounded_memory(self):
+        # 1,024 elements: the add and mul tables take 8 MB each and the module
+        # shares them; Python row lists of the tables once took 77 MB here
+        script = ("import resource\n"
+                  "from sgmod import build_truncated_poly_ring\n"
+                  "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "build_truncated_poly_ring(2, 3, 3).as_module()\n"
+                  "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "print(after - before)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fa.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        assert int(out.stdout) <= 60 * 1024
 
 
 class TestGenerators:

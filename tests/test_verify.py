@@ -96,6 +96,17 @@ class TestMcCoyEquivalence:
         assert report.instances_checked == 0
         assert "budget" in report.skip_reason
 
+    def test_failure_branches_charge_the_budget(self, z6, m6, sat2, c2):
+        # (|M|-1)^2 = 25 construction replays, charged before any is built
+        for monoid, window in ((sat2, SupportWindow((0, 1, 2))), (c2, SupportWindow((0, 1)))):
+            report = verify_mccoy_equivalence(z6, m6, monoid, window, budget=24)
+            assert report.outcome == "skipped"
+            assert report.instances_checked == 0
+            assert report.skip_reason == "predicted 25 instances exceeds budget 24"
+            report = verify_mccoy_equivalence(z6, m6, monoid, window, budget=25)
+            assert report.outcome == "pass"
+            assert report.instances_checked == 25
+
     def test_zero_module_rejected(self, nat):
         z1 = build_zmod(1)
         with pytest.raises(ZeroModuleError):
