@@ -10,10 +10,12 @@ A refactor that keeps behaviour keeps these lists. A deliberate change of a
 payload regenerates them and says why in CHANGES.md.
 """
 
+import hashlib
 import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -21,6 +23,7 @@ import pytest
 
 import sgmod
 from sgmod.cli import main
+from sgmod.session import execute, load_session
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -32,21 +35,77 @@ with open(os.path.join(DATA, "golden_hashes.json"), encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
 
 
+# sha256 of the json-lines report of `sgmod run` with every elapsed_ms value
+# replaced by 0; these pin the bytes of the records and the summary line
+JSON_LINES = {
+    "demo_session.json":
+        "a91edb2ef661c2beced2fe09f0834a03315f9ecc4ecc36f29c537ec212b8f7e2",
+    "command_stream_seed11.json":
+        "ffacc14ada7b31c5ce366e21b481610d55af28942a0bc8e4a3424e7b4e86a583",
+}
+
+
+def _session_path(session, tmp_path):
+    """The committed session file, or the generated one for GENERATED names."""
+    if session not in GENERATED:
+        return os.path.join(DATA, session)
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / session
+    path.write_text(gen.generate(GENERATED[session], 11), encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize("session", sorted(GOLDEN))
 def test_payload_hashes_match_pinned(session, tmp_path):
-    path = os.path.join(DATA, session)
-    if session in GENERATED:
-        spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
-        path = tmp_path / session
-        path.write_text(gen.generate(GENERATED[session], 11), encoding="utf-8")
+    path = _session_path(session, tmp_path)
     out = io.StringIO()
     code = main(["run", str(path)], stream=out)
     records = [json.loads(line) for line in out.getvalue().splitlines()]
     assert code == 0
     assert records[-1]["summary"]["errors"] == 0
     assert [r["payload_hash"] for r in records[:-1]] == GOLDEN[session]
+
+
+@pytest.mark.parametrize("session", sorted(JSON_LINES))
+def test_json_lines_report_matches_pinned(session, tmp_path):
+    out = io.StringIO()
+    assert main(["run", _session_path(session, tmp_path)], stream=out) == 0
+    text = re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": 0', out.getvalue())
+    assert text.count('"elapsed_ms": 0') == len(GOLDEN[session])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == JSON_LINES[session]
+
+
+JSON_TYPES = (dict, list, str, int, bool, float, type(None))
+
+
+def _non_json_values(value, path="payload"):
+    """(path, type name) of each value or key that is not exactly a JSON type."""
+    kind = type(value)
+    if kind not in JSON_TYPES:
+        return [(path, kind.__name__)]
+    bad = []
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                bad.append((f"{path} key {key!r}", type(key).__name__))
+            bad += _non_json_values(item, f"{path}.{key}")
+    elif kind is list:
+        for i, item in enumerate(value):
+            bad += _non_json_values(item, f"{path}[{i}]")
+    return bad
+
+
+@pytest.mark.parametrize("session", sorted(GOLDEN))
+def test_payloads_are_json_native(session, tmp_path):
+    # records are encoded as execute returns them, so a tuple would only
+    # happen to encode as a list, and a numpy scalar would make the encoder
+    # raise TypeError outside every error handler
+    loaded = load_session(_session_path(session, tmp_path))
+    for i, command in enumerate(loaded.commands):
+        payload = execute(loaded, command)["payload"]
+        assert _non_json_values(payload) == [], (i, command)
 
 
 def test_window_session_does_not_import_numpy_ma():
