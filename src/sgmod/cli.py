@@ -24,9 +24,14 @@ from .verify import DEFAULT_BUDGET
 
 BUDGET_ENV_VAR = "SGMOD_BUDGET"
 
+# json.dumps with keyword arguments builds a new encoder on every call; each
+# output form has one, built here. The canonical form is what payload_hash hashes.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_JSON_LINE = json.JSONEncoder(sort_keys=True)
+
 
 def canonical_json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 def payload_hash(command: dict, payload: dict) -> str:
@@ -72,7 +77,7 @@ def emit_report(records: list[dict], fmt: str, stream) -> int:
             _emit_human(records, code, stream)
         else:
             for record in records:
-                stream.write(json.dumps(record, sort_keys=True) + "\n")
+                stream.write(_JSON_LINE.encode(record) + "\n")
             summary = {
                 "summary": {
                     "commands": len(records),
@@ -89,7 +94,7 @@ def emit_report(records: list[dict], fmt: str, stream) -> int:
                     "version": __version__,
                 }
             }
-            stream.write(json.dumps(summary, sort_keys=True) + "\n")
+            stream.write(_JSON_LINE.encode(summary) + "\n")
         stream.flush()
     except OSError:
         return 2
@@ -149,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _input_error(exc: SessionError, stream) -> int:
-    stream.write(json.dumps({"error": {"type": type(exc).__name__,
-                                       "message": str(exc)}}, sort_keys=True) + "\n")
+    stream.write(_JSON_LINE.encode({"error": {"type": type(exc).__name__,
+                                              "message": str(exc)}}) + "\n")
     return 2
 
 
@@ -163,7 +168,7 @@ def main(argv=None, stream=None) -> int:
         return _input_error(exc, out)
 
     if args.subcommand == "validate":
-        out.write(json.dumps({
+        out.write(_JSON_LINE.encode({
             "ok": True,
             "objects": {
                 "rings": len(session.rings),
@@ -174,7 +179,7 @@ def main(argv=None, stream=None) -> int:
                 "commands": len(session.commands),
             },
             "version": __version__,
-        }, sort_keys=True) + "\n")
+        }) + "\n")
         return 0
 
     budget = args.budget

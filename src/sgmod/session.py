@@ -10,8 +10,6 @@ import json
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import bitset
 from .errors import AlgebraError, SessionError
 from .finite_algebra import (
@@ -363,7 +361,11 @@ def _name_of(store: dict, obj) -> str | None:
 
 
 def execute(session: Session, command: dict, budget: int | None = None) -> dict:
-    """Run one command and return its record; errors become error records."""
+    """Run one command and return its record; errors become error records.
+
+    The payload goes into the record as built: every builder returns plain
+    Python ints, strs, bools, lists and dicts, so the record encodes as is.
+    """
     t0 = time.perf_counter()
     effective_budget = budget if budget is not None else session.budget
     try:
@@ -377,7 +379,7 @@ def execute(session: Session, command: dict, budget: int | None = None) -> dict:
                              "message": f"malformed command arguments: {exc!r}"}}
         status = "error"
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return {"command": command, "status": status, "payload": _jsonable(payload),
+    return {"command": command, "status": status, "payload": payload,
             "elapsed_ms": elapsed_ms}
 
 
@@ -562,15 +564,3 @@ def _window_from(command: dict, monoid: Monoid) -> SupportWindow:
         max_support = _integer(max_support, "max_support")
     return SupportWindow(exponents, max_support)
 
-
-def _jsonable(value):
-    """Coerce numpy scalars so payloads serialize deterministically."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
