@@ -399,22 +399,22 @@ def build_truncated_poly_ring(p: int, nvars: int, cap: int,
         digit = coeffs[:, i]
         add += (digit[:, None] + digit[None, :]) % p * powers[i]
 
-    # prod_pos[i][j]: basis index of mono_i * mono_j, or -1 once truncated
-    prod_pos = [[pos.get(tuple(a + b for a, b in zip(mi, mj)), -1) for mj in monos]
-                for mi in monos]
+    # mul by additivity in the left factor. The row of a basis monomial p^i is
+    # sum_j coeffs[:, j] * p^(index of mono_i * mono_j); the products of mono_i
+    # with distinct monomials are distinct, so no digit carries. Every other x
+    # is p^t + (x - p^t), t its highest nonzero digit: one gather per row.
     mul = np.zeros((n, n), dtype=np.int64)
-    for x in range(n):
-        a = coeffs[x]
-        out = np.zeros((n, B), dtype=np.int64)
-        for i in range(B):
-            if a[i] == 0:
-                continue
-            row = prod_pos[i]
-            for j in range(B):
-                k = row[j]
-                if k >= 0:
-                    out[:, k] += int(a[i]) * coeffs[:, j]
-        mul[x] = ((out % p) * powers).sum(axis=1)
+    for i, mi in enumerate(monos):
+        for j, mj in enumerate(monos):
+            k = pos.get(tuple(a + b for a, b in zip(mi, mj)))
+            if k is not None:
+                mul[powers[i]] += coeffs[:, j] * powers[k]
+    top = 1
+    for x in range(2, n):
+        if x == top * p:
+            top = x
+            continue
+        mul[x] = add[mul[x - top], mul[top]]
 
     names = [chr(ord("a") + i) if nvars <= 8 else f"x{i}" for i in range(nvars)]
     label = f"F{p}[{','.join(names)}]/m^{cap}"

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,46 @@ class TestRingConstructors:
         from sgmod import FiniteRing
         with pytest.raises(AxiomError):
             FiniteRing(z4.add_table, mul, 0, 1)
+
+
+def oracle_truncated_mul(p, monos):
+    """The per-element loop that built truncated_poly's mul table: every
+    product x*y expanded over the monomial basis, digit by digit."""
+    B = len(monos)
+    n = p ** B
+    pos = {m: i for i, m in enumerate(monos)}
+    powers = p ** np.arange(B, dtype=np.int64)
+    coeffs = (np.arange(n)[:, None] // powers[None, :]) % p
+    prod_pos = [[pos.get(tuple(a + b for a, b in zip(mi, mj)), -1) for mj in monos]
+                for mi in monos]
+    mul = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        a = coeffs[x]
+        out = np.zeros((n, B), dtype=np.int64)
+        for i in range(B):
+            if a[i] == 0:
+                continue
+            for j in range(B):
+                k = prod_pos[i][j]
+                if k >= 0:
+                    out[:, k] += int(a[i]) * coeffs[:, j]
+        mul[x] = ((out % p) * powers).sum(axis=1)
+    return mul
+
+
+# every truncated_poly(p, nvars, cap) with at most 1024 elements; cap 1 is the
+# prime field for any nvars, so nvars stops at 10 (cap 2 allows at most 9)
+TRUNCATED_UP_TO_1024 = [
+    (p, nvars, cap) for p in (2, 3, 5) for nvars in range(1, 11) for cap in range(1, 11)
+    if p ** comb(nvars + cap - 1, nvars) <= 1024]
+
+
+class TestTruncatedMulOracle:
+    @pytest.mark.parametrize("p,nvars,cap", TRUNCATED_UP_TO_1024)
+    def test_mul_table_matches_the_per_element_loop(self, p, nvars, cap):
+        ring = build_truncated_poly_ring(p, nvars, cap)
+        expected = oracle_truncated_mul(p, ring.meta["monomials"])
+        assert np.array_equal(ring.mul_table, expected)
 
 
 class TestQuotientRing:
