@@ -1,9 +1,12 @@
+import copy
 import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgmod import SessionError, dump_session, execute, load_session
 from sgmod.cli import exit_code_for, main, payload_hash
@@ -519,3 +522,92 @@ class TestStrictInputs:
         assert code == 2
         assert lines[0]["error"]["type"] == "SessionError"
         assert "outside monoid N^1" in lines[0]["error"]["message"]
+
+
+# small session documents for the exit-code fuzz test: every command op over
+# Z/6 and Z/4, with a budget that keeps any verifier small
+FUZZ_BASE = {
+    "settings": {"budget": 20000},
+    "rings": {"R6": {"kind": "zmod", "n": 6}, "R4": {"kind": "zmod", "n": 4}},
+    "monoids": {"N": {"kind": "free", "dim": 1}, "C2": {"kind": "cyclic_group", "k": 2},
+                "Sat2": {"kind": "saturating", "c": 2}},
+    "modules": {"M6": {"kind": "ring_as_module", "ring": "R6"},
+                "M4": {"kind": "ring_as_module", "ring": "R4"}},
+    "submodules": {"P3": {"module": "M6", "gens": [3]}},
+    # f*g = 0, so the mccoy command has a witness to find
+    "series": {"f": {"ring": "R6", "monoid": "N",
+                     "terms": [{"exponent": 0, "coefficient": 2},
+                               {"exponent": 1, "coefficient": 2}]},
+               "g": {"module": "M6", "monoid": "N",
+                     "terms": [{"exponent": 0, "coefficient": 3}]}},
+}
+FUZZ_COMMANDS = [
+    {"op": "analyze", "module": "M6"},
+    {"op": "dm", "f": "f", "g": "g", "cap": 4},
+    {"op": "mccoy", "f": "f", "g": "g"},
+    {"op": "zdtest", "f": "f", "module": "M6"},
+    {"op": "counterexample", "kind": "noncancellative", "monoid": "Sat2", "module": "M6",
+     "q": 1},
+    {"op": "counterexample", "kind": "torsion", "monoid": "C2", "module": "M6", "q": 1,
+     "s": 1, "t": 0},
+    {"op": "verify", "statement": "mccoy_equivalence", "ring": "R6", "module": "M6",
+     "monoid": "N", "window": [0, 1], "max_support": 2},
+    {"op": "verify", "statement": "domain_prime_extension", "ring": "R6", "module": "M6",
+     "monoid": "N", "window": [0, 1]},
+    {"op": "verify", "statement": "submodule_transfer", "submodule": "P3", "monoid": "N",
+     "window": [0, 1]},
+    {"op": "verify", "statement": "regularity_transfer", "ring": "R6", "module": "M6",
+     "monoid": "N", "window": [0, 1]},
+    {"op": "verify", "statement": "zero_divisor_transfer", "ring": "R6", "module": "M6",
+     "monoid": "N", "window": [0, 1]},
+    {"op": "verify", "statement": "finite_ring_chain", "ring": "R6"},
+]
+FUZZ_COMMAND_KEYS = ["op", "statement", "kind", "ring", "module", "monoid", "submodule",
+                     "f", "g", "window", "max_support", "cap", "q", "s", "t", "witness"]
+# integer fields of the definitions, as paths into the document
+FUZZ_DOC_FIELDS = [("settings", "budget"), ("submodules", "P3", "gens", 0),
+                   ("series", "f", "terms", 0, "coefficient"),
+                   ("series", "f", "terms", 1, "exponent"),
+                   ("series", "g", "terms", 0, "coefficient")]
+FUZZ_WORDS = ["R6", "R4", "M6", "M4", "N", "C2", "Sat2", "P3", "f", "g", "verify",
+              "analyze", "dm", "mccoy", "zdtest", "counterexample", "torsion",
+              "noncancellative", "mccoy_equivalence", "finite_ring_chain", ""]
+_fuzz_number = st.integers(-3, 12) | st.floats(-4, 4, allow_nan=False)
+FUZZ_VALUES = (_fuzz_number | st.booleans() | st.none() | st.sampled_from(FUZZ_WORDS)
+               | st.lists(_fuzz_number | st.booleans(), max_size=3))
+
+
+@st.composite
+def fuzzed_sessions(draw):
+    doc = copy.deepcopy(FUZZ_BASE)
+    doc["commands"] = copy.deepcopy(
+        draw(st.lists(st.sampled_from(FUZZ_COMMANDS), min_size=1, max_size=4)))
+    for _ in range(draw(st.integers(1, 2))):
+        # a bad definition stops the load, so most mutations go to commands
+        if draw(st.integers(0, 3)):
+            command = draw(st.sampled_from(doc["commands"]))
+            command[draw(st.sampled_from(FUZZ_COMMAND_KEYS))] = draw(FUZZ_VALUES)
+        else:
+            *path, leaf = draw(st.sampled_from(FUZZ_DOC_FIELDS))
+            target = doc
+            for key in path:
+                target = target[key]
+            target[leaf] = draw(FUZZ_VALUES)
+    return doc
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=fuzzed_sessions())
+    def test_mutated_sessions_keep_the_exit_code_contract(self, doc, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "session.json"
+        path.write_text(json.dumps(doc))
+        runs = []
+        for _ in range(2):
+            out = io.StringIO()
+            code = main(["run", str(path)], stream=out)
+            assert code in (0, 2, 3)
+            lines = [json.loads(line) for line in out.getvalue().splitlines()]
+            runs.append((code, [line["payload_hash"] for line in lines
+                                if "payload_hash" in line]))
+        assert runs[0] == runs[1]
