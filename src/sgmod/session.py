@@ -363,8 +363,9 @@ def _name_of(store: dict, obj) -> str | None:
 def execute(session: Session, command: dict, budget: int | None = None) -> dict:
     """Run one command and return its record; errors become error records.
 
-    The payload goes into the record as built: every builder returns plain
-    Python ints, strs, bools, lists and dicts, so the record encodes as is.
+    The payload goes into the record as built: every command handler returns
+    plain Python values (dicts, lists, strs, ints, floats, bools, None), so
+    the record encodes as is.
     """
     t0 = time.perf_counter()
     effective_budget = budget if budget is not None else session.budget
@@ -563,4 +564,3 @@ def _window_from(command: dict, monoid: Monoid) -> SupportWindow:
     if max_support is not None:
         max_support = _integer(max_support, "max_support")
     return SupportWindow(exponents, max_support)
-
