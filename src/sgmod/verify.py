@@ -337,10 +337,11 @@ class _ContentLattice:
     A tuple's content c(f) = Σ R·aᵢ is the ideal or submodule its
     coefficients generate: the join of the principal contents R·aᵢ. So
     principal[a] is the id of R·a, and ids folds the join over the columns
-    of a block, one position at a time. Joins are memoised per id pair met,
-    so each is closed once, and the memo lives as long as the lattice, so
-    later blocks share its ids. Equal contents share one id, and objects[id]
-    is the content itself.
+    of a block, one position at a time, through the step table:
+    step[id, a] is the id of objects[id] + R·a, or -1 where that cell has
+    not been met. Each cell is filled once, and the table lives as long as
+    the lattice, so later blocks share its ids. Equal contents share one id,
+    and objects[id] is the content itself.
     """
 
     def __init__(self, space, table, close):
@@ -349,45 +350,61 @@ class _ContentLattice:
         self.close = close
         self.by_members: dict = {}
         self.objects: list = []
-        self.join: dict = {}
+        # allocated by the first join, so tuples of one position pay nothing
+        self.step: np.ndarray | None = None
         # R·a is the set of the r·a, as R has a one: elements whose sets are
         # equal share one closure
         cyclic = np.zeros((space.size, space.size), dtype=bool)
         cyclic[np.arange(space.size)[:, None], table.T] = True
         rows = np.packbits(cyclic, axis=1, bitorder="little")
         self.principal = np.array([self._id(int.from_bytes(row.tobytes(), "little"), (a,))
-                                   for a, row in enumerate(rows)], dtype=np.intp)
+                                   for a, row in enumerate(rows)], dtype=np.int32)
 
     def ids(self, coeffs: np.ndarray) -> np.ndarray:
         """The content id of every row of coeffs."""
         acc = self.principal[coeffs[:, 0]]
         for j in range(1, coeffs.shape[1]):
-            acc = self._join(acc, self.principal[coeffs[:, j]])
+            acc = self._join(acc, coeffs[:, j])
         return acc
 
-    def _join(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """The id of the join of left[k] and right[k], for every k."""
-        dims = (len(self.objects),) * 2
-        codes, inverse = np.unique(np.ravel_multi_index((left, right), dims),
-                                   return_inverse=True)
-        out = []
-        for pair in zip(*(a.tolist() for a in np.unravel_index(codes, dims))):
-            cid = self.join.get(pair)
-            if cid is None:
-                members = self.objects[pair[0]].members | self.objects[pair[1]].members
-                cid = self.join[pair] = self._id(members, bitset.iter_bits(members))
-            out.append(cid)
-        return np.array(out, dtype=np.intp)[inverse]
+    def _join(self, acc: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        """The id of objects[acc[k]] + R·elements[k], for every k."""
+        if self.step is None:
+            self.step = np.full((2 * len(self.objects), self.space.size), -1, dtype=np.int32)
+        out = self.step[acc, elements]
+        missing = out < 0
+        if not missing.any():
+            return out
+        # mark the unmet cells, then fill each once in (id, element) order, so
+        # the ids given out depend only on the input
+        known = len(self.objects)
+        self.step[acc[missing], elements[missing]] = -2
+        cells = np.flatnonzero(self.step[:known] == -2)
+        principal = self.principal.tolist()
+        for cid, a in zip(*(c.tolist() for c in np.divmod(cells, self.space.size))):
+            members = self.objects[cid].members | self.objects[principal[a]].members
+            self.step[cid, a] = self._id(members, bitset.iter_bits(members))
+        if len(self.objects) > len(self.step):
+            # double the rows as often as needed, then copy once
+            rows = len(self.step)
+            while rows < len(self.objects):
+                rows *= 2
+            grown = np.full((rows, self.space.size), -1, dtype=np.int32)
+            grown[:len(self.step)] = self.step
+            self.step = grown
+        return self.step[acc, elements]
 
     def _id(self, members: int, gens) -> int:
         """The id of the content with these members if there is one (so a
-        join of nested contents closes nothing), else of the content of gens."""
+        join of nested contents closes nothing), else of the content of gens.
+        The members are recorded too, so no union is closed twice."""
         cid = self.by_members.get(members)
         if cid is None:
             content = self.close(self.space, gens)
             cid = self.by_members.setdefault(content.members, len(self.objects))
             if cid == len(self.objects):
                 self.objects.append(content)
+            self.by_members[members] = cid
         return cid
 
 
@@ -803,14 +820,18 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     # contents in the order of their least f, until one lies past the least
     # disagreeing f found so far
     contents = _ContentLattice(ring, ring.mul_table, ideal_generated)
-    _, least, content_of = np.unique(contents.ids(f_arr), return_index=True,
-                                     return_inverse=True)
-    # first_f[c, v]: the least f of content c whose content verdict is v
-    first_f = np.full((len(least), 2), nf)
+    content_of = contents.ids(f_arr)
+    n_ids = len(contents.objects)
+    # first_f[c, v]: the least f of content id c whose content verdict is v
+    first_f = np.full((n_ids, 2), nf)
     np.minimum.at(first_f, (content_of, by_content.astype(np.intp)), np.arange(nf))
-    is_zd = np.zeros(len(least), dtype=bool)
-    witness = np.full(len(least), module.zero, dtype=np.intp)
-    for c in np.argsort(least).tolist():
+    least = first_f.min(axis=1)
+    # the ids met, in the order of their least f: no sort, as the ids are dense
+    firsts = np.zeros(nf, dtype=bool)
+    firsts[least[least < nf]] = True
+    is_zd = np.zeros(n_ids, dtype=bool)
+    witness = np.full(n_ids, module.zero, dtype=np.intp)
+    for c in content_of[firsts].tolist():
         if least[c] > last:
             break
         verdict = is_zero_divisor_series(

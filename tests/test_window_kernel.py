@@ -10,7 +10,7 @@ of regularity_transfer for an annihilating partner among all window tuples,
 and the closure of each row's content. The library now enumerates only
 supported tuples, multiplies a block of left tuples against every right-hand
 tuple at once, reads Ann_M(c(f)) as the intersection of the Ann_M(a) over the
-coefficients a of f, reads c(f) off a join table of content ids, looks up
+coefficients a of f, reads c(f) off a step table of content ids, looks up
 each distinct Dedekind-Mertens instance of a block once, computes one McCoy
 witness per content pair (c(f), c(g)), calls is_zero_divisor_series once per
 content in regularity_transfer, and searches partners only among the window
@@ -313,7 +313,7 @@ def test_zero_divisor_series_annihilator_matches_ideal_closure(label, ring, modu
 
 
 # ---------------------------------------------------------------------------
-# content lattice: join-table ids against the per-row closure
+# content lattice: step-table ids against the per-row closure
 
 
 def _lattice_rows(lattice, close, coeffs, seen):
@@ -325,7 +325,20 @@ def _lattice_rows(lattice, close, coeffs, seen):
     seen.update(zip(ids, members))
 
 
-@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
+def z2_power(k):
+    """(Z/2)^k over Z/2: every nonzero element spans its own line, so the
+    contents of two-position tuples outnumber the principal ones."""
+    z2 = build_zmod(2)
+    return z2, functools.reduce(direct_sum, [ring_as_module(z2)] * k)
+
+
+# (Z/2)^5 has 32 principal contents, so its step table starts with 64 rows,
+# and the one join of its first two-position window meets 187 contents
+LATTICE_CASES = CASES + [("(Z/2)^5", *z2_power(5))]
+
+
+@pytest.mark.parametrize("label,ring,module", LATTICE_CASES,
+                         ids=[label for label, _, _ in LATTICE_CASES])
 def test_content_lattice_matches_per_row_closure(label, ring, module):
     # window tuples over ring and module, then the product columns of one
     # block: the lattices keep their ids across all of these calls
@@ -352,13 +365,45 @@ def test_content_lattice_matches_per_row_closure(label, ring, module):
         assert len(seen) == len({i for i, _ in seen}) == len({m for _, m in seen})
 
 
+def test_content_lattice_grows_its_step_table_inside_one_join():
+    _, module = z2_power(5)
+    subs = _ContentLattice(module, module.action_table, submodule_generated)
+    g_arr = WINDOWS_N[0].coeff_array(module.size, module.zero)
+    subs.ids(g_arr[:, :1])
+    assert subs.step is None
+    # one join meets 1 + 31 + 155 spans of at most two vectors, past the 64
+    # rows the table had when it began; test_content_lattice_matches_per_row_closure
+    # checks the ids of this call
+    subs.ids(g_arr)
+    assert len(subs.objects) == 187
+    assert len(subs.step) == 256
+
+
+def test_content_lattice_ids_depend_only_on_the_input():
+    # the same calls on two fresh lattices give the same ids and contents
+    ring = build_truncated_poly_ring(2, 2, 3)
+    module = ring_as_module(ring)
+    window = WINDOWS_N[0]
+    layout = _product_layout(NAT, window.exponents)
+    f_arr = window.coeff_array(ring.size, ring.zero)
+    g_arr = window.coeff_array(module.size, module.zero)
+    block = _block_product(f_arr[1000:1003], module.action_table, module.add_table,
+                           g_arr, layout)
+    runs = []
+    for _ in range(2):
+        subs = _ContentLattice(module, module.action_table, submodule_generated)
+        ids = [subs.ids(g_arr).tolist(), subs.ids(block.reshape(layout[0], -1).T).tolist()]
+        runs.append((ids, [content.members for content in subs.objects]))
+    assert runs[0] == runs[1]
+
+
 def test_content_lattice_memo_holds_only_the_pairs_met(monkeypatch):
     # (Z/2)^8 over Z/2 with the window {0, 1}: 262,144 pairs, and the
     # submodule contents are the 11,051 spans of at most two vectors. A table
-    # over all id pairs would hold 11,051^2 cells; the memo holds one id per
-    # distinct pair the joins met.
-    z2 = build_zmod(2)
-    module = functools.reduce(direct_sum, [ring_as_module(z2)] * 8)
+    # over all id pairs would hold 11,051^2 cells; the step table holds one
+    # row of |M| cells per id, at most twice the ids, and fills only the
+    # (id, element) cells the joins met.
+    z2, module = z2_power(8)
     lattices = []
 
     class Recording(_ContentLattice):
@@ -367,17 +412,18 @@ def test_content_lattice_memo_holds_only_the_pairs_met(monkeypatch):
             self.met = set()
             lattices.append(self)
 
-        def _join(self, left, right):
-            self.met.update(zip(left.tolist(), right.tolist()))
-            return super()._join(left, right)
+        def _join(self, acc, elements):
+            self.met.update(zip(acc.tolist(), elements.tolist()))
+            return super()._join(acc, elements)
 
     monkeypatch.setattr(verify_mod, "_ContentLattice", Recording)
     report = verify_mccoy_equivalence(z2, module, NAT, SupportWindow(((0,), (1,))))
     assert report.outcome == "pass"
     subs = lattices[1]
     assert len(subs.objects) == 11_051
-    assert set(subs.join) == subs.met
-    assert len(subs.join) < len(subs.objects) ** 2 // 1000
+    assert set(zip(*(a.tolist() for a in np.nonzero(subs.step >= 0)))) == subs.met
+    assert subs.step.shape[1] == module.size
+    assert len(subs.step) <= 2 * len(subs.objects)
 
 
 # ---------------------------------------------------------------------------
