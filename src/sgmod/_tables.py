@@ -7,16 +7,41 @@ import numpy as np
 from .errors import AxiomError
 
 
+INDEX_DTYPE = np.int32
+
+
 def as_index_table(table, rows: int, cols: int, what: str) -> np.ndarray:
-    try:
-        t = np.asarray(table, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise AxiomError(f"{what}: malformed table ({exc})")
+    """The table as an int32 array of shape (rows, cols) with entries in 0..cols-1.
+
+    int32 is the one dtype of every operation table: an index never reaches
+    2^31, as the addition table over that many elements would have 2^62
+    cells. An int32 array is returned as it is; anything else is read as
+    int64 and range-checked before the cast, so no entry wraps. An entry
+    beyond int64 is out of range like any other.
+    """
+    if isinstance(table, np.ndarray) and table.dtype == INDEX_DTYPE:
+        t = table
+    else:
+        try:
+            t = np.asarray(table, dtype=np.int64)
+        except OverflowError:
+            t = _huge_entries(table, what)
+        except (TypeError, ValueError) as exc:
+            raise AxiomError(f"{what}: malformed table ({exc})")
     if t.shape != (rows, cols):
         raise AxiomError(f"{what}: expected shape {(rows, cols)}, got {t.shape}")
     if t.size and (t.min() < 0 or t.max() >= cols):
         bad = np.argwhere((t < 0) | (t >= cols))[0]
         raise AxiomError(f"{what}: entry at {tuple(int(x) for x in bad)} out of range 0..{cols - 1}")
+    return t.astype(INDEX_DTYPE, copy=False)
+
+
+def _huge_entries(table, what: str) -> np.ndarray:
+    """The table as an object array, for a table with an entry beyond int64:
+    the shape and range checks then name the first offending entry."""
+    t = np.asarray(table, dtype=object)
+    if t.ndim == 2 and not all(isinstance(x, (int, np.integer)) for x in t.flat):
+        raise AxiomError(f"{what}: malformed table (entries must be integers)")
     return t
 
 
@@ -77,6 +102,21 @@ def audit_abelian_group(add: np.ndarray, zero: int, what: str) -> None:
     audit_group_rows(add, f"{what} addition")
 
 
+def hit_mask(values: np.ndarray, size: int) -> np.ndarray:
+    """The mask over 0..size-1 of the entries of an array of element indices.
+
+    A count, not a scatter: a scatter casts int32 table entries to intp
+    first, which costs more than counting them.
+    """
+    return np.bincount(values.ravel(), minlength=size) > 0
+
+
+def submatrix(table: np.ndarray, rows, cols) -> np.ndarray:
+    """table[np.ix_(rows, cols)], as two takes: numpy gathers an int32 table
+    about twice as fast this way."""
+    return table.take(rows, axis=0).take(cols, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # generator checks: exact, one (rows, cols) gather per generator
 
@@ -98,11 +138,21 @@ def additive_generators(add: np.ndarray, zero: int) -> list[int]:
         while frontier.size:
             inspan[frontier] = True
             span = np.concatenate([span, frontier])
-            # the table is commutative, so span x frontier covers every new pair
-            reached = np.zeros(n, dtype=bool)
-            reached[add[np.ix_(span, frontier)]] = True
+            # the table is commutative, so frontier x span covers every new pair
+            reached = hit_mask(submatrix(add, frontier, span), n)
             frontier = np.flatnonzero(reached & ~inspan)
     return gens or [zero]
+
+
+# rows per block of the generator checks: temporaries stay near 2^20 cells,
+# so a 4096-element table is checked without (n, n) intp temporaries
+_BLOCK_CELLS = 1 << 20
+
+
+def _row_blocks(table: np.ndarray) -> list:
+    rows, cols = table.shape
+    step = max(1, _BLOCK_CELLS // max(cols, 1))
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def associates_on(act: np.ndarray, mul: np.ndarray, gens) -> bool:
@@ -111,7 +161,8 @@ def associates_on(act: np.ndarray, mul: np.ndarray, gens) -> bool:
     With act == mul this is Light's test: the elements g passing it form a
     submagma, so passing on a generating set means the table is associative.
     """
-    return all(np.array_equal(act[mul[:, g]], np.take(act, act[g], axis=1)) for g in gens)
+    return all(np.array_equal(act[mul[rows, g]], act[rows].take(act[g], axis=1))
+               for g in gens for rows in _row_blocks(act))
 
 
 def additive_on(act: np.ndarray, src_add: np.ndarray, dst_add: np.ndarray, gens) -> bool:
@@ -119,8 +170,11 @@ def additive_on(act: np.ndarray, src_add: np.ndarray, dst_add: np.ndarray, gens)
 
     Once both additions are associative, the g passing this for all x form an
     additive submagma, so passing on additive generators makes every row additive.
-    dst_add is commutative, so f(x) + f(g) is row f(g) of dst_add read at f(x).
+    dst_add is commutative, so f(x) + f(g) is row f(g) of dst_add read at f(x):
+    one flat take at f(g) * m + f(x), summed in intp so no code overflows.
     """
-    return all(np.array_equal(np.take(act, src_add[:, g], axis=1),
-                              np.take_along_axis(dst_add[act[:, g]], act, axis=1))
-               for g in gens)
+    m = dst_add.shape[1]
+    flat = dst_add.ravel()
+    return all(np.array_equal(act[rows].take(src_add[:, g], axis=1),
+                              flat.take(act[rows, g, None].astype(np.intp) * m + act[rows]))
+               for g in gens for rows in _row_blocks(act))

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bitset
 from ._tables import (
+    INDEX_DTYPE,
     as_index_table,
     additive_generators,
     additive_on,
@@ -24,6 +25,8 @@ from ._tables import (
     audit_distributive,
     audit_group_rows,
     audit_identity,
+    hit_mask,
+    submatrix,
 )
 from .errors import (
     AxiomError,
@@ -54,7 +57,7 @@ class FiniteRing:
         self.label = label
         self.meta = dict(meta or {})
         validate_ring(self)
-        self.neg_table = np.argmax(add == self.zero, axis=1)
+        self.neg_table = np.argmax(add == self.zero, axis=1).astype(INDEX_DTYPE)
         self._cache: dict = {}
 
     @property
@@ -114,7 +117,7 @@ class FiniteModule:
             self.neg_table = ring.neg_table
         else:
             validate_module(self)
-            self.neg_table = np.argmax(add == self.zero, axis=1)
+            self.neg_table = np.argmax(add == self.zero, axis=1).astype(INDEX_DTYPE)
         self._cache: dict = {}
 
     @property
@@ -341,10 +344,18 @@ def build_zmod(n: int, cap: int = DEFAULT_ZMOD_CAP) -> FiniteRing:
         raise PreconditionError(f"zmod size must be positive, got {n}")
     if n > cap:
         raise SizeCapError(f"zmod size {n} exceeds cap {cap}")
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=INDEX_DTYPE)
     add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    # a product of two residues passes 2^31 once n > 46340: reduce it in int64
+    mul = (np.multiply.outer(idx, idx, dtype=np.int64) % n).astype(INDEX_DTYPE)
     return FiniteRing(add, mul, 0, 1 % n, label=f"Z/{n}", meta={"modulus": n})
+
+
+def _pair_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The componentwise table of two square tables on pairs, with the pair
+    (x, y) coded x * |right| + y; one broadcast, no temporary beyond the result."""
+    m1, m2 = len(left), len(right)
+    return (left[:, None, :, None] * m2 + right[None, :, None, :]).reshape(m1 * m2, m1 * m2)
 
 
 def _is_prime_int(p: int) -> bool:
@@ -390,31 +401,34 @@ def build_truncated_poly_ring(p: int, nvars: int, cap: int,
         raise SizeCapError(f"p^{B} = {p ** B} elements exceeds cap {size_cap}")
     n = p ** B
     pos = {m: i for i, m in enumerate(monos)}
-    powers = p ** np.arange(B, dtype=np.int64)
-    coeffs = (np.arange(n)[:, None] // powers[None, :]) % p  # (n, B)
+    # every power, digit sum and product below is less than n, so int32 holds it
+    powers = p ** np.arange(B, dtype=INDEX_DTYPE)
+    coeffs = (np.arange(n, dtype=INDEX_DTYPE)[:, None] // powers[None, :]) % p  # (n, B)
 
-    # one basis digit at a time: temporaries stay (n, n), never (n, n, B)
-    add = np.zeros((n, n), dtype=np.int64)
-    for i in range(B):
-        digit = coeffs[:, i]
-        add += (digit[:, None] + digit[None, :]) % p * powers[i]
+    # the additive group is (Z/p)^B, and an element's code is its top digit
+    # times p^(B-1) plus the code of its lower digits: add is the pair table
+    # of Z/p with the table of the lower digits, one broadcast per digit
+    digit = np.arange(p, dtype=INDEX_DTYPE)
+    digit_add = (digit[:, None] + digit[None, :]) % p
+    add = digit_add
+    for _ in range(B - 1):
+        add = _pair_table(digit_add, add)
 
     # mul by additivity in the left factor. The row of a basis monomial p^i is
     # sum_j coeffs[:, j] * p^(index of mono_i * mono_j); the products of mono_i
     # with distinct monomials are distinct, so no digit carries. Every other x
-    # is p^t + (x - p^t), t its highest nonzero digit: one gather per row.
-    mul = np.zeros((n, n), dtype=np.int64)
+    # is d p^t + r with 0 < d < p and r < p^t: row p^t plus row (d-1) p^t + r,
+    # one gather per block of p^t rows.
+    mul = np.zeros((n, n), dtype=INDEX_DTYPE)
     for i, mi in enumerate(monos):
         for j, mj in enumerate(monos):
             k = pos.get(tuple(a + b for a, b in zip(mi, mj)))
             if k is not None:
                 mul[powers[i]] += coeffs[:, j] * powers[k]
-    top = 1
-    for x in range(2, n):
-        if x == top * p:
-            top = x
-            continue
-        mul[x] = add[mul[x - top], mul[top]]
+    for t in range(B):
+        top = p ** t
+        for d in range(1, p):
+            mul[d * top:(d + 1) * top] = add[mul[(d - 1) * top:d * top], mul[top]]
 
     names = [chr(ord("a") + i) if nvars <= 8 else f"x{i}" for i in range(nvars)]
     label = f"F{p}[{','.join(names)}]/m^{cap}"
@@ -434,9 +448,7 @@ def _distinct(values: np.ndarray, size: int) -> list[int]:
     A mask over the elements, not np.unique: a plain np.unique call imports
     numpy.ma on its first use in a process.
     """
-    seen = np.zeros(size, dtype=bool)
-    seen[values.ravel()] = True
-    return np.flatnonzero(seen).tolist()
+    return np.flatnonzero(hit_mask(values, size)).tolist()
 
 
 def _cosets(add_table: np.ndarray, members: int) -> tuple[list[int], np.ndarray]:
@@ -444,7 +456,7 @@ def _cosets(add_table: np.ndarray, members: int) -> tuple[list[int], np.ndarray]
     members, sorted, and the index in that list of every element's coset."""
     rep = add_table[:, list(bitset.iter_bits(members))].min(axis=1)
     reps = _distinct(rep, len(rep))
-    position = np.zeros(len(rep), dtype=np.int64)
+    position = np.zeros(len(rep), dtype=INDEX_DTYPE)
     position[reps] = np.arange(len(reps))
     return reps, position[rep]
 
@@ -455,8 +467,8 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> FiniteRing:
         raise PreconditionError("ideal belongs to a different ring")
     _require_submodule(Submodule(ring.as_module(), ideal.members))
     reps, to_q = _cosets(ring.add_table, ideal.members)
-    qadd = to_q[ring.add_table[np.ix_(reps, reps)]]
-    qmul = to_q[ring.mul_table[np.ix_(reps, reps)]]
+    qadd = to_q.take(submatrix(ring.add_table, reps, reps))
+    qmul = to_q.take(submatrix(ring.mul_table, reps, reps))
     mem = ideal.members_tuple()
     shown = ",".join(map(str, mem[:4])) + (",..." if len(mem) > 4 else "")
     return FiniteRing(qadd, qmul, int(to_q[ring.zero]), int(to_q[ring.one]),
@@ -484,7 +496,7 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
         return hit
     ia = list(bitset.iter_bits(a.members))
     ib = list(bitset.iter_bits(b.members))
-    out = ideal_generated(ring, _distinct(ring.mul_table[np.ix_(ia, ib)], ring.size))
+    out = ideal_generated(ring, _distinct(submatrix(ring.mul_table, ia, ib), ring.size))
     ring._cache[key] = out
     ring._cache[("iprod", b.members, a.members)] = out
     return out
@@ -524,7 +536,7 @@ def is_prime_ideal(ideal: Ideal) -> tuple[bool, tuple[int, int] | None]:
     in_i = np.zeros(ring.size, dtype=bool)
     in_i[list(bitset.iter_bits(ideal.members))] = True
     outs = np.flatnonzero(~in_i)
-    bad = in_i[ring.mul_table[np.ix_(outs, outs)]]
+    bad = in_i.take(submatrix(ring.mul_table, outs, outs))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         result = (False, (int(outs[i]), int(outs[j])))
@@ -572,13 +584,18 @@ def module_from_tables(ring: FiniteRing, add_table, action_table, zero: int,
     return FiniteModule(ring, add_table, action_table, zero, label=label)
 
 
-def direct_sum(left: FiniteModule, right: FiniteModule) -> FiniteModule:
-    """Componentwise sum; element (x, y) is encoded as x * |right| + y."""
+def direct_sum(left: FiniteModule, right: FiniteModule,
+               cap: int = DEFAULT_MODULE_CAP) -> FiniteModule:
+    """Componentwise sum; element (x, y) is encoded as x * |right| + y.
+
+    The size cap is checked before the tables are built.
+    """
     if left.ring is not right.ring and not same_ring(left.ring, right.ring):
         raise PreconditionError("direct sum requires a shared base ring")
     m1, m2 = left.size, right.size
-    add = (left.add_table[:, None, :, None] * m2
-           + right.add_table[None, :, None, :]).reshape(m1 * m2, m1 * m2)
+    if m1 * m2 > cap:
+        raise SizeCapError(f"module size {m1} * {m2} = {m1 * m2} exceeds cap {cap}")
+    add = _pair_table(left.add_table, right.add_table)
     act = (left.action_table[:, :, None] * m2
            + right.action_table[:, None, :]).reshape(left.ring.size, m1 * m2)
     zero = left.zero * m2 + right.zero
@@ -592,7 +609,7 @@ def _require_submodule(sub: Submodule) -> None:
     if not bitset.has_bit(mem, module.zero):
         raise PreconditionError(f"not a submodule of {module.label}: missing zero")
     idx = list(bitset.iter_bits(mem))
-    for v in _distinct(module.add_table[np.ix_(idx, idx)], module.size):
+    for v in _distinct(submatrix(module.add_table, idx, idx), module.size):
         if not bitset.has_bit(mem, v):
             raise PreconditionError(f"not a submodule of {module.label}: not add-closed")
     for v in _distinct(module.action_table[:, idx], module.size):
@@ -606,8 +623,8 @@ def quotient_module(module: FiniteModule, sub: Submodule) -> FiniteModule:
         raise PreconditionError("submodule belongs to a different module")
     _require_submodule(sub)
     reps, to_q = _cosets(module.add_table, sub.members)
-    qadd = to_q[module.add_table[np.ix_(reps, reps)]]
-    qact = to_q[module.action_table[:, reps]]
+    qadd = to_q.take(submatrix(module.add_table, reps, reps))
+    qact = to_q.take(module.action_table.take(reps, axis=1))
     return FiniteModule(module.ring, qadd, qact, int(to_q[module.zero]),
                         label=f"{module.label}/N{sub.members.bit_count()}")
 
@@ -623,17 +640,17 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> Submodule:
     hit = module._cache.get(key)
     if hit is not None:
         return hit
-    in_set = np.zeros(module.size, dtype=bool)
+    in_set = np.zeros(size, dtype=bool)
     in_set[module.zero] = True
     in_set[gset] = True
-    while True:
-        idx = np.flatnonzero(in_set)
-        reach = np.zeros(module.size, dtype=bool)
-        reach[module.add_table[np.ix_(idx, idx)].ravel()] = True
-        reach[module.action_table[:, idx].ravel()] = True
-        if not (reach & ~in_set).any():
-            break
-        in_set |= reach
+    new = np.flatnonzero(in_set)
+    while new.size:
+        # + is commutative, so the new elements against all members meet every
+        # sum not met before
+        sums = submatrix(module.add_table, new, np.flatnonzero(in_set))
+        reach = hit_mask(sums, size) | hit_mask(module.action_table.take(new, axis=1), size)
+        new = np.flatnonzero(reach & ~in_set)
+        in_set[new] = True
     sub = Submodule(module, bitset.mask_from_bools(in_set))
     module._cache[key] = sub
     return sub
@@ -661,7 +678,7 @@ def ideal_action_submodule(ideal: Ideal, sub: Submodule) -> Submodule:
         out = submodule_generated(module, ())
     else:
         out = submodule_generated(module,
-                                  _distinct(module.action_table[np.ix_(ia, ix)], module.size))
+                                  _distinct(submatrix(module.action_table, ia, ix), module.size))
     module._cache[key] = out
     return out
 
@@ -762,7 +779,7 @@ def classify_submodule(module: FiniteModule, sub: Submodule) -> SubmoduleClassif
     proper = sub.members != module.full_mask
 
     # per-r facts: does r M sit inside P, and does some power r^n M
-    lands = in_p[module.action_table]  # lands[r, x]: r x in P
+    lands = in_p.take(module.action_table)  # lands[r, x]: r x in P
     all_in = lands.all(axis=1)
     power_in = all_in.copy()
     r = np.arange(ring.size)

@@ -11,7 +11,13 @@ from typing import Union
 
 import numpy as np
 
-from ._tables import as_index_table, audit_associative, audit_commutative, audit_identity
+from ._tables import (
+    INDEX_DTYPE,
+    as_index_table,
+    audit_associative,
+    audit_commutative,
+    audit_identity,
+)
 from .errors import PreconditionError, StructureMismatchError
 
 MonoidElement = Union[int, tuple]
@@ -88,7 +94,7 @@ def free_monoid(dim: int, label: str | None = None) -> Monoid:
 def cyclic_group_monoid(k: int, label: str | None = None) -> Monoid:
     if k < 1:
         raise PreconditionError("cyclic group needs k >= 1")
-    idx = np.arange(k)
+    idx = np.arange(k, dtype=INDEX_DTYPE)
     table = (idx[:, None] + idx[None, :]) % k
     return Monoid(kind="finite", cayley=table, identity=0, label=label or f"Z/{k} (additive)")
 
@@ -97,7 +103,7 @@ def saturating_monoid(c: int, label: str | None = None) -> Monoid:
     """{0..c} under capped addition s + t = min(s + t, c)."""
     if c < 1:
         raise PreconditionError("saturating monoid needs c >= 1")
-    idx = np.arange(c + 1)
+    idx = np.arange(c + 1, dtype=INDEX_DTYPE)
     table = np.minimum(idx[:, None] + idx[None, :], c)
     return Monoid(kind="finite", cayley=table, identity=0, label=label or f"sat({c})")
 

@@ -212,7 +212,8 @@ class _Builder:
             return quotient_module(base, sub)
         if kind == "direct_sum":
             return direct_sum(self._resolve("modules", defn["left"]),
-                              self._resolve("modules", defn["right"]))
+                              self._resolve("modules", defn["right"]),
+                              cap=self.session.settings.get("module_cap", DEFAULT_MODULE_CAP))
         if kind == "tables":
             ring = self._resolve("rings", defn["ring"])
             return module_from_tables(

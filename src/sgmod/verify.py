@@ -207,6 +207,8 @@ def _block_product(left: np.ndarray, table, add_table, right: np.ndarray,
     action) row of the coefficient a, add_table the target's addition, right
     the (N, E) window array and layout the _product_layout of the window.
     Returns an (n_prod, F, N) array; [:, a, b] holds left[a] * right[b].
+    The tables are the caller's _index_copies: every term and partial sum is
+    then an intp index array, and no gather casts one.
     """
     n_prod, pos = layout
     acc = np.empty((n_prod, len(left), len(right)), dtype=add_table.dtype)
@@ -224,6 +226,13 @@ def _block_product(left: np.ndarray, table, add_table, right: np.ndarray,
                 acc[k] = term
                 stored[k] = True
     return acc
+
+
+def _index_copies(*tables: np.ndarray) -> list:
+    """intp copies of the int32 tables a window kernel gathers through, taken
+    once per verifier after its budget check. Their entries index the next
+    gather, and numpy casts a non-intp index array on every gather."""
+    return [table.astype(np.intp) for table in tables]
 
 
 def _left_blocks(left: np.ndarray, right: np.ndarray) -> list:
@@ -371,14 +380,19 @@ class _ContentLattice:
         """The id of objects[acc[k]] + R·elements[k], for every k."""
         if self.step is None:
             self.step = np.full((2 * len(self.objects), self.space.size), -1, dtype=np.int32)
-        out = self.step[acc, elements]
+        # one take at the flat cell id * |space| + a, formed in intp: a 2-D
+        # gather would cast the int32 ids on every column. Growing the table
+        # adds rows only, so the cells stay valid.
+        at = np.multiply(acc, self.space.size, dtype=np.intp)
+        at += elements
+        out = self.step.ravel().take(at)
         missing = out < 0
         if not missing.any():
             return out
         # mark the unmet cells, then fill each once in (id, element) order, so
         # the ids given out depend only on the input
         known = len(self.objects)
-        self.step[acc[missing], elements[missing]] = -2
+        self.step.ravel()[at[missing]] = -2
         cells = np.flatnonzero(self.step[:known] == -2)
         principal = self.principal.tolist()
         for cid, a in zip(*(c.tolist() for c in np.divmod(cells, self.space.size))):
@@ -392,7 +406,7 @@ class _ContentLattice:
             grown = np.full((rows, self.space.size), -1, dtype=np.int32)
             grown[:len(self.step)] = self.step
             self.step = grown
-        return self.step[acc, elements]
+        return self.step.ravel().take(at)
 
     def _id(self, members: int, gens) -> int:
         """The id of the content with these members if there is one (so a
@@ -438,11 +452,12 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
 
     zero_product_pairs = 0
     max_k = 0
+    act, add = _index_copies(module.action_table, module.add_table)
 
     for rows in _left_blocks(f_arr, g_arr):
         f_block = f_arr[rows]
         cf = ideals.ids(f_block)
-        block = _block_product(f_block, module.action_table, module.add_table, g_arr, layout)
+        block = _block_product(f_block, act, add, g_arr, layout)
         cfg = subs.ids(block.reshape(layout[0], -1).T).reshape(len(f_block), n_g)
         dims = (len(ideals.objects), len(subs.objects), len(subs.objects),
                 len(window.exponents) + 2)
@@ -579,10 +594,10 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     rzero = ring.zero
     f_arr = window.coeff_array(ring.size, rzero)
     f_list = f_arr.tolist()
+    mul, add = _index_copies(ring.mul_table, ring.add_table)
 
     def times_window(fi):
-        return _block_product(f_arr[fi:fi + 1], ring.mul_table, ring.add_table, f_arr,
-                              layout)[:, 0]
+        return _block_product(f_arr[fi:fi + 1], mul, add, f_arr, layout)[:, 0]
 
     details: dict = {"ring_is_domain": is_domain, "primes_checked": len(primes),
                      "associated_primes_checked": len(ass)}
@@ -699,9 +714,9 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     x_outside = ~in_p[x_arr].all(axis=1)
     r_arr = window.coeff_array(ring.size, ring.zero)
     r_content = contents.ids(r_arr).tolist()
+    act, add = _index_copies(module.action_table, module.add_table)
     for ri, r_coeffs in enumerate(r_arr.tolist()):
-        block = _block_product(r_arr[ri:ri + 1], module.action_table, module.add_table,
-                               x_arr, layout)[:, 0]
+        block = _block_product(r_arr[ri:ri + 1], act, add, x_arr, layout)[:, 0]
         # only the least x with r x in P[S] and x outside P[S] can be reported
         hits = np.flatnonzero(in_p[block].all(axis=0) & x_outside)
         if not hits.size:
@@ -765,9 +780,9 @@ def _partner_search(module: FiniteModule, f_arr: np.ndarray, partners: np.ndarra
                     layout) -> list:
     """Per row f of f_arr, whether f * g = 0 for some row g of partners."""
     verdicts = []
+    act, add = _index_copies(module.action_table, module.add_table)
     for rows in _left_blocks(f_arr, partners):
-        acc = _block_product(f_arr[rows], module.action_table, module.add_table, partners,
-                             layout)
+        acc = _block_product(f_arr[rows], act, add, partners, layout)
         verdicts += (acc == module.zero).all(axis=0).any(axis=1).tolist()
     return verdicts
 

@@ -388,6 +388,43 @@ class TestStrictInputs:
         assert "must be an integer" in error["message"]
         assert f"{section[:-1]} 'BAD'" in error["message"]
 
+    @pytest.mark.parametrize("value", [2**31, 2**63, -2**63 - 1])
+    @pytest.mark.parametrize("section,name,defn,table", [
+        ("rings", "BAD", _z5_tables(), "add"),
+        ("modules", "BAD", {"kind": "tables", "ring": "R6",
+                            "add": [[(x + y) % 6 for y in range(6)] for x in range(6)],
+                            "action": [[(r * x) % 6 for x in range(6)] for r in range(6)],
+                            "zero": 0}, "action"),
+        ("monoids", "BAD", {"kind": "table", "cayley": [[0, 1], [1, 0]], "identity": 0},
+         "cayley"),
+    ])
+    def test_table_entry_beyond_int32_or_int64_exit_two(self, tmp_path, section, name, defn,
+                                                       table, value):
+        # an entry too wide for the table dtype is out of range like any other,
+        # not an OverflowError traceback
+        doc = minimal_doc()
+        bad = copy.deepcopy(defn)
+        bad[table][1][1] = value
+        doc[section][name] = bad
+        code, lines = self.run_cli("validate", write_session(tmp_path, doc))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert "entry at (1, 1) out of range" in error["message"]
+        assert f"{section[:-1]} '{name}'" in error["message"]
+
+    def test_direct_sum_checks_the_module_cap(self, tmp_path):
+        doc = minimal_doc(settings={"module_cap": 10})
+        doc["rings"]["R4"] = {"kind": "zmod", "n": 4}
+        doc["modules"]["M4"] = {"kind": "ring_as_module", "ring": "R4"}
+        doc["modules"]["S"] = {"kind": "direct_sum", "left": "M4", "right": "M4"}
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert "module size 4 * 4 = 16 exceeds cap 10" in error["message"]
+        assert "module 'S'" in error["message"]
+
     @pytest.mark.parametrize("settings", [
         {"budget": "lots"},
         {"budget": 1e7},
@@ -525,14 +562,20 @@ class TestStrictInputs:
 
 
 # small session documents for the exit-code fuzz test: every command op over
-# Z/6 and Z/4, with a budget that keeps any verifier small
+# Z/6 and Z/4, with a budget that keeps any verifier small, and Z/2 as explicit
+# tables so the fuzz reaches table entries
 FUZZ_BASE = {
     "settings": {"budget": 20000},
-    "rings": {"R6": {"kind": "zmod", "n": 6}, "R4": {"kind": "zmod", "n": 4}},
+    "rings": {"R6": {"kind": "zmod", "n": 6}, "R4": {"kind": "zmod", "n": 4},
+              "T2": {"kind": "tables", "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]],
+                     "zero": 0, "one": 1}},
     "monoids": {"N": {"kind": "free", "dim": 1}, "C2": {"kind": "cyclic_group", "k": 2},
-                "Sat2": {"kind": "saturating", "c": 2}},
+                "Sat2": {"kind": "saturating", "c": 2},
+                "C2T": {"kind": "table", "cayley": [[0, 1], [1, 0]], "identity": 0}},
     "modules": {"M6": {"kind": "ring_as_module", "ring": "R6"},
-                "M4": {"kind": "ring_as_module", "ring": "R4"}},
+                "M4": {"kind": "ring_as_module", "ring": "R4"},
+                "MT2": {"kind": "tables", "ring": "T2", "add": [[0, 1], [1, 0]],
+                        "action": [[0, 0], [0, 1]], "zero": 0}},
     "submodules": {"P3": {"module": "M6", "gens": [3]}},
     # f*g = 0, so the mccoy command has a witness to find
     "series": {"f": {"ring": "R6", "monoid": "N",
@@ -568,11 +611,16 @@ FUZZ_COMMAND_KEYS = ["op", "statement", "kind", "ring", "module", "monoid", "sub
 FUZZ_DOC_FIELDS = [("settings", "budget"), ("submodules", "P3", "gens", 0),
                    ("series", "f", "terms", 0, "coefficient"),
                    ("series", "f", "terms", 1, "exponent"),
-                   ("series", "g", "terms", 0, "coefficient")]
+                   ("series", "g", "terms", 0, "coefficient"),
+                   ("rings", "T2", "add", 1, 1), ("rings", "T2", "mul", 1, 1),
+                   ("modules", "MT2", "action", 1, 1), ("monoids", "C2T", "cayley", 1, 1)]
 FUZZ_WORDS = ["R6", "R4", "M6", "M4", "N", "C2", "Sat2", "P3", "f", "g", "verify",
               "analyze", "dm", "mccoy", "zdtest", "counterexample", "torsion",
               "noncancellative", "mccoy_equivalence", "finite_ring_chain", ""]
-_fuzz_number = st.integers(-3, 12) | st.floats(-4, 4, allow_nan=False)
+# small integers name real elements; the wide ones overflow int32 and int64
+_fuzz_integer = (st.integers(-3, 12) | st.sampled_from([2**31, 2**63, -2**63 - 1])
+                 | st.integers())
+_fuzz_number = _fuzz_integer | st.floats(-4, 4, allow_nan=False)
 FUZZ_VALUES = (_fuzz_number | st.booleans() | st.none() | st.sampled_from(FUZZ_WORDS)
                | st.lists(_fuzz_number | st.booleans(), max_size=3))
 

@@ -18,14 +18,20 @@ import pytest
 import sgmod.finite_algebra as fa
 from sgmod import (
     AxiomError,
+    FiniteRing,
     InvariantViolation,
+    SizeCapError,
     build_truncated_poly_ring,
     build_zmod,
+    cyclic_group_monoid,
     direct_sum,
     ideal_generated,
+    module_from_tables,
+    monoid_from_table,
     quotient_module,
     quotient_ring,
     ring_as_module,
+    saturating_monoid,
     submodule_generated,
 )
 from sgmod._tables import (
@@ -457,8 +463,8 @@ class TestTruncatedPolyTables:
     def test_add_table_matches_broadcast_oracle(self, p, nvars, cap):
         ring = build_truncated_poly_ring(p, nvars, cap)
         expected = _add_table_by_digit_cube(p, nvars, cap)
-        assert ring.add_table.dtype == expected.dtype
-        assert ring.add_table.tobytes() == expected.tobytes()
+        assert ring.add_table.dtype == np.int32
+        assert ring.add_table.tobytes() == expected.astype(np.int32).tobytes()
 
     def test_1024_element_ring_and_module_build(self):
         # the cubic audits took about 25 s here; the generator audits well under 2 s
@@ -466,3 +472,65 @@ class TestTruncatedPolyTables:
         module = ring_as_module(ring)
         assert ring.size == module.size == 1024
         assert len(additive_generators(ring.add_table, ring.zero)) == 10
+
+
+def _z6_sum():
+    m6 = ring_as_module(build_zmod(6))
+    return direct_sum(m6, m6)
+
+
+class TestInt32Tables:
+    """int32 is the one dtype of every operation table, whatever builds it."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_zmod(6),
+        lambda: build_truncated_poly_ring(3, 2, 2),
+        lambda: FiniteRing([[(a + b) % 4 for b in range(4)] for a in range(4)],
+                           [[(a * b) % 4 for b in range(4)] for a in range(4)], 0, 1),
+        lambda: quotient_ring(build_zmod(12), ideal_generated(build_zmod(12), [4])),
+    ])
+    def test_ring_tables(self, build):
+        ring = build()
+        for table in (ring.add_table, ring.mul_table, ring.neg_table):
+            assert table.dtype == np.int32
+
+    @pytest.mark.parametrize("build", [
+        lambda: ring_as_module(build_truncated_poly_ring(2, 2, 2)),
+        lambda: module_from_tables(build_zmod(4),
+                                   [[(x + y) % 4 for y in range(4)] for x in range(4)],
+                                   [[(r * x) % 4 for x in range(4)] for r in range(4)], 0),
+        _z6_sum,
+        lambda: quotient_module(_z6_sum(), submodule_generated(_z6_sum(), [3])),
+    ])
+    def test_module_tables(self, build):
+        module = build()
+        for table in (module.add_table, module.action_table, module.neg_table):
+            assert table.dtype == np.int32
+
+    @pytest.mark.parametrize("build", [
+        lambda: cyclic_group_monoid(3),
+        lambda: saturating_monoid(2),
+        lambda: monoid_from_table([[0, 1], [1, 0]], 0),
+    ])
+    def test_monoid_cayley_table(self, build):
+        assert build().cayley.dtype == np.int32
+
+    def test_int64_entries_past_int32_are_out_of_range_not_wrapped(self):
+        # 2^32 + 1 would wrap to 1 in a bare int32 cast
+        add = (np.arange(2)[:, None] + np.arange(2)) % 2
+        add[1, 1] = 2**32
+        with pytest.raises(AxiomError, match=r"entry at \(1, 1\) out of range 0..1"):
+            FiniteRing(add, [[0, 0], [0, 1]], 0, 1)
+
+
+class TestDirectSumCap:
+    def test_cap_is_checked_before_the_tables_are_built(self):
+        m65 = ring_as_module(build_zmod(65))
+        with pytest.raises(SizeCapError, match="65 \\* 65 = 4225 exceeds cap 4096"):
+            direct_sum(m65, m65)
+
+    def test_a_raised_cap_admits_the_sum(self):
+        m3 = ring_as_module(build_zmod(3))
+        with pytest.raises(SizeCapError):
+            direct_sum(m3, m3, cap=8)
+        assert direct_sum(m3, m3, cap=9).size == 9
