@@ -35,6 +35,7 @@ from .finite_algebra import (
     classify_submodule,
     direct_sum,
     enumerate_ideals,
+    enumerate_submodules,
     ideal_action_submodule,
     ideal_generated,
     ideal_power,

@@ -45,11 +45,22 @@ def _huge_entries(table, what: str) -> np.ndarray:
     return t
 
 
+# side of the square tiles audit_commutative compares: a tile and its
+# transpose stay in cache, where table.T read whole takes one cache line per
+# element of a large table
+_TILE = 256
+
+
 def audit_commutative(table: np.ndarray, what: str) -> None:
-    diff = table != table.T
-    if diff.any():
-        i, j = np.argwhere(diff)[0]
-        raise AxiomError(f"{what} not commutative at ({int(i)}, {int(j)})")
+    """table == table.T, compared tile by tile over the upper triangle; a
+    failure is located by the full comparison, so it names the least (i, j)."""
+    n = table.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            if not np.array_equal(table[i:i + _TILE, j:j + _TILE],
+                                  table[j:j + _TILE, i:i + _TILE].T):
+                r, c = np.argwhere(table != table.T)[0]
+                raise AxiomError(f"{what} not commutative at ({int(r)}, {int(c)})")
 
 
 def audit_identity(table: np.ndarray, ident: int, what: str) -> None:

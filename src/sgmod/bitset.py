@@ -15,7 +15,8 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def mask_from_bools(flags: np.ndarray) -> int:
-    return mask_of(np.flatnonzero(flags))
+    """The mask of the set flags of a 1-D bool array, read off its packed bytes."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def bools_from_mask(mask: int, size: int) -> np.ndarray:

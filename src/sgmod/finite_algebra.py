@@ -481,8 +481,9 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> FiniteRing:
 
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing gens: the ideals of R are the submodules of
-    R acting on itself, so this is their submodule closure in R_R."""
-    return Ideal(ring, submodule_generated(ring.as_module(), gens).members)
+    R acting on itself, so this is their join in the lattice of R_R."""
+    lattice = submodule_lattice(ring.as_module())
+    return lattice.ideals[lattice.fold(_generators(lattice.module, gens))]
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -629,31 +630,20 @@ def quotient_module(module: FiniteModule, sub: Submodule) -> FiniteModule:
                         label=f"{module.label}/N{sub.members.bit_count()}")
 
 
-def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> Submodule:
-    """Closure of the generators under addition and the ring action."""
+def _generators(module: FiniteModule, gens: Iterable[int]) -> list[int]:
+    """The distinct nonzero generators, sorted, after the range check."""
     gset = sorted({int(g) for g in gens} - {module.zero})
-    size = module.size
     for g in gset:
-        if not 0 <= g < size:
+        if not 0 <= g < module.size:
             raise PreconditionError(f"generator {g} outside {module.label}")
-    key = ("sgen", tuple(gset))
-    hit = module._cache.get(key)
-    if hit is not None:
-        return hit
-    in_set = np.zeros(size, dtype=bool)
-    in_set[module.zero] = True
-    in_set[gset] = True
-    new = np.flatnonzero(in_set)
-    while new.size:
-        # + is commutative, so the new elements against all members meet every
-        # sum not met before
-        sums = submatrix(module.add_table, new, np.flatnonzero(in_set))
-        reach = hit_mask(sums, size) | hit_mask(module.action_table.take(new, axis=1), size)
-        new = np.flatnonzero(reach & ~in_set)
-        in_set[new] = True
-    sub = Submodule(module, bitset.mask_from_bools(in_set))
-    module._cache[key] = sub
-    return sub
+    return gset
+
+
+def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> Submodule:
+    """Closure of the generators under addition and the ring action: their
+    join in the lattice of the module."""
+    lattice = submodule_lattice(module)
+    return lattice.objects[lattice.fold(_generators(module, gens))]
 
 
 def submodule_from_members(module: FiniteModule, members: Iterable[int]) -> Submodule:
@@ -808,32 +798,171 @@ def classify_submodule(module: FiniteModule, sub: Submodule) -> SubmoduleClassif
 
 
 # ---------------------------------------------------------------------------
-# ideal enumeration
+# the submodule lattice: the one closure kernel
+
+
+# rows of a new step table; it doubles its rows when the ids outgrow them
+_LATTICE_ROWS = 16
+
+
+class SubmoduleLattice:
+    """The submodules of one module met so far, one id and one instance each.
+
+    Every submodule of a finite module is a finite sum of cyclic ones R·a,
+    so each is reached from the zero submodule, id 0, by joins with cyclic
+    submodules. A join A + R·a is already a submodule: it is the set of sums,
+    one gather of add_table over A × R·a, with no fixpoint loop.
+
+    step[id, a] is the id of objects[id] + R·a, or -1 where that cell has not
+    been met. Row 0 holds the ids of the cyclic submodules, as 0 + R·a = R·a.
+    Each cell is filled once. The lattice lives as long as its module, so ids
+    outlive the call that made them: no result may depend on an id's value
+    or on the order in which ids were made. On R acting on itself the
+    submodules are the ideals, and ideals[id] is the Ideal of objects[id].
+    """
+
+    def __init__(self, module: FiniteModule):
+        self.module = module
+        ring = module.ring
+        self.ideals: list[Ideal] | None = [] if ring._cache.get("as_module") is module else None
+        self.objects: list[Submodule] = []
+        self.by_members: dict[int, int] = {}
+        self._members: list[np.ndarray] = []  # members of objects[id] as an index array
+        self.step = np.full((_LATTICE_ROWS, module.size), -1, dtype=INDEX_DTYPE)
+        self._intern(np.arange(module.size) == module.zero)
+
+    def fold(self, gens: Iterable[int]) -> int:
+        """The id of the submodule the (range-checked) generators generate."""
+        cid = 0
+        for a in gens:
+            cid = self.join(cid, a)
+        return cid
+
+    def join(self, cid: int, a: int) -> int:
+        """The id of objects[cid] + R·a."""
+        out = self.step.item(cid, a)
+        if out >= 0:
+            return out
+        members = self.objects[cid].members
+        module = self.module
+        if members >> a & 1:
+            out = cid
+        elif cid == 0:
+            out = self._intern(hit_mask(module.action_table[:, a], module.size))
+        else:
+            cyclic = self.join(0, a)
+            if members & ~self.objects[cyclic].members == 0:
+                out = cyclic
+            else:
+                sums = submatrix(module.add_table, self._members[cid], self._members[cyclic])
+                out = self._intern(hit_mask(sums, module.size))
+        self.step[cid, a] = out
+        return out
+
+    def join_all(self, acc: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        """The id of objects[acc[k]] + R·elements[k], for every k."""
+        # one take at the flat cell id * |M| + a, formed in intp: a 2-D gather
+        # would cast the int32 ids. Growing the table adds rows only, so the
+        # cells stay valid.
+        at = np.multiply(acc, self.module.size, dtype=np.intp)
+        at += elements
+        out = self.step.ravel().take(at)
+        missing = out < 0
+        if not missing.any():
+            return out
+        # fill each unmet cell once, in (id, element) order
+        cells = np.sort(at[missing])
+        first = np.ones(len(cells), dtype=bool)
+        first[1:] = cells[1:] != cells[:-1]
+        for cid, a in zip(*(c.tolist() for c in np.divmod(cells[first], self.module.size))):
+            self.join(cid, a)
+        return self.step.ravel().take(at)
+
+    def ids(self, coeffs: np.ndarray) -> np.ndarray:
+        """The id of the content of every row of coeffs: the join of the
+        cyclic submodules of its entries, one column at a time."""
+        # the first column joins the zero submodule: its ids are read off
+        # row 0 whenever those cells are met
+        acc = self.step[0].take(coeffs[:, 0])
+        if (acc < 0).any():
+            acc = self.join_all(np.zeros(len(coeffs), dtype=INDEX_DTYPE), coeffs[:, 0])
+        for j in range(1, coeffs.shape[1]):
+            acc = self.join_all(acc, coeffs[:, j])
+        return acc
+
+    def _intern(self, in_sub: np.ndarray) -> int:
+        """The id of the submodule with these member flags, made if new."""
+        mask = bitset.mask_from_bools(in_sub)
+        cid = self.by_members.get(mask)
+        if cid is not None:
+            return cid
+        cid = len(self.objects)
+        self.by_members[mask] = cid
+        self.objects.append(Submodule(self.module, mask))
+        self._members.append(np.flatnonzero(in_sub))
+        if self.ideals is not None:
+            self.ideals.append(Ideal(self.module.ring, mask))
+        if cid == len(self.step):
+            grown = np.full((2 * cid, self.module.size), -1, dtype=INDEX_DTYPE)
+            grown[:cid] = self.step
+            self.step = grown
+        return cid
+
+    def closure(self) -> list[int]:
+        """The ids of all submodules, in the order of their member tuples: the
+        breadth-first join closure of the cyclic submodules from zero."""
+        cyclic = self.ids(np.arange(self.module.size)[:, None]).tolist()
+        # the least element of each nonzero cyclic submodule
+        least: dict[int, int] = {}
+        for a, cid in enumerate(cyclic):
+            if cid:
+                least.setdefault(cid, a)
+        reps = np.array(list(least.values()), dtype=np.intp)
+        found = {0}
+        frontier = [0]
+        while frontier:
+            joined = self.join_all(np.repeat(np.array(frontier, dtype=np.intp), len(reps)),
+                                   np.tile(reps, len(frontier)))
+            frontier = [cid for cid in dict.fromkeys(joined.tolist()) if cid not in found]
+            found.update(frontier)
+        return sorted(found, key=lambda cid: self._members[cid].tolist())
+
+
+def submodule_lattice(module: FiniteModule) -> SubmoduleLattice:
+    """The lattice of the module, built on first use and kept with it."""
+    lattice = module._cache.get("lattice")
+    if lattice is None:
+        lattice = module._cache["lattice"] = SubmoduleLattice(module)
+    return lattice
+
+
+# ---------------------------------------------------------------------------
+# ideal and submodule enumeration
 
 
 def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
-    """All ideals, found by closing principal extensions to a fixpoint."""
+    """All ideals, sorted by member tuple: the join closure of the principal
+    ideals in the lattice of R acting on itself."""
     key = ("ideals",)
     hit = ring._cache.get(key)
     if hit is not None:
         return hit
-    zero_ideal = ideal_generated(ring, ())
-    known = {zero_ideal.members: zero_ideal}
-    frontier = [zero_ideal]
-    while frontier:
-        nxt = []
-        for ideal in frontier:
-            base = ideal.members_tuple()
-            for a in ring.elements():
-                if ideal.contains(a):
-                    continue
-                bigger = ideal_generated(ring, base + (a,))
-                if bigger.members not in known:
-                    known[bigger.members] = bigger
-                    nxt.append(bigger)
-        frontier = nxt
-    out = sorted(known.values(), key=lambda i: i.members_tuple())
+    lattice = submodule_lattice(ring.as_module())
+    out = [lattice.ideals[cid] for cid in lattice.closure()]
     ring._cache[key] = out
+    return out
+
+
+def enumerate_submodules(module: FiniteModule) -> list[Submodule]:
+    """All submodules, sorted by member tuple: the join closure of the cyclic
+    submodules in the lattice of the module."""
+    key = ("submodules",)
+    hit = module._cache.get(key)
+    if hit is not None:
+        return hit
+    lattice = submodule_lattice(module)
+    out = [lattice.objects[cid] for cid in lattice.closure()]
+    module._cache[key] = out
     return out
 
 

@@ -3,11 +3,12 @@
 Each verifier enumerates every coefficient assignment over a fixed exponent
 window, checks the statement on every instance, and reports pass /
 counterexample / skipped. Window products come from one block kernel,
-_block_product, contents c(f) from one lattice of content ids
-(_ContentLattice), and content annihilators from the per-element annihilators
-of the coefficients (_content_annihilates). A counterexample on
-hypothesis-satisfying inputs signals an implementation bug (the statements are
-proven); its payload always replays through the public operations.
+_block_product, contents c(f) from the persistent submodule lattice of the
+ring or module (submodule_lattice), and content annihilators from the
+per-element annihilators of the coefficients (_content_annihilates). A
+counterexample on hypothesis-satisfying inputs signals an implementation bug
+(the statements are proven); its payload always replays through the public
+operations.
 
 Windows only slice the infinite algebras: the content-annihilator criterion is
 the authoritative zero-divisor membership test, and the window search for an
@@ -46,7 +47,7 @@ from .finite_algebra import (
     prime_ideals,
     ring_as_module,
     same_ring,
-    submodule_generated,
+    submodule_lattice,
     zero_divisor_set,
 )
 from .monoids import Monoid, is_cancellative, is_torsion_free
@@ -340,88 +341,6 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
                                   canc, canc_wit, tf_wit)
 
 
-class _ContentLattice:
-    """Ids of the contents of coefficient tuples over one ring or module.
-
-    A tuple's content c(f) = Σ R·aᵢ is the ideal or submodule its
-    coefficients generate: the join of the principal contents R·aᵢ. So
-    principal[a] is the id of R·a, and ids folds the join over the columns
-    of a block, one position at a time, through the step table:
-    step[id, a] is the id of objects[id] + R·a, or -1 where that cell has
-    not been met. Each cell is filled once, and the table lives as long as
-    the lattice, so later blocks share its ids. Equal contents share one id,
-    and objects[id] is the content itself.
-    """
-
-    def __init__(self, space, table, close):
-        """table[r, a] is r·a; close(space, gens) is the content of gens."""
-        self.space = space
-        self.close = close
-        self.by_members: dict = {}
-        self.objects: list = []
-        # allocated by the first join, so tuples of one position pay nothing
-        self.step: np.ndarray | None = None
-        # R·a is the set of the r·a, as R has a one: elements whose sets are
-        # equal share one closure
-        cyclic = np.zeros((space.size, space.size), dtype=bool)
-        cyclic[np.arange(space.size)[:, None], table.T] = True
-        rows = np.packbits(cyclic, axis=1, bitorder="little")
-        self.principal = np.array([self._id(int.from_bytes(row.tobytes(), "little"), (a,))
-                                   for a, row in enumerate(rows)], dtype=np.int32)
-
-    def ids(self, coeffs: np.ndarray) -> np.ndarray:
-        """The content id of every row of coeffs."""
-        acc = self.principal[coeffs[:, 0]]
-        for j in range(1, coeffs.shape[1]):
-            acc = self._join(acc, coeffs[:, j])
-        return acc
-
-    def _join(self, acc: np.ndarray, elements: np.ndarray) -> np.ndarray:
-        """The id of objects[acc[k]] + R·elements[k], for every k."""
-        if self.step is None:
-            self.step = np.full((2 * len(self.objects), self.space.size), -1, dtype=np.int32)
-        # one take at the flat cell id * |space| + a, formed in intp: a 2-D
-        # gather would cast the int32 ids on every column. Growing the table
-        # adds rows only, so the cells stay valid.
-        at = np.multiply(acc, self.space.size, dtype=np.intp)
-        at += elements
-        out = self.step.ravel().take(at)
-        missing = out < 0
-        if not missing.any():
-            return out
-        # mark the unmet cells, then fill each once in (id, element) order, so
-        # the ids given out depend only on the input
-        known = len(self.objects)
-        self.step.ravel()[at[missing]] = -2
-        cells = np.flatnonzero(self.step[:known] == -2)
-        principal = self.principal.tolist()
-        for cid, a in zip(*(c.tolist() for c in np.divmod(cells, self.space.size))):
-            members = self.objects[cid].members | self.objects[principal[a]].members
-            self.step[cid, a] = self._id(members, bitset.iter_bits(members))
-        if len(self.objects) > len(self.step):
-            # double the rows as often as needed, then copy once
-            rows = len(self.step)
-            while rows < len(self.objects):
-                rows *= 2
-            grown = np.full((rows, self.space.size), -1, dtype=np.int32)
-            grown[:len(self.step)] = self.step
-            self.step = grown
-        return self.step.ravel().take(at)
-
-    def _id(self, members: int, gens) -> int:
-        """The id of the content with these members if there is one (so a
-        join of nested contents closes nothing), else of the content of gens.
-        The members are recorded too, so no union is closed twice."""
-        cid = self.by_members.get(members)
-        if cid is None:
-            content = self.close(self.space, gens)
-            cid = self.by_members.setdefault(content.members, len(self.objects))
-            if cid == len(self.objects):
-                self.objects.append(content)
-            self.by_members[members] = cid
-        return cid
-
-
 def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                             statement) -> VerificationReport:
     """Left rows go in blocks of at most _BLOCK_PAIRS pairs. Each pair's
@@ -437,8 +356,8 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     g_arr = window.coeff_array(module.size, mzero)
     g_nonzero = (g_arr != mzero).any(axis=1)
     ann_nonzero = _content_annihilates(module, f_arr)
-    ideals = _ContentLattice(ring, ring.mul_table, ideal_generated)
-    subs = _ContentLattice(module, module.action_table, submodule_generated)
+    ideals = submodule_lattice(ring.as_module())
+    subs = submodule_lattice(module)
     # Dedekind-Mertens with the default cap |support(g)| + 1
     g_cap = (g_arr != mzero).sum(axis=1) + 1
     g_cg = subs.ids(g_arr)
@@ -447,7 +366,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     @cache
     def k_min(cf_id, cg_id, cfg_id, cap):
         # 0 stands for "no exponent within the cap"
-        return _dm_search(ideals.objects[cf_id], subs.objects[cg_id], subs.objects[cfg_id],
+        return _dm_search(ideals.ideals[cf_id], subs.objects[cg_id], subs.objects[cfg_id],
                           cap).k_min or 0
 
     zero_product_pairs = 0
@@ -481,7 +400,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
             pair_codes = np.ravel_multi_index((cf[pair_rows], g_cg[pair_cols]), dims[:2])
             witness_codes, witness_of = np.unique(pair_codes, return_inverse=True)
             cf_ids, cg_ids = np.unravel_index(witness_codes, dims[:2])
-            witnesses = np.array([content_mccoy_witness(ideals.objects[i], subs.objects[j])
+            witnesses = np.array([content_mccoy_witness(ideals.ideals[i], subs.objects[j])
                                   for i, j in zip(cf_ids.tolist(), cg_ids.tolist())],
                                  dtype=np.intp)
             _replay_mccoy_witnesses(module, f_block[pair_rows], witnesses[witness_of])
@@ -689,11 +608,11 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     in_p = bitset.bools_from_mask(sub.members, module.size)
     full = Submodule(module, module.full_mask)
 
-    contents = _ContentLattice(ring, ring.mul_table, ideal_generated)
+    contents = submodule_lattice(ring.as_module())
 
     @cache
     def facts_for(cid):
-        cr = contents.objects[cid]
+        cr = contents.ideals[cid]
         prime_ok = bitset.is_subset(ideal_action_submodule(cr, full).members, sub.members)
         primary_ok = prime_ok
         if not primary_ok:
@@ -834,7 +753,7 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     last = int(mismatch[0]) if mismatch.size else nf
     # contents in the order of their least f, until one lies past the least
     # disagreeing f found so far
-    contents = _ContentLattice(ring, ring.mul_table, ideal_generated)
+    contents = submodule_lattice(ring.as_module())
     content_of = contents.ids(f_arr)
     n_ids = len(contents.objects)
     # first_f[c, v]: the least f of content id c whose content verdict is v

@@ -69,11 +69,15 @@ def maximal_ideals_within(module: FiniteModule) -> list[tuple[Ideal, int]]:
 def decompose_zero_divisors(module: FiniteModule) -> PrimeDecomposition:
     """Unique incomparable-prime cover of Z_R(M): the associated primes.
 
-    They are all maximal, so no one of them contains another.
+    They are all maximal, so no one of them contains another. Memoised per
+    module, as analyze and each report built on it ask for it again.
     """
-    maximal = maximal_ideals_within(module)
-    return PrimeDecomposition(tuple(p for p, _ in maximal), tuple(w for _, w in maximal),
-                              len(maximal), True)
+    out = module._cache.get("decomposition")
+    if out is None:
+        maximal = maximal_ideals_within(module)
+        out = module._cache["decomposition"] = PrimeDecomposition(
+            tuple(p for p, _ in maximal), tuple(w for _, w in maximal), len(maximal), True)
+    return out
 
 
 def has_very_few_zero_divisors(module: FiniteModule) -> VeryFewReport:
@@ -103,7 +107,15 @@ def is_primal(module: FiniteModule) -> PrimalReport:
     ideal iff it is closed under addition. An ideal that is a union of
     incomparable primes is one of them, so that holds iff the degree is one.
     Otherwise the violation is the least (a, b) in Z x Z with a + b outside Z.
+    Memoised per module.
     """
+    out = module._cache.get("primal")
+    if out is None:
+        out = module._cache["primal"] = _primal_report(module)
+    return out
+
+
+def _primal_report(module: FiniteModule) -> PrimalReport:
     decomp = decompose_zero_divisors(module)
     if decomp.degree == 1:
         return PrimalReport(True, decomp.primes[0], None)

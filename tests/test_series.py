@@ -32,6 +32,7 @@ from sgmod import (
     submodule_generated,
     zero_series,
 )
+import sgmod.series as series_mod
 from sgmod.series import content_mccoy_witness
 
 
@@ -348,6 +349,22 @@ class TestNoncancellativeConstruction:
         from sgmod import constant_series
         for m in range(1, 6):
             assert not series_multiply(f, constant_series(m6, sat2, m)).is_zero
+
+    @pytest.mark.parametrize("planted", [2, 3, 4])
+    def test_planted_killing_coefficient_is_named(self, m6, sat2, monkeypatch, planted):
+        # f = a X^2 still gives fg = 0, but a is a zero-divisor of Z/6: the
+        # replay names the least nonzero m with f m = 0, as the loop over
+        # every m by series_multiply did
+        def monomial(space, monoid, coeff, exponent):
+            return make_series(space, monoid, [(exponent, planted)])
+
+        f = monomial(m6.ring, sat2, 1, 2)
+        least = next(m for m in range(1, 6)
+                     if series_multiply(f, constant_series(m6, sat2, m)).is_zero)
+        monkeypatch.setattr(series_mod, "monomial_series", monomial)
+        with pytest.raises(InvariantViolation,
+                           match=f"^f unexpectedly kills module element {least}$"):
+            build_noncancellative_counterexample(sat2, (2, 0, 1), m6, 1)
 
 
 class TestTorsionConstruction:

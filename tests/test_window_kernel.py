@@ -24,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sgmod.finite_algebra as finite_algebra
 import sgmod.verify as verify_mod
 from sgmod import (
     FiniteRing,
@@ -49,15 +50,17 @@ from sgmod import (
     verify_submodule_transfer,
     verify_zero_divisor_transfer,
 )
+from sgmod.finite_algebra import SubmoduleLattice
 from sgmod.series import DMResult, _dm_search
 from sgmod.verify import (
     _block_product,
     _content_annihilates,
-    _ContentLattice,
     _partner_search,
     _product_layout,
     _socle_partners,
 )
+
+from closure_oracles import oracle_closure
 
 NAT = free_monoid(1)
 NAT2 = free_monoid(2)
@@ -313,14 +316,19 @@ def test_zero_divisor_series_annihilator_matches_ideal_closure(label, ring, modu
 
 
 # ---------------------------------------------------------------------------
-# content lattice: step-table ids against the per-row closure
+# content lattice: step-table ids against the fixpoint closure
 
 
-def _lattice_rows(lattice, close, coeffs, seen):
-    """Check the ids of coeffs against closing each row, and collect every
-    (id, members) pair in seen."""
+@functools.cache
+def _closed(module, gens):
+    return oracle_closure(module, gens)
+
+
+def _lattice_rows(lattice, coeffs, seen):
+    """Check the ids of coeffs against closing each row's generator set with
+    the fixpoint oracle, and collect every (id, members) pair in seen."""
     ids = lattice.ids(coeffs).tolist()
-    members = [close(lattice.space, row).members for row in coeffs.tolist()]
+    members = [_closed(lattice.module, frozenset(row)) for row in coeffs.tolist()]
     assert [lattice.objects[i].members for i in ids] == members
     seen.update(zip(ids, members))
 
@@ -332,8 +340,8 @@ def z2_power(k):
     return z2, functools.reduce(direct_sum, [ring_as_module(z2)] * k)
 
 
-# (Z/2)^5 has 32 principal contents, so its step table starts with 64 rows,
-# and the one join of its first two-position window meets 187 contents
+# (Z/2)^5 has 32 cyclic contents, zero and 31 lines, and the one join of its
+# first two-position window meets 187 contents
 LATTICE_CASES = CASES + [("(Z/2)^5", *z2_power(5))]
 
 
@@ -341,16 +349,14 @@ LATTICE_CASES = CASES + [("(Z/2)^5", *z2_power(5))]
                          ids=[label for label, _, _ in LATTICE_CASES])
 def test_content_lattice_matches_per_row_closure(label, ring, module):
     # window tuples over ring and module, then the product columns of one
-    # block: the lattices keep their ids across all of these calls
-    ideals = _ContentLattice(ring, ring.mul_table, ideal_generated)
-    subs = _ContentLattice(module, module.action_table, submodule_generated)
+    # block: fresh lattices keep their ids across all of these calls
+    ideals = SubmoduleLattice(ring_as_module(ring))
+    subs = SubmoduleLattice(module)
     ideal_ids, sub_ids = set(), set()
     for _, window in _windows_up_to(ring.size, 5000):
-        _lattice_rows(ideals, ideal_generated, window.coeff_array(ring.size, ring.zero),
-                      ideal_ids)
+        _lattice_rows(ideals, window.coeff_array(ring.size, ring.zero), ideal_ids)
     for _, window in _windows_up_to(module.size, 5000):
-        _lattice_rows(subs, submodule_generated, window.coeff_array(module.size, module.zero),
-                      sub_ids)
+        _lattice_rows(subs, window.coeff_array(module.size, module.zero), sub_ids)
     window = WINDOWS_N[0]
     layout = _product_layout(NAT, window.exponents)
     f_arr = window.coeff_array(ring.size, ring.zero)
@@ -359,7 +365,7 @@ def test_content_lattice_matches_per_row_closure(label, ring, module):
     rows = np.linspace(len(f_arr) // 2, len(f_arr) - 1, max(1, 10_000 // len(g_arr)))
     block = _block_product(f_arr[rows.astype(int)], module.action_table, module.add_table,
                            g_arr, layout)
-    _lattice_rows(subs, submodule_generated, block.reshape(layout[0], -1).T, sub_ids)
+    _lattice_rows(subs, block.reshape(layout[0], -1).T, sub_ids)
     # equal ids exactly when the members are equal
     for seen in (ideal_ids, sub_ids):
         assert len(seen) == len({i for i, _ in seen}) == len({m for _, m in seen})
@@ -367,13 +373,15 @@ def test_content_lattice_matches_per_row_closure(label, ring, module):
 
 def test_content_lattice_grows_its_step_table_inside_one_join():
     _, module = z2_power(5)
-    subs = _ContentLattice(module, module.action_table, submodule_generated)
+    subs = SubmoduleLattice(module)
     g_arr = WINDOWS_N[0].coeff_array(module.size, module.zero)
+    # the zero submodule and the 31 lines outgrow the 16 rows of a new table once
     subs.ids(g_arr[:, :1])
-    assert subs.step is None
-    # one join meets 1 + 31 + 155 spans of at most two vectors, past the 64
-    # rows the table had when it began; test_content_lattice_matches_per_row_closure
-    # checks the ids of this call
+    assert len(subs.objects) == 32
+    assert len(subs.step) == 32
+    # one join meets the 155 planes, past the 32 rows the table had when it
+    # began; test_content_lattice_matches_per_row_closure checks the ids of
+    # this call
     subs.ids(g_arr)
     assert len(subs.objects) == 187
     assert len(subs.step) == 256
@@ -391,7 +399,7 @@ def test_content_lattice_ids_depend_only_on_the_input():
                            g_arr, layout)
     runs = []
     for _ in range(2):
-        subs = _ContentLattice(module, module.action_table, submodule_generated)
+        subs = SubmoduleLattice(module)
         ids = [subs.ids(g_arr).tolist(), subs.ids(block.reshape(layout[0], -1).T).tolist()]
         runs.append((ids, [content.members for content in subs.objects]))
     assert runs[0] == runs[1]
@@ -406,20 +414,24 @@ def test_content_lattice_memo_holds_only_the_pairs_met(monkeypatch):
     z2, module = z2_power(8)
     lattices = []
 
-    class Recording(_ContentLattice):
-        def __init__(self, *args):
-            super().__init__(*args)
+    class Recording(SubmoduleLattice):
+        def __init__(self, space):
             self.met = set()
+            super().__init__(space)
             lattices.append(self)
 
-        def _join(self, acc, elements):
-            self.met.update(zip(acc.tolist(), elements.tolist()))
-            return super()._join(acc, elements)
+        def join(self, cid, a):
+            self.met.add((cid, a))
+            return super().join(cid, a)
 
-    monkeypatch.setattr(verify_mod, "_ContentLattice", Recording)
+        def join_all(self, acc, elements):
+            self.met.update(zip(acc.tolist(), elements.tolist()))
+            return super().join_all(acc, elements)
+
+    monkeypatch.setattr(finite_algebra, "SubmoduleLattice", Recording)
     report = verify_mccoy_equivalence(z2, module, NAT, SupportWindow(((0,), (1,))))
     assert report.outcome == "pass"
-    subs = lattices[1]
+    subs = next(lattice for lattice in lattices if lattice.module is module)
     assert len(subs.objects) == 11_051
     assert set(zip(*(a.tolist() for a in np.nonzero(subs.step >= 0)))) == subs.met
     assert subs.step.shape[1] == module.size

@@ -259,6 +259,11 @@ class TestDecomposition:
                     if i != j:
                         assert p.members & ~q.members != 0
 
+    def test_reports_are_memoised_per_module(self, m6, m12):
+        for module in (m6, m12):
+            assert decompose_zero_divisors(module) is decompose_zero_divisors(module)
+            assert is_primal(module) is is_primal(module)
+
     def test_deterministic_and_label_invariant(self, z6, m6):
         first = decompose_zero_divisors(m6)
         again = decompose_zero_divisors(ring_as_module(build_zmod(6)))
