@@ -27,13 +27,12 @@ from .finite_algebra import (
     Submodule,
     annihilator_in_module,
     ideal_action_submodule,
+    ideal_generated,
     ideal_power,
     same_module,
     same_ring,
-    submodule_lattice,
+    submodule_generated,
 )
-# unused here; the benchmark's tracer tests assert that series binds this name
-from .finite_algebra import submodule_generated  # noqa: F401
 from .monoids import Monoid, is_cancellative, is_torsion_free, monoid_scale, same_monoid
 
 Space = Union[FiniteRing, FiniteModule]
@@ -168,17 +167,11 @@ def series_multiply(f: Series, h: Series) -> Series:
 
 
 def content(h: Series) -> Ideal | Submodule:
-    """Ideal (submodule) generated by the coefficients; empty series gives zero.
-
-    The coefficients of a series are nonzero elements of its space, so they
-    fold through the space's lattice with no generator check.
-    """
-    space = h.space
-    if _space_is_ring(space):
-        lattice = submodule_lattice(space.as_module())
-        return lattice.ideals[lattice.fold(h.coefficients)]
-    lattice = submodule_lattice(space)
-    return lattice.objects[lattice.fold(h.coefficients)]
+    """Ideal (submodule) generated by the coefficients; empty series gives zero."""
+    coeffs = h.coefficients
+    if _space_is_ring(h.space):
+        return ideal_generated(h.space, coeffs)
+    return submodule_generated(h.space, coeffs)
 
 
 def as_module_series(f: Series) -> Series:

@@ -410,30 +410,45 @@ def test_content_lattice_memo_holds_only_the_pairs_met(monkeypatch):
     # submodule contents are the 11,051 spans of at most two vectors. A table
     # over all id pairs would hold 11,051^2 cells; the step table holds one
     # row of |M| cells per id, at most twice the ids, and fills only the
-    # (id, element) cells the joins met.
+    # (id, element) cells its callers asked for, plus the cell (0, a) of
+    # R·a that a join with a needs.
     z2, module = z2_power(8)
     lattices = []
 
     class Recording(SubmoduleLattice):
+        # records the pairs the lattice is asked for from outside; the calls
+        # the lattice makes itself run at depth > 0
         def __init__(self, space):
             self.met = set()
+            self.depth = 0
             super().__init__(space)
             lattices.append(self)
 
         def join(self, cid, a):
-            self.met.add((cid, a))
-            return super().join(cid, a)
+            if not self.depth:
+                self.met.add((cid, a))
+            self.depth += 1
+            try:
+                return super().join(cid, a)
+            finally:
+                self.depth -= 1
 
         def join_all(self, acc, elements):
-            self.met.update(zip(acc.tolist(), elements.tolist()))
-            return super().join_all(acc, elements)
+            if not self.depth:
+                self.met.update(zip(acc.tolist(), elements.tolist()))
+            self.depth += 1
+            try:
+                return super().join_all(acc, elements)
+            finally:
+                self.depth -= 1
 
     monkeypatch.setattr(finite_algebra, "SubmoduleLattice", Recording)
     report = verify_mccoy_equivalence(z2, module, NAT, SupportWindow(((0,), (1,))))
     assert report.outcome == "pass"
     subs = next(lattice for lattice in lattices if lattice.module is module)
+    filled = set(zip(*(a.tolist() for a in np.nonzero(subs.step >= 0))))
+    assert filled == subs.met | {(0, a) for _, a in subs.met}
     assert len(subs.objects) == 11_051
-    assert set(zip(*(a.tolist() for a in np.nonzero(subs.step >= 0)))) == subs.met
     assert subs.step.shape[1] == module.size
     assert len(subs.step) <= 2 * len(subs.objects)
 
