@@ -20,8 +20,11 @@ def mask_from_bools(flags: np.ndarray) -> int:
 
 
 def bools_from_mask(mask: int, size: int) -> np.ndarray:
-    """Membership of each index below size, as a bool array."""
-    return np.array([has_bit(mask, i) for i in range(size)], dtype=bool)
+    """Membership of each index below size, as a bool array: the inverse of
+    mask_from_bools, read off the packed bytes of the mask's low size bits."""
+    low = (mask & ((1 << size) - 1)).to_bytes((size + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(low, dtype=np.uint8), count=size,
+                         bitorder="little").view(bool)
 
 
 def has_bit(mask: int, i: int) -> bool:

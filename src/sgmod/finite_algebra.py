@@ -8,6 +8,7 @@ validate the full axiom tables on the way in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -283,25 +284,6 @@ def same_module(a: FiniteModule, b: FiniteModule) -> bool:
 
 
 @dataclass(frozen=True)
-class Ideal:
-    ring: FiniteRing
-    members: int  # bit mask
-
-    def contains(self, a: int) -> bool:
-        return bitset.has_bit(self.members, a)
-
-    def members_tuple(self) -> tuple[int, ...]:
-        return bitset.members(self.members)
-
-    @property
-    def is_proper(self) -> bool:
-        return self.members != self.ring.full_mask
-
-    def __repr__(self) -> str:
-        return f"Ideal({self.ring.label!r}, {list(self.members_tuple())})"
-
-
-@dataclass(frozen=True)
 class Submodule:
     module: FiniteModule
     members: int  # bit mask
@@ -321,7 +303,18 @@ class Submodule:
         return self.members == (1 << self.module.zero)
 
     def __repr__(self) -> str:
-        return f"Submodule({self.module.label!r}, {list(self.members_tuple())})"
+        return f"{type(self).__name__}({self.module.label!r}, {list(self.members_tuple())})"
+
+
+class Ideal(Submodule):
+    """An ideal of R: a submodule of R acting on itself."""
+
+    def __init__(self, ring: FiniteRing, members: int):
+        super().__init__(ring.as_module(), members)
+
+    @property
+    def ring(self) -> FiniteRing:
+        return self.module.ring
 
 
 @dataclass(frozen=True)
@@ -465,7 +458,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> FiniteRing:
     """Ring of additive cosets of the ideal; tables induced and re-validated."""
     if ideal.ring is not ring and not same_ring(ideal.ring, ring):
         raise PreconditionError("ideal belongs to a different ring")
-    _require_submodule(Submodule(ring.as_module(), ideal.members))
+    _require_submodule(ideal)
     reps, to_q = _cosets(ring.add_table, ideal.members)
     qadd = to_q.take(submatrix(ring.add_table, reps, reps))
     qmul = to_q.take(submatrix(ring.mul_table, reps, reps))
@@ -480,27 +473,9 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> FiniteRing:
 
 
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
-    """Smallest ideal containing gens: the ideals of R are the submodules of
-    R acting on itself, so this is their join in the lattice of R_R."""
-    lattice = submodule_lattice(ring.as_module())
-    return lattice.ideals[lattice.fold(_generators(lattice.module, gens))]
-
-
-def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    """Ideal generated by all pairwise products of members."""
-    if a.ring is not b.ring and not same_ring(a.ring, b.ring):
-        raise StructureMismatchError("ideal product across different rings")
-    ring = a.ring
-    key = ("iprod", a.members, b.members)
-    hit = ring._cache.get(key)
-    if hit is not None:
-        return hit
-    ia = list(bitset.iter_bits(a.members))
-    ib = list(bitset.iter_bits(b.members))
-    out = ideal_generated(ring, _distinct(submatrix(ring.mul_table, ia, ib), ring.size))
-    ring._cache[key] = out
-    ring._cache[("iprod", b.members, a.members)] = out
-    return out
+    """Smallest ideal containing gens: their join in the lattice of R acting
+    on itself."""
+    return submodule_generated(ring.as_module(), gens)
 
 
 def ideal_power(a: Ideal, k: int) -> Ideal:
@@ -517,7 +492,7 @@ def ideal_power(a: Ideal, k: int) -> Ideal:
     elif k == 1:
         out = a
     else:
-        out = ideal_product(ideal_power(a, k - 1), a)
+        out = ideal_action_submodule(ideal_power(a, k - 1), a)
     ring._cache[key] = out
     return out
 
@@ -647,7 +622,11 @@ def submodule_generated(module: FiniteModule, gens: Iterable[int]) -> Submodule:
 
 
 def submodule_from_members(module: FiniteModule, members: Iterable[int]) -> Submodule:
-    """Wrap an explicit member set after checking closure."""
+    """Wrap an explicit member set after the range and closure checks."""
+    members = [int(x) for x in members]
+    for x in members:
+        if not 0 <= x < module.size:
+            raise PreconditionError(f"member {x} outside {module.label}")
     sub = Submodule(module, bitset.mask_of(members))
     _require_submodule(sub)
     return sub
@@ -671,6 +650,10 @@ def ideal_action_submodule(ideal: Ideal, sub: Submodule) -> Submodule:
                                   _distinct(submatrix(module.action_table, ia, ix), module.size))
     module._cache[key] = out
     return out
+
+
+# on R acting on itself, the action of one ideal on another is their product
+ideal_product = ideal_action_submodule
 
 
 # ---------------------------------------------------------------------------
@@ -740,17 +723,15 @@ def associated_primes(module: FiniteModule) -> list[tuple[Ideal, int]]:
     hit = module._cache.get(key)
     if hit is not None:
         return hit
-    seen: dict[int, int] = {}
+    # killed[x] packs the annihilator of x; each distinct one is tested once,
+    # with the least nonzero element that has it
+    killed = np.packbits(module.action_table.T == module.zero, axis=1, bitorder="little")
+    least: dict[int, int] = {}
     for x in module.elements():
-        if x == module.zero:
-            continue
-        ann = annihilator_ideal_of_element(module, x)
-        if ann.members in seen:
-            continue
-        ok, _ = is_prime_ideal(ann)
-        if ok:
-            seen[ann.members] = x
-    out = sorted(((Ideal(module.ring, m), w) for m, w in seen.items()),
+        if x != module.zero:
+            least.setdefault(int.from_bytes(killed[x].tobytes(), "little"), x)
+    anns = [(Ideal(module.ring, m), x) for m, x in least.items()]
+    out = sorted(((p, x) for p, x in anns if is_prime_ideal(p)[0]),
                  key=lambda pw: pw[0].members_tuple())
     module._cache[key] = out
     return out
@@ -818,13 +799,14 @@ class SubmoduleLattice:
     Each cell is filled once. The lattice lives as long as its module, so ids
     outlive the call that made them: no result may depend on an id's value
     or on the order in which ids were made. On R acting on itself the
-    submodules are the ideals, and ideals[id] is the Ideal of objects[id].
+    submodules are the ideals, and objects holds Ideals.
     """
 
     def __init__(self, module: FiniteModule):
         self.module = module
         ring = module.ring
-        self.ideals: list[Ideal] | None = [] if ring._cache.get("as_module") is module else None
+        self._wrap = (partial(Ideal, ring) if ring._cache.get("as_module") is module
+                      else partial(Submodule, module))
         self.objects: list[Submodule] = []
         self.by_members: dict[int, int] = {}
         self._members: list[np.ndarray] = []  # members of objects[id] as an index array
@@ -898,10 +880,8 @@ class SubmoduleLattice:
             return cid
         cid = len(self.objects)
         self.by_members[mask] = cid
-        self.objects.append(Submodule(self.module, mask))
+        self.objects.append(self._wrap(mask))
         self._members.append(np.flatnonzero(in_sub))
-        if self.ideals is not None:
-            self.ideals.append(Ideal(self.module.ring, mask))
         if cid == len(self.step):
             grown = np.full((2 * cid, self.module.size), -1, dtype=INDEX_DTYPE)
             grown[:cid] = self.step
@@ -941,16 +921,8 @@ def submodule_lattice(module: FiniteModule) -> SubmoduleLattice:
 
 
 def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
-    """All ideals, sorted by member tuple: the join closure of the principal
-    ideals in the lattice of R acting on itself."""
-    key = ("ideals",)
-    hit = ring._cache.get(key)
-    if hit is not None:
-        return hit
-    lattice = submodule_lattice(ring.as_module())
-    out = [lattice.ideals[cid] for cid in lattice.closure()]
-    ring._cache[key] = out
-    return out
+    """All ideals, sorted by member tuple: the submodules of R acting on itself."""
+    return enumerate_submodules(ring.as_module())
 
 
 def enumerate_submodules(module: FiniteModule) -> list[Submodule]:

@@ -366,7 +366,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     @cache
     def k_min(cf_id, cg_id, cfg_id, cap):
         # 0 stands for "no exponent within the cap"
-        return _dm_search(ideals.ideals[cf_id], subs.objects[cg_id], subs.objects[cfg_id],
+        return _dm_search(ideals.objects[cf_id], subs.objects[cg_id], subs.objects[cfg_id],
                           cap).k_min or 0
 
     zero_product_pairs = 0
@@ -400,7 +400,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
             pair_codes = np.ravel_multi_index((cf[pair_rows], g_cg[pair_cols]), dims[:2])
             witness_codes, witness_of = np.unique(pair_codes, return_inverse=True)
             cf_ids, cg_ids = np.unravel_index(witness_codes, dims[:2])
-            witnesses = np.array([content_mccoy_witness(ideals.ideals[i], subs.objects[j])
+            witnesses = np.array([content_mccoy_witness(ideals.objects[i], subs.objects[j])
                                   for i, j in zip(cf_ids.tolist(), cg_ids.tolist())],
                                  dtype=np.intp)
             _replay_mccoy_witnesses(module, f_block[pair_rows], witnesses[witness_of])
@@ -612,7 +612,7 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
 
     @cache
     def facts_for(cid):
-        cr = contents.ideals[cid]
+        cr = contents.objects[cid]
         prime_ok = bitset.is_subset(ideal_action_submodule(cr, full).members, sub.members)
         primary_ok = prime_ok
         if not primary_ok:

@@ -36,7 +36,7 @@ from sgmod import (
     validate_ring,
     zero_divisor_set,
 )
-from sgmod.bitset import mask_of, members
+from sgmod.bitset import bools_from_mask, has_bit, mask_from_bools, mask_of, members
 
 
 def ideal_of(ring, *gens):
@@ -495,3 +495,17 @@ class TestAxiomAudits:
         validate_ring(q)
         d = direct_sum(m6, m6)
         validate_module(d)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 256, 4096])
+def test_bools_from_mask_round_trips_against_the_loop(size):
+    rng = np.random.default_rng(size)
+    masks = [0, (1 << size) - 1, 1 << (size - 1)]
+    masks += [int.from_bytes(rng.bytes((size + 7) // 8), "little") & ((1 << size) - 1)
+              for _ in range(20)]
+    for mask in masks:
+        flags = bools_from_mask(mask, size)
+        # the per-index loop it replaced
+        assert flags.dtype == bool
+        assert flags.tolist() == [has_bit(mask, i) for i in range(size)]
+        assert mask_from_bools(flags) == mask

@@ -15,7 +15,9 @@ import pytest
 from closure_oracles import oracle_closure, oracle_enumerate_submodules
 from sgmod import (
     FiniteRing,
+    Ideal,
     PreconditionError,
+    Submodule,
     build_truncated_poly_ring,
     build_zmod,
     content,
@@ -23,12 +25,16 @@ from sgmod import (
     enumerate_ideals,
     enumerate_submodules,
     free_monoid,
+    ideal_action_submodule,
     ideal_generated,
+    ideal_power,
+    ideal_product,
     load_session,
     make_series,
     ring_as_module,
     submodule_generated,
 )
+from sgmod.bitset import members
 from sgmod.cli import payload_hash
 from sgmod.finite_algebra import SubmoduleLattice, submodule_lattice
 from sgmod.session import execute
@@ -51,6 +57,7 @@ def _corpus():
 
 
 CORPUS = _corpus()
+RINGS = [module.ring for module in CORPUS if module is module.ring.as_module()]
 
 
 def _generator_sets(module, rng):
@@ -105,6 +112,53 @@ def test_content_folds_through_the_lattice():
     ring = build_zmod(30)
     f = make_series(ring, free_monoid(1), [((0,), 6), ((1,), 10)])
     assert content(f) is ideal_generated(ring, [2])
+
+
+# an ideal is a submodule of R acting on itself: one class, one lattice and
+# one product kernel serve both
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"{r.label}|{r.size}")
+def test_ideals_are_the_submodules_of_the_ring_on_itself(ring):
+    module = ring.as_module()
+    for gens in _generator_sets(module, np.random.default_rng(ring.size)):
+        ideal = ideal_generated(ring, gens)
+        assert ideal is submodule_generated(module, gens)
+        assert isinstance(ideal, Ideal) and ideal.module is module and ideal.ring is ring
+    ideals = enumerate_ideals(ring)
+    submodules = enumerate_submodules(module)
+    assert len(ideals) == len(submodules)
+    assert all(a is b for a, b in zip(ideals, submodules))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"{r.label}|{r.size}")
+def test_ideal_product_is_the_action_on_the_ring(ring):
+    module = ring.as_module()
+    ideals = enumerate_ideals(ring)
+    for a in ideals:
+        for b in ideals:
+            product = ideal_product(a, b)
+            assert product is ideal_action_submodule(a, b)
+            pairs = [ring.mul(x, y) for x in a.members_tuple() for y in b.members_tuple()]
+            assert product.members == oracle_closure(module, pairs)
+        power = ring.full_mask
+        for k in range(4):
+            assert ideal_power(a, k).members == power
+            power = oracle_closure(module, [ring.mul(x, y) for x in members(power)
+                                            for y in a.members_tuple()])
+
+
+def test_ideal_reads_and_compares_as_before():
+    ring = build_zmod(6)
+    module = ring.as_module()
+    ideal = Ideal(ring, 0b10101)
+    assert isinstance(ideal, Submodule) and ideal.module is module and ideal.ring is ring
+    assert repr(ideal) == "Ideal('Z/6', [0, 2, 4])"
+    assert repr(Submodule(module, 0b10101)) == "Submodule('Z/6', [0, 2, 4])"
+    assert ideal == Ideal(ring, 0b10101) and hash(ideal) == hash(Ideal(ring, 0b10101))
+    assert ideal != Submodule(module, 0b10101)
+    assert ideal != Ideal(ring, 0b1001)
+    assert ideal == ideal_generated(ring, [2])
 
 
 @pytest.mark.parametrize("label,module,count", [

@@ -542,6 +542,18 @@ class TestStrictInputs:
         assert lines[0]["status"] == "error"
         assert f"'{key}' must be an integer" in lines[0]["payload"]["error"]["message"]
 
+    @pytest.mark.parametrize("member", [99, -1, 2**63])
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_submodule_member_outside_module_exit_two(self, tmp_path, subcommand, member):
+        # each member is range-checked before its bit is set, as a generator is
+        doc = minimal_doc(submodules={"BAD": {"module": "M6", "members": [0, member]}})
+        code, lines = self.run_cli(subcommand, write_session(tmp_path, doc))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert f"member {member} outside Z/6" in error["message"]
+        assert "'BAD'" in error["message"]
+
     def test_negative_window_exponent_outside_free_monoid_exit_two(self, tmp_path):
         doc = minimal_doc()
         doc["commands"] = [{"op": "verify", "statement": "mccoy_equivalence", "ring": "R6",
@@ -576,7 +588,8 @@ FUZZ_BASE = {
                 "M4": {"kind": "ring_as_module", "ring": "R4"},
                 "MT2": {"kind": "tables", "ring": "T2", "add": [[0, 1], [1, 0]],
                         "action": [[0, 0], [0, 1]], "zero": 0}},
-    "submodules": {"P3": {"module": "M6", "gens": [3]}},
+    "submodules": {"P3": {"module": "M6", "gens": [3]},
+                   "P2": {"module": "M6", "members": [0, 2, 4]}},
     # f*g = 0, so the mccoy command has a witness to find
     "series": {"f": {"ring": "R6", "monoid": "N",
                      "terms": [{"exponent": 0, "coefficient": 2},
@@ -599,6 +612,8 @@ FUZZ_COMMANDS = [
      "monoid": "N", "window": [0, 1]},
     {"op": "verify", "statement": "submodule_transfer", "submodule": "P3", "monoid": "N",
      "window": [0, 1]},
+    {"op": "verify", "statement": "submodule_transfer", "submodule": "P2", "monoid": "N",
+     "window": [0, 1]},
     {"op": "verify", "statement": "regularity_transfer", "ring": "R6", "module": "M6",
      "monoid": "N", "window": [0, 1]},
     {"op": "verify", "statement": "zero_divisor_transfer", "ring": "R6", "module": "M6",
@@ -609,12 +624,14 @@ FUZZ_COMMAND_KEYS = ["op", "statement", "kind", "ring", "module", "monoid", "sub
                      "f", "g", "window", "max_support", "cap", "q", "s", "t", "witness"]
 # integer fields of the definitions, as paths into the document
 FUZZ_DOC_FIELDS = [("settings", "budget"), ("submodules", "P3", "gens", 0),
+                   ("submodules", "P2", "members", 0), ("submodules", "P2", "members", 1),
+                   ("submodules", "P2", "members", 2),
                    ("series", "f", "terms", 0, "coefficient"),
                    ("series", "f", "terms", 1, "exponent"),
                    ("series", "g", "terms", 0, "coefficient"),
                    ("rings", "T2", "add", 1, 1), ("rings", "T2", "mul", 1, 1),
                    ("modules", "MT2", "action", 1, 1), ("monoids", "C2T", "cayley", 1, 1)]
-FUZZ_WORDS = ["R6", "R4", "M6", "M4", "N", "C2", "Sat2", "P3", "f", "g", "verify",
+FUZZ_WORDS = ["R6", "R4", "M6", "M4", "N", "C2", "Sat2", "P3", "P2", "f", "g", "verify",
               "analyze", "dm", "mccoy", "zdtest", "counterexample", "torsion",
               "noncancellative", "mccoy_equivalence", "finite_ring_chain", ""]
 # small integers name real elements; the wide ones overflow int32 and int64
