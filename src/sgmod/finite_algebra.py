@@ -292,7 +292,12 @@ class Submodule:
         return bitset.has_bit(self.members, x)
 
     def members_tuple(self) -> tuple[int, ...]:
-        return bitset.members(self.members)
+        """The members in increasing order, decoded once per instance."""
+        out = self.__dict__.get("_members_tuple")
+        if out is None:
+            # kept beside the fields, so equality, hash and repr ignore it
+            out = self.__dict__["_members_tuple"] = bitset.members(self.members)
+        return out
 
     @property
     def is_proper(self) -> bool:

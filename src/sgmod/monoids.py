@@ -7,6 +7,7 @@ only fact the algebra layer needs.
 
 from __future__ import annotations
 
+import operator
 from typing import Union
 
 import numpy as np
@@ -73,7 +74,14 @@ class Monoid:
     def add(self, s: MonoidElement, t: MonoidElement) -> MonoidElement:
         if self.is_finite:
             return self._rows[s][t]
-        return tuple(a + b for a, b in zip(s, t))
+        return tuple(map(operator.add, s, t))
+
+    def translates(self, s: MonoidElement, ts) -> list:
+        """s + t for every t of ts: one Cayley row read, or vector sums."""
+        if self.is_finite:
+            row = self._rows[s]
+            return [row[t] for t in ts]
+        return [tuple(map(operator.add, s, t)) for t in ts]
 
     def elements(self) -> range:
         if not self.is_finite:

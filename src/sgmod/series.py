@@ -8,6 +8,7 @@ explicit constructions that defeat the McCoy property on bad monoids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -27,7 +28,6 @@ from .finite_algebra import (
     Submodule,
     annihilator_in_module,
     ideal_action_submodule,
-    ideal_generated,
     ideal_power,
     same_module,
     same_ring,
@@ -55,11 +55,13 @@ class Series:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
+    # read once per series: content is memoized on the coefficients, and
+    # every product reads the support and coefficients of its right factor
+    @cached_property
     def support(self) -> tuple:
         return tuple(e for e, _ in self.terms)
 
-    @property
+    @cached_property
     def coefficients(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.terms)
 
@@ -138,7 +140,9 @@ def series_multiply(f: Series, h: Series) -> Series:
     """Convolution product; the left factor must have ring coefficients.
 
     Exponents are added in the monoid, coefficients multiplied (or acted on for
-    module coefficients), colliding exponents combined, and zeros dropped.
+    module coefficients), colliding exponents combined, and zeros dropped. Each
+    left term reads its row of the coefficient table and its exponent sums
+    against h once.
     """
     if not _space_is_ring(f.space):
         raise StructureMismatchError("left factor must have ring coefficients")
@@ -147,31 +151,41 @@ def series_multiply(f: Series, h: Series) -> Series:
     if _space_is_ring(h.space):
         if not same_ring(ring, h.space):
             raise StructureMismatchError("series over different rings")
-        combine = ring.mul
+        table = ring.mul_table
     else:
         if not same_ring(ring, h.space.ring):
             raise StructureMismatchError("module series over a different base ring")
-        combine = h.space.act
+        table = h.space.action_table
     space = h.space
-    zero = space.zero
-    madd = space.add
+    add_table = space.add_table
+    monoid = f.monoid
+    h_support, h_coeffs = h.support, h.coefficients
     acc: dict = {}
     for s, a in f.terms:
-        for t, b in h.terms:
-            e = f.monoid.add(s, t)
-            c = combine(a, b)
+        row = table[a]
+        for e, b in zip(monoid.translates(s, h_support), h_coeffs):
+            c = row.item(b)
             prev = acc.get(e)
-            acc[e] = c if prev is None else madd(prev, c)
+            acc[e] = c if prev is None else add_table.item(prev, c)
+    zero = space.zero
     cleaned = tuple(sorted((e, c) for e, c in acc.items() if c != zero))
-    return Series(space, f.monoid, cleaned)
+    return Series(space, monoid, cleaned)
 
 
 def content(h: Series) -> Ideal | Submodule:
-    """Ideal (submodule) generated by the coefficients; empty series gives zero."""
+    """Ideal (submodule) generated by the coefficients; empty series gives zero.
+
+    The lattice instance submodule_generated returns, memoized per
+    coefficient module on the coefficients; a failed closure stores nothing.
+    """
+    module = h.space.as_module() if _space_is_ring(h.space) else h.space
     coeffs = h.coefficients
-    if _space_is_ring(h.space):
-        return ideal_generated(h.space, coeffs)
-    return submodule_generated(h.space, coeffs)
+    key = ("content", coeffs)
+    out = module._cache.get(key)
+    if out is None:
+        out = submodule_generated(module, coeffs)
+        module._cache[key] = out
+    return out
 
 
 def as_module_series(f: Series) -> Series:
@@ -207,15 +221,29 @@ class DMResult:
 
 
 def _dm_search(cf: Ideal, cg: Submodule, cfg: Submodule, cap: int) -> DMResult:
+    """The Dedekind-Mertens transcript of the contents c(f), c(g) and c(fg).
+
+    It depends on f and g only through these three contents, so it is
+    memoized per module on them and the cap.
+    """
+    module = cg.module
+    key = ("dm", cf.members, cg.members, cfg.members, cap)
+    hit = module._cache.get(key)
+    if hit is not None:
+        return hit
     chain = []
+    k_min = None
     for k in range(1, cap + 1):
         lhs = ideal_action_submodule(ideal_power(cf, k), cg)
         rhs = ideal_action_submodule(ideal_power(cf, k - 1), cfg)
         equal = lhs.members == rhs.members
         chain.append(DMStep(k, lhs, rhs, equal))
         if equal:
-            return DMResult(k, tuple(chain), cap)
-    return DMResult(None, tuple(chain), cap)
+            k_min = k
+            break
+    out = DMResult(k_min, tuple(chain), cap)
+    module._cache[key] = out
+    return out
 
 
 def dedekind_mertens_exponent(f: Series, g: Series, cap: int | None = None) -> DMResult:
@@ -241,6 +269,23 @@ def dedekind_mertens_exponent(f: Series, g: Series, cap: int | None = None) -> D
     return _dm_search(cf, cg, cfg, cap)
 
 
+def _killed_by(f: Series, module: FiniteModule) -> np.ndarray:
+    """Flags of the module elements m with f * m = 0, read off one gather.
+
+    f * m is the sum of the (a m) X^s over the terms a X^s of f, and s + 0 = s
+    keeps the exponents distinct: f kills m iff every coefficient of f does.
+    """
+    coeffs = np.array(f.coefficients, dtype=np.intp)
+    return (module.action_table.take(coeffs, axis=0) == module.zero).all(axis=0)
+
+
+def _least_killed(f: Series, module: FiniteModule) -> int | None:
+    """The least nonzero module element f kills, or None."""
+    kills = _killed_by(f, module)
+    kills[module.zero] = False
+    return int(kills.argmax()) if kills.any() else None
+
+
 def mccoy_witness(f: Series, g: Series) -> int:
     """A single nonzero module element killed by every coefficient of f.
 
@@ -262,7 +307,7 @@ def mccoy_witness(f: Series, g: Series) -> int:
     if not series_multiply(f, g).is_zero:
         raise PreconditionError("McCoy witness requires f*g = 0")
     m = content_mccoy_witness(content(f), content(g))
-    if not series_multiply(f, constant_series(g.space, f.monoid, m)).is_zero:
+    if not _killed_by(f, g.space)[m]:
         raise InvariantViolation("McCoy witness failed replay")
     return m
 
@@ -325,7 +370,7 @@ def is_zero_divisor_series(f: Series, module: FiniteModule) -> ZeroDivisorVerdic
     if ann.members == zero_mask:
         return ZeroDivisorVerdict(False, None, ann)
     m = bitset.lowest_bit(ann.members & ~zero_mask)
-    if not series_multiply(f, constant_series(module, f.monoid, m)).is_zero:
+    if not _killed_by(f, module)[m]:
         raise InvariantViolation("zero-divisor witness failed replay")
     return ZeroDivisorVerdict(True, m, ann)
 
@@ -372,13 +417,9 @@ def build_noncancellative_counterexample(monoid: Monoid, witness, module: Finite
         raise InvariantViolation("counterexample series g degenerated")
     if not series_multiply(f, g).is_zero:
         raise InvariantViolation("f*g did not vanish on replay")
-    # f * m is the sum of the a m X^s over the terms a X^s of f, as s + 0 = s
-    # keeps the exponents distinct: f kills m iff every coefficient of f
-    # does. One gather checks every nonzero m; the least killed one is named.
-    kills = (module.action_table.take(f.coefficients, axis=0) == module.zero).all(axis=0)
-    kills[module.zero] = False
-    if kills.any():
-        raise InvariantViolation(f"f unexpectedly kills module element {int(kills.argmax())}")
+    m = _least_killed(f, module)
+    if m is not None:
+        raise InvariantViolation(f"f unexpectedly kills module element {m}")
     return f, g
 
 

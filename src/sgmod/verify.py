@@ -55,6 +55,7 @@ from .series import (
     ExtendedIdeal,
     Series,
     _dm_search,
+    _least_killed,
     build_noncancellative_counterexample,
     build_torsion_counterexample,
     constant_series,
@@ -444,13 +445,8 @@ def _mccoy_equivalence_bad(module, monoid, config, predicted, statement, canc, c
     constructions = []
     if not canc:
         for q in nz:
+            # the construction itself replays that f kills no nonzero m
             f, g = build_noncancellative_counterexample(monoid, canc_wit, module, q)
-            for m in nz:
-                if series_multiply(f, constant_series(module, monoid, m)).is_zero:
-                    return VerificationReport(
-                        statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                        counterexample={"clause": "construction_replay",
-                                        "f": _terms_payload(f), "m": m})
             constructions.append({"q": q, "f": _terms_payload(f), "g": _terms_payload(g)})
         branch = "not_cancellative"
         witness = list(canc_wit)
@@ -459,12 +455,12 @@ def _mccoy_equivalence_bad(module, monoid, config, predicted, statement, canc, c
         k = None
         for q in nz:
             k, h, g = build_torsion_counterexample(monoid, s, t, module, q)
-            for m in nz:
-                if series_multiply(h, constant_series(module, monoid, m)).is_zero:
-                    return VerificationReport(
-                        statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                        counterexample={"clause": "construction_replay",
-                                        "h": _terms_payload(h), "m": m})
+            m = _least_killed(h, module)
+            if m is not None:
+                return VerificationReport(
+                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                    counterexample={"clause": "construction_replay",
+                                    "h": _terms_payload(h), "m": m})
             constructions.append({"q": q, "k": k, "h": _terms_payload(h),
                                   "g": _terms_payload(g)})
         branch = "not_torsion_free"

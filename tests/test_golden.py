@@ -4,7 +4,9 @@ exactly the per-record `payload_hash` lists in golden_hashes.json.
 The `*_seed11.json` sessions are `perfbench/gen.py --seed 11` output, so every
 benchmark workload is pinned on its own inputs. The verify_window and
 module_structure sessions are committed; the table_build and command_stream
-sessions (about 700 KB) are generated into a temporary directory.
+sessions (about 700 KB) are generated into a temporary directory, and so are
+the command_stream sessions of seeds 12 and 13, whose json-lines reports are
+pinned as well.
 
 A refactor that keeps behaviour keeps these lists. A deliberate change of a
 payload regenerates them and says why in CHANGES.md.
@@ -28,8 +30,11 @@ from sgmod.session import execute, load_session
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "perfbench", "gen.py")
-GENERATED = {"table_build_seed11.json": "table_build",
-             "command_stream_seed11.json": "command_stream"}
+# generated session name -> (workload, seed)
+GENERATED = {"table_build_seed11.json": ("table_build", 11),
+             "command_stream_seed11.json": ("command_stream", 11),
+             "command_stream_seed12.json": ("command_stream", 12),
+             "command_stream_seed13.json": ("command_stream", 13)}
 
 with open(os.path.join(DATA, "golden_hashes.json"), encoding="utf-8") as _fh:
     GOLDEN = json.load(_fh)
@@ -42,6 +47,10 @@ JSON_LINES = {
         "a91edb2ef661c2beced2fe09f0834a03315f9ecc4ecc36f29c537ec212b8f7e2",
     "command_stream_seed11.json":
         "ffacc14ada7b31c5ce366e21b481610d55af28942a0bc8e4a3424e7b4e86a583",
+    "command_stream_seed12.json":
+        "48221eebc8c373320b3c9b430422299004f9ec9229e497abf652fe47038143db",
+    "command_stream_seed13.json":
+        "ec0c43f66515fedda29bdf2f947f9c1e607a1cfa9b13935ccb30363e7a340b04",
 }
 
 
@@ -53,7 +62,7 @@ def _session_path(session, tmp_path):
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     path = tmp_path / session
-    path.write_text(gen.generate(GENERATED[session], 11), encoding="utf-8")
+    path.write_text(gen.generate(*GENERATED[session]), encoding="utf-8")
     return str(path)
 
 
@@ -73,7 +82,8 @@ def test_json_lines_report_matches_pinned(session, tmp_path):
     out = io.StringIO()
     assert main(["run", _session_path(session, tmp_path)], stream=out) == 0
     text = re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": 0', out.getvalue())
-    assert text.count('"elapsed_ms": 0') == len(GOLDEN[session])
+    # one record per command, then the summary line
+    assert text.count('"elapsed_ms": 0') == len(text.splitlines()) - 1
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == JSON_LINES[session]
 
 

@@ -7,6 +7,7 @@ module, and enumerates ideals and submodules as the join closure of the
 cyclic ones.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -159,6 +160,25 @@ def test_ideal_reads_and_compares_as_before():
     assert ideal != Submodule(module, 0b10101)
     assert ideal != Ideal(ring, 0b1001)
     assert ideal == ideal_generated(ring, [2])
+
+
+def test_members_tuple_is_decoded_once():
+    ring = build_zmod(6)
+    module = direct_sum(ring.as_module(), ring.as_module())
+    sub = submodule_generated(module, [3])
+    assert sub.members_tuple() == (0, 3)
+    assert sub.members_tuple() is sub.members_tuple()
+    # the decoded tuple sits beside the fields: a decoded instance compares,
+    # hashes and prints as a fresh one, and the fields are unchanged
+    fresh = Submodule(module, sub.members)
+    assert fresh == sub and hash(fresh) == hash(sub) and repr(fresh) == repr(sub)
+    assert repr(sub) == "Submodule('Z/6(+)Z/6', [0, 3])"
+    assert [f.name for f in dataclasses.fields(sub)] == ["module", "members"]
+    ideal = Ideal(ring, 0b1001)
+    before = hash(ideal)
+    assert ideal.members_tuple() is ideal.members_tuple() == (0, 3)
+    assert hash(ideal) == before and ideal == Ideal(ring, 0b1001)
+    assert repr(ideal) == "Ideal('Z/6', [0, 3])"
 
 
 @pytest.mark.parametrize("label,module,count", [

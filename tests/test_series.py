@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,18 +7,24 @@ from hypothesis import strategies as st
 
 from sgmod import (
     ExtendedIdeal,
+    FiniteRing,
     HypothesisError,
+    Ideal,
     InvariantViolation,
     PreconditionError,
     StructureMismatchError,
+    Submodule,
     build_noncancellative_counterexample,
     build_torsion_counterexample,
+    build_truncated_poly_ring,
     build_zmod,
     constant_series,
     content,
     cyclic_group_monoid,
     dedekind_mertens_exponent,
+    direct_sum,
     extended_ideal_membership,
+    free_monoid,
     ideal_action_submodule,
     ideal_generated,
     ideal_power,
@@ -26,6 +33,7 @@ from sgmod import (
     mccoy_witness,
     monomial_series,
     ring_as_module,
+    saturating_monoid,
     series_add,
     series_multiply,
     series_neg,
@@ -33,7 +41,8 @@ from sgmod import (
     zero_series,
 )
 import sgmod.series as series_mod
-from sgmod.series import content_mccoy_witness
+from sgmod.series import DMResult, DMStep, Series, content_mccoy_witness
+from test_lattice import RINGS
 
 
 def ring_series(ring, monoid, *coeffs):
@@ -395,3 +404,166 @@ class TestTorsionConstruction:
             k, h, g = build_torsion_counterexample(monoid, 1, 0, m6, 1)
             assert k == n
             assert len(h.terms) == n
+
+
+def oracle_series_multiply(f, h):
+    """The terms of f * h by the per-term loop series_multiply replaced: one
+    exponent sum and one coefficient product per term pair, read off the
+    tables one cell at a time, and one addition per collision."""
+    monoid, space = f.monoid, h.space
+    table = space.mul_table if isinstance(space, FiniteRing) else space.action_table
+    acc = {}
+    for s, a in f.terms:
+        for t, b in h.terms:
+            e = (int(monoid.cayley[s, t]) if monoid.is_finite
+                 else tuple(x + y for x, y in zip(s, t)))
+            c = int(table[a, b])
+            acc[e] = c if e not in acc else int(space.add_table[acc[e], c])
+    return tuple(sorted((e, c) for e, c in acc.items() if c != space.zero))
+
+
+def _random_series(rng, space, monoid, exponents):
+    """A series of up to four terms with random coefficients; exponents may
+    repeat, so make_series combines some of them."""
+    terms = [(rng.choice(exponents), rng.randrange(space.size))
+             for _ in range(rng.randint(0, 4))]
+    return make_series(space, monoid, terms)
+
+
+class TestProductOracle:
+    MONOIDS = [(free_monoid(1), [(e,) for e in range(4)]),
+               (free_monoid(2), [(a, b) for a in range(3) for b in range(3)]),
+               (cyclic_group_monoid(3), list(range(3))),
+               (cyclic_group_monoid(4), list(range(4))),
+               (saturating_monoid(2), list(range(3))),
+               (saturating_monoid(3), list(range(4)))]
+
+    @pytest.mark.parametrize("ring", [build_zmod(6), build_zmod(8), build_zmod(12),
+                                      build_truncated_poly_ring(2, 2, 3),
+                                      build_truncated_poly_ring(3, 1, 2)],
+                             ids=lambda r: r.label)
+    def test_matches_per_term_loop(self, ring):
+        rng = random.Random(ring.size)
+        m = ring_as_module(ring)
+        spaces = [ring, m, direct_sum(m, m)] if ring.size <= 12 else [ring, m]
+        for monoid, exponents in self.MONOIDS:
+            for space in spaces:
+                for _ in range(60):
+                    f = _random_series(rng, ring, monoid, exponents)
+                    h = _random_series(rng, space, monoid, exponents)
+                    prod = series_multiply(f, h)
+                    assert prod.terms == oracle_series_multiply(f, h), (f, h)
+                    assert prod.space is space and prod.monoid is monoid
+
+    @pytest.mark.parametrize("monoid,x0,x1", [(free_monoid(1), (0,), (1,)),
+                                             (cyclic_group_monoid(2), 0, 1),
+                                             (saturating_monoid(2), 0, 1)])
+    def test_cancelling_coefficients_are_dropped(self, z6, m6, monoid, x0, x1):
+        # (1 + X)(3 + 3X) = 3 + (3 + 3)X + 3X^2, and 3 + 3 = 0 in Z/6; on Z/2
+        # the X^2 term folds onto 1 and cancels too, on sat(2) it stays apart
+        f = make_series(z6, monoid, [(x0, 1), (x1, 1)])
+        for space in (z6, m6):
+            h = make_series(space, monoid, [(x0, 3), (x1, 3)])
+            prod = series_multiply(f, h)
+            assert prod.terms == oracle_series_multiply(f, h)
+            assert x1 not in prod.support
+            assert all(c != 0 for c in prod.coefficients)
+
+
+class TestContentMemo:
+    def test_ring_content_is_the_lattice_instance(self, z12, nat):
+        f = ring_series(z12, nat, 4, 6)
+        cf = content(f)
+        assert cf is submodule_generated(z12.as_module(), f.coefficients)
+        assert cf is submodule_generated(z12.as_module(), [6, 4, 0])
+        assert isinstance(cf, Ideal) and cf.members_tuple() == (0, 2, 4, 6, 8, 10)
+        assert content(f) is cf
+
+    def test_module_content_is_the_lattice_instance(self, m12, nat):
+        g = make_series(m12, nat, [((0,), 9), ((2,), 3)])
+        cg = content(g)
+        assert cg is submodule_generated(m12, g.coefficients)
+        # another series with the same coefficients shares the entry
+        assert content(make_series(m12, nat, [((1,), 9), ((5,), 3)])) is cg
+
+    def test_failed_closure_is_not_stored(self, z6, nat):
+        bad = Series(z6, nat, (((0,), 9),))  # past make_series's range check
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="generator 9 outside"):
+                content(bad)
+
+
+def oracle_dm_search(cf, cg, cfg, cap):
+    """The Dedekind-Mertens transcript without the memo: the chain of
+    c(f)^k c(g) against c(f)^(k-1) c(fg) up to the first equal pair."""
+    chain = []
+    for k in range(1, cap + 1):
+        lhs = ideal_action_submodule(ideal_power(cf, k), cg)
+        rhs = ideal_action_submodule(ideal_power(cf, k - 1), cfg)
+        chain.append(DMStep(k, lhs, rhs, lhs.members == rhs.members))
+        if chain[-1].equal:
+            return DMResult(k, tuple(chain), cap)
+    return DMResult(None, tuple(chain), cap)
+
+
+class TestDedekindMertensMemo:
+    @pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"{r.label}|{r.size}")
+    def test_memoized_transcripts_match_uncached_search(self, ring):
+        rng = random.Random(ring.size)
+        nat = free_monoid(1)
+        module = ring.as_module()
+        exps = [(e,) for e in range(3)]
+        for _ in range(12):
+            f = _random_series(rng, ring, nat, exps)
+            g = _random_series(rng, module, nat, exps)
+            for cap in (None, 1, 3):
+                first = dedekind_mertens_exponent(f, g, cap=cap)
+                used = len(g.terms) + 1 if cap is None else cap
+                expected = oracle_dm_search(content(f), content(g),
+                                            content(series_multiply(f, g)), used)
+                assert first == expected
+                assert dedekind_mertens_exponent(f, g, cap=cap) is first
+
+    def test_product_content_is_part_of_the_key(self, trunc, mt, nat):
+        # F2[a,b]/m^3 is not Gaussian: (a + bX)^2 = a^2 + b^2 X^2 but
+        # (a + bX)(b + aX) = ab + (a^2 + b^2) X + ab X^2, so the contents of f
+        # and g agree while those of fg differ
+        a, b = trunc.meta["generators"]
+        f = make_series(trunc, nat, [((0,), a), ((1,), b)])
+        g1 = make_series(mt, nat, [((0,), a), ((1,), b)])
+        g2 = make_series(mt, nat, [((0,), b), ((1,), a)])
+        assert content(g1) is content(g2)
+        assert content(series_multiply(f, g1)) is not content(series_multiply(f, g2))
+        for g in (g1, g2, g1):
+            assert dedekind_mertens_exponent(f, g) == oracle_dm_search(
+                content(f), content(g), content(series_multiply(f, g)), len(g.terms) + 1)
+
+
+class TestCoefficientReplay:
+    def test_planted_mccoy_witness_fails_replay(self, z6, m6, nat, monkeypatch):
+        f = ring_series(z6, nat, 2, 4)
+        g = constant_series(m6, nat, 3)
+        assert mccoy_witness(f, g) == 3
+        # 2 does not kill 2 in Z/6, so f * 2 != 0
+        monkeypatch.setattr(series_mod, "content_mccoy_witness", lambda cf, cg: 2)
+        with pytest.raises(InvariantViolation, match="^McCoy witness failed replay$"):
+            mccoy_witness(f, g)
+
+    def test_planted_annihilator_fails_replay(self, z6, m6, nat, monkeypatch):
+        f = ring_series(z6, nat, 3, 3)
+        assert is_zero_divisor_series(f, m6).witness == 2
+        # 3 * 1 != 0: an annihilator that claims 1 names a false witness
+        monkeypatch.setattr(series_mod, "annihilator_in_module",
+                            lambda subset, module: Submodule(module, 0b11))
+        with pytest.raises(InvariantViolation, match="^zero-divisor witness failed replay$"):
+            is_zero_divisor_series(f, m6)
+
+    def test_replay_agrees_with_the_product(self, z6, m6, sat2, nat, c2):
+        # f kills m exactly when f * m = 0, on good and bad monoids alike
+        for monoid, exps in ((nat, [(0,), (1,), (2,)]), (sat2, [0, 1, 2]), (c2, [0, 1])):
+            for coeffs in itertools.product(range(6), repeat=len(exps)):
+                f = make_series(z6, monoid, list(zip(exps, coeffs)))
+                kills = series_mod._killed_by(f, m6)
+                for m in range(6):
+                    const = constant_series(m6, monoid, m)
+                    assert bool(kills[m]) == series_multiply(f, const).is_zero

@@ -622,13 +622,17 @@ FUZZ_COMMANDS = [
 ]
 FUZZ_COMMAND_KEYS = ["op", "statement", "kind", "ring", "module", "monoid", "submodule",
                      "f", "g", "window", "max_support", "cap", "q", "s", "t", "witness"]
-# integer fields of the definitions, as paths into the document
+# integer fields of the definitions, as paths into the document; content is
+# memoized on the coefficients, so every coefficient and exponent is one
 FUZZ_DOC_FIELDS = [("settings", "budget"), ("submodules", "P3", "gens", 0),
                    ("submodules", "P2", "members", 0), ("submodules", "P2", "members", 1),
                    ("submodules", "P2", "members", 2),
                    ("series", "f", "terms", 0, "coefficient"),
+                   ("series", "f", "terms", 0, "exponent"),
+                   ("series", "f", "terms", 1, "coefficient"),
                    ("series", "f", "terms", 1, "exponent"),
                    ("series", "g", "terms", 0, "coefficient"),
+                   ("series", "g", "terms", 0, "exponent"),
                    ("rings", "T2", "add", 1, 1), ("rings", "T2", "mul", 1, 1),
                    ("modules", "MT2", "action", 1, 1), ("monoids", "C2T", "cayley", 1, 1)]
 FUZZ_WORDS = ["R6", "R4", "M6", "M4", "N", "C2", "Sat2", "P3", "P2", "f", "g", "verify",
@@ -642,37 +646,67 @@ FUZZ_VALUES = (_fuzz_number | st.booleans() | st.none() | st.sampled_from(FUZZ_W
                | st.lists(_fuzz_number | st.booleans(), max_size=3))
 
 
-@st.composite
-def fuzzed_sessions(draw):
+def _set_field(doc, path, value):
+    *path, leaf = path
+    for key in path:
+        doc = doc[key]
+    doc[leaf] = value
+
+
+def _fuzz_document(draw):
+    """The base document with one to four of the fuzz commands."""
     doc = copy.deepcopy(FUZZ_BASE)
     doc["commands"] = copy.deepcopy(
         draw(st.lists(st.sampled_from(FUZZ_COMMANDS), min_size=1, max_size=4)))
-    for _ in range(draw(st.integers(1, 2))):
-        # a bad definition stops the load, so most mutations go to commands
-        if draw(st.integers(0, 3)):
-            command = draw(st.sampled_from(doc["commands"]))
-            command[draw(st.sampled_from(FUZZ_COMMAND_KEYS))] = draw(FUZZ_VALUES)
-        else:
-            *path, leaf = draw(st.sampled_from(FUZZ_DOC_FIELDS))
-            target = doc
-            for key in path:
-                target = target[key]
-            target[leaf] = draw(FUZZ_VALUES)
     return doc
+
+
+@st.composite
+def fuzzed_sessions(draw):
+    """A fuzz document with one or two command keys mutated."""
+    doc = _fuzz_document(draw)
+    for _ in range(draw(st.integers(1, 2))):
+        command = draw(st.sampled_from(doc["commands"]))
+        command[draw(st.sampled_from(FUZZ_COMMAND_KEYS))] = draw(FUZZ_VALUES)
+    return doc
+
+
+@st.composite
+def fuzzed_definitions(draw, field):
+    """A fuzz document with the given definition field mutated and, half the
+    time, one more."""
+    doc = _fuzz_document(draw)
+    _set_field(doc, field, draw(FUZZ_VALUES))
+    if draw(st.booleans()):
+        _set_field(doc, draw(st.sampled_from(FUZZ_DOC_FIELDS)), draw(FUZZ_VALUES))
+    return doc
+
+
+def _check_exit_code_contract(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "session.json"
+    path.write_text(json.dumps(doc))
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        code = main(["run", str(path)], stream=out)
+        assert code in (0, 2, 3)
+        lines = [json.loads(line) for line in out.getvalue().splitlines()]
+        runs.append((code, [line["payload_hash"] for line in lines
+                            if "payload_hash" in line]))
+    assert runs[0] == runs[1]
 
 
 class TestExitCodeFuzz:
     @settings(max_examples=150, deadline=None)
     @given(doc=fuzzed_sessions())
     def test_mutated_sessions_keep_the_exit_code_contract(self, doc, tmp_path_factory):
-        path = tmp_path_factory.mktemp("fuzz") / "session.json"
-        path.write_text(json.dumps(doc))
-        runs = []
-        for _ in range(2):
-            out = io.StringIO()
-            code = main(["run", str(path)], stream=out)
-            assert code in (0, 2, 3)
-            lines = [json.loads(line) for line in out.getvalue().splitlines()]
-            runs.append((code, [line["payload_hash"] for line in lines
-                                if "payload_hash" in line]))
-        assert runs[0] == runs[1]
+        _check_exit_code_contract(doc, tmp_path_factory)
+
+    # a bad definition stops the load before any command runs, so each
+    # definition field gets its own examples rather than a share of the above
+    @pytest.mark.parametrize("field", FUZZ_DOC_FIELDS, ids=lambda f: "-".join(map(str, f)))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_mutated_definitions_keep_the_exit_code_contract(self, field, data,
+                                                             tmp_path_factory):
+        _check_exit_code_contract(data.draw(fuzzed_definitions(field)), tmp_path_factory)

@@ -90,6 +90,19 @@ class TestMcCoyEquivalence:
             assert report.details["branch"] == "not_torsion_free"
             assert all(c["k"] == expected_k for c in report.details["constructions"])
 
+    def test_torsion_replay_names_the_least_killed_element(self, z6, m6, c2, monkeypatch):
+        # a planted left factor 2 + 2X kills 3 in Z/6: the replay reports the
+        # least nonzero m with h m = 0 instead of passing
+        def planted(monoid, s, t, module, q):
+            h = make_series(z6, monoid, [(0, 2), (1, 2)])
+            return 2, h, make_series(module, monoid, [(s, q), (t, module.neg(q))])
+
+        monkeypatch.setattr(verify_mod, "build_torsion_counterexample", planted)
+        report = verify_mccoy_equivalence(z6, m6, c2, SupportWindow((0, 1)))
+        assert report.outcome == "counterexample"
+        assert report.counterexample["clause"] == "construction_replay"
+        assert report.counterexample["m"] == 3
+
     def test_budget_skip(self, z6, m6, nat):
         report = verify_mccoy_equivalence(z6, m6, nat, W3, budget=100)
         assert report.outcome == "skipped"
