@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 from . import __version__
 from .errors import SessionError
@@ -35,14 +36,26 @@ def canonical_json(value) -> str:
 
 
 def payload_hash(command: dict, payload: dict) -> str:
-    blob = canonical_json({"command": command, "payload": payload})
+    return _hash_blob(canonical_json(command), payload)
+
+
+def _hash_blob(command_json: str, payload) -> str:
+    # canonical_json({"command": ..., "payload": ...}) with the command already
+    # encoded: sort_keys puts "command" before "payload"
+    blob = '{"command":' + command_json + ',"payload":' + canonical_json(payload) + "}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def finish_record(record: dict) -> dict:
-    """Attach the deterministic hash and version stamp; elapsed stays outside."""
+def finish_record(record: dict, key: str | None = None) -> dict:
+    """Attach the deterministic hash and version stamp; elapsed stays outside.
+
+    key, when given, is canonical_json(record["command"]), so the command is
+    not encoded again.
+    """
     record = dict(record)
-    record["payload_hash"] = payload_hash(record["command"], record["payload"])
+    if key is None:
+        key = canonical_json(record["command"])
+    record["payload_hash"] = _hash_blob(key, record["payload"])
     record["version"] = __version__
     return record
 
@@ -130,10 +143,28 @@ def _default_budget() -> int:
 
 
 def run_session(session: Session, budget: int | None) -> list[dict]:
+    """One finished record per command, in order; each distinct command runs once.
+
+    A payload depends only on the command and the budget. So commands are keyed
+    by their canonical JSON, the bytes payload_hash hashes: key order does not
+    matter, and 1, 1.0 and true stay distinct. A repeat gets a new record with
+    the first one's status, payload, payload_hash and version (the payload
+    object is shared, not copied), its own command as given, and the time of
+    its lookup as elapsed_ms.
+    """
     records = []
+    answered: dict[str, dict] = {}
     for command in session.commands:
-        record = execute(session, command, budget=budget)
-        records.append(finish_record(record))
+        t0 = time.perf_counter()
+        key = canonical_json(command)
+        first = answered.get(key)
+        if first is None:
+            first = answered[key] = finish_record(execute(session, command, budget=budget),
+                                                  key)
+            records.append(first)
+        else:
+            records.append(dict(first, command=command,
+                                elapsed_ms=(time.perf_counter() - t0) * 1000.0))
     return records
 
 

@@ -327,7 +327,8 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
     config = _config_echo(window=window, budget=budget, ring=ring, module=module,
                           monoid=monoid)
     canc, canc_wit = is_cancellative(monoid)
-    tf, tf_wit = is_torsion_free(monoid)
+    # the torsion witness is read only on cancellative monoids
+    tf, tf_wit = is_torsion_free(monoid) if canc else (False, None)
 
     if canc and tf:
         predicted = window.count(ring.size) * window.count(module.size)

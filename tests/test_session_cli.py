@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -8,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgmod.cli as cli
+import sgmod.session as session_mod
 from sgmod import SessionError, dump_session, execute, load_session
-from sgmod.cli import exit_code_for, main, payload_hash
+from sgmod.cli import (canonical_json, exit_code_for, finish_record, main, payload_hash,
+                       run_session)
 
 DEMO = os.path.join(os.path.dirname(__file__), "data", "demo_session.json")
 
@@ -304,6 +308,119 @@ class TestPayloadHash:
         h2 = payload_hash({"op": "analyze"}, {"degree": 2})
         assert h1 == h2
         assert h1 != payload_hash({"op": "analyze"}, {"degree": 1})
+
+    @pytest.mark.parametrize("command,payload", [
+        ({"op": "analyze", "module": "Mödul ℤ/6"}, {"label": "é ∅ 😀", "degree": 2}),
+        ({"op": "dm", "f": "f", "g": "g", "cap": [1, [2.5, None], []]},
+         {"chain": [{"k": 1, "lhs": [0, 3], "equal": True}], "k_min": None, "x": -0.0}),
+        ({"op": "verify", "window": [[0, 1], [1e300, 1.5]]}, {}),
+        ({}, {}),
+        ({"op": "mccoy"}, []),
+    ])
+    def test_hash_is_the_canonical_json_of_command_and_payload(self, command, payload):
+        # the command is encoded apart from the payload and the blob is joined
+        # by hand; this pins the join to the one-piece canonical encoding
+        blob = canonical_json({"command": command, "payload": payload})
+        assert payload_hash(command, payload) == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert finish_record({"command": command, "payload": payload})["payload_hash"] \
+            == payload_hash(command, payload)
+
+
+def _repeat_session(tmp_path):
+    verify = {"op": "verify", "statement": "mccoy_equivalence", "ring": "R6",
+              "module": "M6", "monoid": "N", "window": [0, 1, 2]}
+    dm = {"op": "dm", "f": "f", "g": "g"}
+    analyze = {"op": "analyze", "module": "M6"}
+    counterexample = {"op": "counterexample", "kind": "noncancellative",
+                      "monoid": "Sat2", "module": "M6", "q": 1}
+    malformed = {"op": "dm", "f": "h", "g": "h", "cap": "x"}
+    commands = [dm, analyze, counterexample, malformed, verify,
+                {"g": "g", "f": "f", "op": "dm"},  # dm with its keys in another order
+                {"op": "dm", "f": "h", "g": "h", "cap": 1},
+                {"op": "dm", "f": "h", "g": "h", "cap": 1.0},
+                {"op": "dm", "f": "h", "g": "h", "cap": True},
+                counterexample, analyze, malformed, verify, dm,
+                {"op": "dm", "f": "h", "g": "h", "cap": True},
+                {"op": "dm", "f": "h", "g": "h", "cap": 1}]
+    with open(DEMO, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["settings"] = {"budget": 50}  # the session budget skips the verify
+    doc["commands"] = commands
+    return write_session(tmp_path, doc)
+
+
+class TestRunSessionRepeats:
+    def test_repeats_match_fresh_execution(self, tmp_path, monkeypatch):
+        path = _repeat_session(tmp_path)
+        calls = []
+        real_execute = cli.execute
+
+        def counting_execute(session, command, budget=None):
+            calls.append(canonical_json(command))
+            return real_execute(session, command, budget=budget)
+
+        monkeypatch.setattr(cli, "execute", counting_execute)
+        records = run_session(load_session(path), None)
+        monkeypatch.undo()
+
+        fresh = [finish_record(execute(load_session(path), record["command"]))
+                 for record in records]
+        commands = load_session(path).commands
+        assert [record["command"] for record in records] == commands
+        for record, expected in zip(records, fresh):
+            for key in ("status", "payload", "payload_hash", "version"):
+                assert record[key] == expected[key]
+            assert isinstance(record["elapsed_ms"], float)
+        assert exit_code_for(records) == exit_code_for(fresh) == 2
+
+        distinct = {canonical_json(command) for command in commands}
+        assert len(calls) == len(set(calls)) == len(distinct) == 8
+        assert set(calls) == distinct
+
+        outcomes = {record["payload"].get("outcome") for record in records}
+        assert {"skipped", None} == outcomes
+        by_cap = {}
+        for record in records:
+            if "cap" in record["command"]:
+                by_cap.setdefault(repr(record["command"]["cap"]), set()).add(
+                    record["payload_hash"])
+        # 1, 1.0 and True compare equal in Python but are distinct commands:
+        # one hash per cap, and no two caps share one
+        assert {k: len(v) for k, v in by_cap.items()} == {"1": 1, "1.0": 1, "True": 1,
+                                                         "'x'": 1}
+        assert len(set().union(*by_cap.values())) == 4
+        assert records[6]["status"] == "ok"
+        assert [records[i]["status"] for i in (3, 7, 8)] == ["error"] * 3
+
+    def test_repeats_keep_their_place_in_the_report(self, tmp_path):
+        path = _repeat_session(tmp_path)
+        out = io.StringIO()
+        code = main(["run", path], stream=out)
+        lines = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert code == 2
+        assert lines[-1]["summary"]["commands"] == 16
+        assert lines[-1]["summary"]["errors"] == 5
+        assert lines[-1]["summary"]["skipped"] == 2
+        # the reordered dm is echoed as given and shares its first occurrence's hash
+        assert list(lines[5]["command"]) == ["f", "g", "op"]
+        assert lines[5]["payload_hash"] == lines[0]["payload_hash"]
+
+    def test_execute_stays_uncached(self, monkeypatch):
+        session = load_session(DEMO)
+        calls = []
+        real_dispatch = session_mod._dispatch
+
+        def counting_dispatch(*args):
+            calls.append(args[1])
+            return real_dispatch(*args)
+
+        monkeypatch.setattr(session_mod, "_dispatch", counting_dispatch)
+        command = {"op": "dm", "f": "f", "g": "g"}
+        first = execute(session, command)
+        second = execute(session, command)
+        assert len(calls) == 2
+        assert first["payload"] == second["payload"]
+        assert first["payload"] is not second["payload"]
 
 
 def _z5_tables():

@@ -16,6 +16,7 @@ from sgmod import (
     make_series,
     prime_ideals,
     ring_as_module,
+    saturating_monoid,
     series_multiply,
     submodule_from_members,
     submodule_generated,
@@ -26,6 +27,7 @@ from sgmod import (
     verify_submodule_transfer,
     verify_zero_divisor_transfer,
 )
+from sgmod.cli import payload_hash
 
 W3 = SupportWindow(((0,), (1,), (2,)))
 W2 = SupportWindow(((0,), (1,)))
@@ -119,6 +121,22 @@ class TestMcCoyEquivalence:
             report = verify_mccoy_equivalence(z6, m6, monoid, window, budget=25)
             assert report.outcome == "pass"
             assert report.instances_checked == 25
+
+    def test_noncancellative_branch_skips_the_torsion_scan(self, z6, m6, monkeypatch):
+        # the non-cancellative branch never reads the torsion witness, so the
+        # scan is not run there; fresh monoids keep the memoized result out
+        window = SupportWindow((0, 1, 2))
+        command = {"op": "verify", "statement": "mccoy_equivalence"}
+        expected = verify_mccoy_equivalence(z6, m6, saturating_monoid(2), window)
+
+        def no_scan(monoid):
+            raise AssertionError("is_torsion_free called on a non-cancellative monoid")
+
+        monkeypatch.setattr(verify_mod, "is_torsion_free", no_scan)
+        report = verify_mccoy_equivalence(z6, m6, saturating_monoid(2), window)
+        assert report.outcome == "pass"
+        assert (payload_hash(command, report.to_payload())
+                == payload_hash(command, expected.to_payload()))
 
     def test_zero_module_rejected(self, nat):
         z1 = build_zmod(1)
