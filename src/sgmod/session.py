@@ -32,6 +32,7 @@ from .finite_algebra import (
     zero_divisor_set,
 )
 from .monoids import (
+    DEFAULT_MONOID_CAP,
     Monoid,
     cyclic_group_monoid,
     free_monoid,
@@ -70,7 +71,7 @@ from .zd import (
 SESSION_KEYS = {"rings", "monoids", "modules", "submodules", "series", "commands",
                 "settings"}
 
-INTEGER_SETTINGS = ("budget", "zmod_cap", "ring_cap", "module_cap")
+INTEGER_SETTINGS = ("budget", "zmod_cap", "ring_cap", "module_cap", "monoid_cap")
 
 STATEMENTS = (
     "mccoy_equivalence",
@@ -190,15 +191,17 @@ class _Builder:
     def _build_monoid(self, name: str, defn: dict) -> Monoid:
         kind = defn.get("kind")
         obj = f"monoid '{name}'"
+        # the order is checked against the cap before any table is built
+        cap = self.session.settings.get("monoid_cap", DEFAULT_MONOID_CAP)
         if kind == "free":
             return free_monoid(_integer(defn.get("dim", 1), "dim", obj))
         if kind == "cyclic_group":
-            return cyclic_group_monoid(_integer(defn["k"], "k", obj))
+            return cyclic_group_monoid(_integer(defn["k"], "k", obj), cap=cap)
         if kind == "saturating":
-            return saturating_monoid(_integer(defn["c"], "c", obj))
+            return saturating_monoid(_integer(defn["c"], "c", obj), cap=cap)
         if kind == "table":
             identity = _integer(defn["identity"], "identity", obj)
-            return monoid_from_table(defn["cayley"], identity, label=name)
+            return monoid_from_table(defn["cayley"], identity, label=name, cap=cap)
         raise SessionError(f"unknown monoid kind {kind!r}", obj=obj)
 
     def _build_module(self, name: str, defn: dict) -> FiniteModule:

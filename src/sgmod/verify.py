@@ -506,30 +506,9 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     if predicted > budget:
         return _skipped(statement, config, predicted, budget)
 
-    layout = _product_layout(monoid, window.exponents)
-    rzero = ring.zero
-    f_arr = window.coeff_array(ring.size, rzero)
-    f_list = f_arr.tolist()
-    mul, add = _index_copies(ring.mul_table, ring.add_table)
-
-    def times_window(fi):
-        return _block_product(f_arr[fi:fi + 1], mul, add, f_arr, layout)[:, 0]
-
     details: dict = {"ring_is_domain": is_domain, "primes_checked": len(primes),
                      "associated_primes_checked": len(ass)}
-
     if is_domain:
-        nonzero = (f_arr != rzero).any(axis=1)
-        for fi in np.flatnonzero(nonzero):
-            hits = np.flatnonzero((times_window(fi) == rzero).all(axis=0) & nonzero)
-            if hits.size:
-                return VerificationReport(
-                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                    counterexample={
-                        "clause": "domain_transfer",
-                        "f": _terms_payload(window.series(ring, monoid, f_list[fi])),
-                        "g": _terms_payload(window.series(ring, monoid, f_list[hits[0]])),
-                    })
         details["domain_pairs"] = clause1
     else:
         a, b = is_prime_ideal(ideal_generated(ring, ()))[1] or (None, None)
@@ -543,25 +522,41 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
                 raise PreconditionError("non-domain witness failed to embed")
             details["non_domain_witness"] = [a, b]
 
-    for p in primes:
-        in_p = bitset.bools_from_mask(p.members, ring.size)
-        outside = ~in_p[f_arr].all(axis=1)
-        for fi in np.flatnonzero(outside):
-            hits = np.flatnonzero(in_p[times_window(fi)].all(axis=0) & outside)
-            if hits.size:
-                f_series = window.series(ring, monoid, f_list[fi])
-                g_series = window.series(ring, monoid, f_list[hits[0]])
-                if not extended_ideal_membership(series_multiply(f_series, g_series),
-                                                 ExtendedIdeal(p, monoid)):
-                    raise InvariantViolation("extended prime violation failed replay")
-                return VerificationReport(
-                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                    counterexample={
-                        "clause": "extended_prime",
-                        "prime": list(p.members_tuple()),
-                        "f": _terms_payload(f_series),
-                        "g": _terms_payload(g_series),
-                    })
+    # clause k fails at (f, g) outside masks[k][S] with fg inside it: the
+    # domain clause is the zero ideal (0) and outranks the primes, in order
+    layout = _product_layout(monoid, window.exponents)
+    f_arr = window.coeff_array(ring.size, ring.zero)
+    mul, add = _index_copies(ring.mul_table, ring.add_table)
+    masks = [1 << ring.zero] * is_domain + [p.members for p in primes]
+    inside = [bitset.bools_from_mask(mask, ring.size) for mask in masks]
+    outside = [~member[f_arr].all(axis=1) for member in inside]
+    least: dict = {}
+    pending = list(range(len(masks)))
+    for rows in _left_blocks(f_arr, f_arr):
+        if not pending:  # the first clause has failed: nothing outranks it
+            break
+        prod = _block_product(f_arr[rows], mul, add, f_arr, layout)
+        for k in pending:
+            hit = inside[k][prod].all(axis=0) & outside[k][rows, None] & outside[k]
+            if hit.any():
+                fi = int(hit.any(axis=1).argmax())
+                least[k] = (rows.start + fi, int(hit[fi].argmax()))
+                # the clauses after k are outranked; those before it stay open
+                pending = pending[:pending.index(k)]
+                break
+    if least:
+        k = min(least)
+        f_series, g_series = (window.series(ring, monoid, f_arr[i].tolist()) for i in least[k])
+        clause = {"clause": "domain_transfer"}
+        if k >= is_domain:
+            p = primes[k - is_domain]
+            if not extended_ideal_membership(series_multiply(f_series, g_series),
+                                             ExtendedIdeal(p, monoid)):
+                raise InvariantViolation("extended prime violation failed replay")
+            clause = {"clause": "extended_prime", "prime": list(p.members_tuple())}
+        return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                                  counterexample={**clause, "f": _terms_payload(f_series),
+                                                  "g": _terms_payload(g_series)})
 
     counterexample = _extended_annihilator_violation(ring, module, monoid, window, f_arr, ass,
                                                      "extended_associated_prime")
@@ -631,25 +626,26 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     r_arr = window.coeff_array(ring.size, ring.zero)
     r_content = contents.ids(r_arr).tolist()
     act, add = _index_copies(module.action_table, module.add_table)
-    for ri, r_coeffs in enumerate(r_arr.tolist()):
-        block = _block_product(r_arr[ri:ri + 1], act, add, x_arr, layout)[:, 0]
-        # only the least x with r x in P[S] and x outside P[S] can be reported
-        hits = np.flatnonzero(in_p[block].all(axis=0) & x_outside)
-        if not hits.size:
-            continue
-        x_coeffs = x_arr[hits[0]].tolist()
+
+    def least_hits():
+        # per r with a hit, in order, only the least x with r x in P[S] and x
+        # outside P[S]: no other x can be reported
+        for rows in _left_blocks(r_arr, x_arr):
+            hit = in_p[_block_product(r_arr[rows], act, add, x_arr, layout)].all(axis=0)
+            hit &= x_outside
+            for i in np.flatnonzero(hit.any(axis=1)).tolist():
+                yield rows.start + i, int(hit[i].argmax())
+
+    for ri, xi in least_hits():
         prime_ok, primary_ok = facts_for(r_content[ri])
+        if (prime_ok or prime_violation) and (primary_ok or primary_violation):
+            continue  # neither slot is open to this pair
+        pair = {"r": _terms_payload(window.series(ring, monoid, r_arr[ri].tolist())),
+                "x": _terms_payload(window.series(module, monoid, x_arr[xi].tolist()))}
         if not prime_ok and prime_violation is None:
-            prime_violation = {
-                "r": _terms_payload(window.series(ring, monoid, r_coeffs)),
-                "x": _terms_payload(window.series(module, monoid, x_coeffs)),
-            }
+            prime_violation = pair
         if not primary_ok and primary_violation is None:
-            primary_violation = {
-                "r": _terms_payload(window.series(ring, monoid, r_coeffs)),
-                "x": _terms_payload(window.series(module, monoid, x_coeffs)),
-                "exponent_bound": ring.size,
-            }
+            primary_violation = {**pair, "exponent_bound": ring.size}
         if prime_violation is not None and primary_violation is not None:
             break
 

@@ -7,14 +7,18 @@ the content ideal c(f) and annihilating it, and the per-pair loop of
 mccoy_equivalence, which closed c(fg) and probed the Dedekind-Mertens memo
 once per pair and replayed mccoy_witness on every vanishing pair, the search
 of regularity_transfer for an annihilating partner among all window tuples,
-and the closure of each row's content. The library now enumerates only
-supported tuples, multiplies a block of left tuples against every right-hand
-tuple at once, reads Ann_M(c(f)) as the intersection of the Ann_M(a) over the
-coefficients a of f, reads c(f) off a step table of content ids, looks up
-each distinct Dedekind-Mertens instance of a block once, computes one McCoy
-witness per content pair (c(f), c(g)), calls is_zero_divisor_series once per
-content in regularity_transfer, and searches partners only among the window
-tuples over the socles (0 :_M p) of the associated primes p.
+the closure of each row's content, and the per-row scans of
+domain_prime_extension and submodule_transfer, which multiplied one left
+tuple at a time and walked the window once for the domain clause and once
+more for each prime. The library now enumerates only supported tuples,
+multiplies a block of left tuples against every right-hand tuple at once,
+reads Ann_M(c(f)) as the intersection of the Ann_M(a) over the coefficients
+a of f, reads c(f) off a step table of content ids, looks up each distinct
+Dedekind-Mertens instance of a block once, computes one McCoy witness per
+content pair (c(f), c(g)), calls is_zero_divisor_series once per content in
+regularity_transfer, searches partners only among the window tuples over the
+socles (0 :_M p) of the associated primes p, and reads every clause of
+domain_prime_extension off one product per left block.
 """
 
 import functools
@@ -160,6 +164,136 @@ def mccoy_oracle(ring, module, monoid, window, dm_search=_dm_search, content=Non
                        "max_dm_exponent": max_k, "zero_product_pairs": len(replays),
                        "mccoy_witnesses_verified": len(replays),
                        "content_criterion_series": len(f_list)})
+
+
+def _report(statement, predicted, config, details, counterexample):
+    outcome = "pass" if counterexample is None else "counterexample"
+    return verify_mod.VerificationReport(statement, outcome, predicted, config, details,
+                                         counterexample).to_payload()
+
+
+def domain_prime_oracle(ring, module, monoid, window):
+    """The per-row domain_prime_extension: one product per left tuple, the
+    domain clause walked over the whole window first, then each prime on a
+    walk of its own. Returns the report payload (within the budget)."""
+    v = verify_mod
+    statement = "domain_prime_extension"
+    config = v._config_echo(window=window, budget=v.DEFAULT_BUDGET, ring=ring, module=module,
+                            monoid=monoid)
+    nf = window.count(ring.size)
+    primes = v.prime_ideals(ring)
+    is_domain = (not ring.is_zero_ring
+                 and v.zero_divisor_set(ring_as_module(ring)) == (1 << ring.zero))
+    ass = v.associated_primes(module) if module is not None and not module.is_zero_module else []
+    clause1 = (nf - 1) ** 2 if is_domain else 1
+    predicted = clause1 + len(primes) * nf * nf + len(ass) * nf
+    layout = _product_layout(monoid, window.exponents)
+    rzero = ring.zero
+    f_arr = window.coeff_array(ring.size, rzero)
+    f_list = f_arr.tolist()
+
+    def times_window(fi):
+        return _block_product(f_arr[fi:fi + 1], ring.mul_table, ring.add_table, f_arr,
+                              layout)[:, 0]
+
+    def counterexample(found):
+        return _report(statement, predicted, config, {}, found)
+
+    details = {"ring_is_domain": is_domain, "primes_checked": len(primes),
+               "associated_primes_checked": len(ass)}
+    if is_domain:
+        nonzero = (f_arr != rzero).any(axis=1)
+        for fi in np.flatnonzero(nonzero):
+            hits = np.flatnonzero((times_window(fi) == rzero).all(axis=0) & nonzero)
+            if hits.size:
+                return counterexample({
+                    "clause": "domain_transfer",
+                    "f": _terms_in(window, ring, monoid, f_list[fi]),
+                    "g": _terms_in(window, ring, monoid, f_list[hits[0]])})
+        details["domain_pairs"] = clause1
+    else:
+        a, b = v.is_prime_ideal(ideal_generated(ring, ()))[1] or (None, None)
+        details["non_domain_witness"] = None if a is None else [a, b]
+    for p in primes:
+        in_p = v.bitset.bools_from_mask(p.members, ring.size)
+        outside = ~in_p[f_arr].all(axis=1)
+        for fi in np.flatnonzero(outside):
+            hits = np.flatnonzero(in_p[times_window(fi)].all(axis=0) & outside)
+            if hits.size:
+                return counterexample({
+                    "clause": "extended_prime", "prime": list(p.members_tuple()),
+                    "f": _terms_in(window, ring, monoid, f_list[fi]),
+                    "g": _terms_in(window, ring, monoid, f_list[hits[0]])})
+    found = v._extended_annihilator_violation(ring, module, monoid, window, f_arr, ass,
+                                              "extended_associated_prime")
+    if found is not None:
+        return counterexample(found)
+    return _report(statement, predicted, config, details, None)
+
+
+def submodule_transfer_oracle(module, sub, monoid, window):
+    """The per-row submodule_transfer: one product per left tuple r, and the
+    prime and primary facts of c(r) read by closing c(r) and its powers.
+    Returns the report payload (within the budget)."""
+    v = verify_mod
+    ring = module.ring
+    config = v._config_echo(window=window, budget=v.DEFAULT_BUDGET, module=module,
+                            monoid=monoid)
+    config["submodule"] = list(sub.members_tuple())
+    classification = v.classify_submodule(module, sub)
+    layout = _product_layout(monoid, window.exponents)
+    in_p = v.bitset.bools_from_mask(sub.members, module.size)
+    full = finite_algebra.Submodule(module, module.full_mask)
+
+    def inside(ideal):
+        return v.bitset.is_subset(ideal_action_submodule(ideal, full).members, sub.members)
+
+    def facts_for(r):
+        cr = ideal_generated(ring, r)
+        powers = [cr]
+        while len(powers) == 1 or powers[-1].members != powers[-2].members:
+            powers.append(finite_algebra.ideal_product(powers[-1], cr))
+        return inside(cr), any(inside(q) for q in powers)
+
+    prime_violation = primary_violation = None
+    x_arr = window.coeff_array(module.size, module.zero)
+    x_outside = ~in_p[x_arr].all(axis=1)
+    r_arr = window.coeff_array(ring.size, ring.zero)
+    for ri, r in enumerate(r_arr.tolist()):
+        block = _block_product(r_arr[ri:ri + 1], module.action_table, module.add_table, x_arr,
+                               layout)[:, 0]
+        hits = np.flatnonzero(in_p[block].all(axis=0) & x_outside)
+        if not hits.size:
+            continue
+        pair = {"r": _terms_in(window, ring, monoid, r),
+                "x": _terms_in(window, module, monoid, x_arr[hits[0]].tolist())}
+        prime_ok, primary_ok = facts_for(r)
+        if not prime_ok and prime_violation is None:
+            prime_violation = pair
+        if not primary_ok and primary_violation is None:
+            primary_violation = {**pair, "exponent_bound": ring.size}
+        if prime_violation is not None and primary_violation is not None:
+            break
+    details = {
+        "base_is_proper": classification.is_proper,
+        "base_is_prime": classification.is_prime,
+        "base_is_primary": classification.is_primary,
+        "prime_transfer_holds": prime_violation is None,
+        "primary_transfer_holds": primary_violation is None,
+        "expected_prime_violation": None if classification.is_prime else prime_violation,
+        "expected_primary_violation": None if classification.is_primary else primary_violation,
+    }
+    counterexample = None
+    if classification.is_prime and prime_violation is not None:
+        counterexample = {"clause": "prime_transfer", **prime_violation}
+    elif classification.is_primary and primary_violation is not None:
+        counterexample = {"clause": "primary_transfer", **primary_violation}
+    return _report("submodule_transfer", window.count(ring.size) * len(x_arr), config,
+                   details, counterexample)
+
+
+def _terms_in(window, space, monoid, coeffs):
+    return verify_mod._terms_payload(window.series(space, monoid, coeffs))
 
 
 def relabeled_zmod(n, shift):
@@ -909,3 +1043,121 @@ def test_socle_partner_search_matches_full_window(label, ring, module):
         assert report.outcome == "pass"
         assert report.details["zero_divisors"] == sum(expected)
         assert report.instances_checked == len(f_arr)
+
+
+# ---------------------------------------------------------------------------
+# domain_prime_extension and submodule_transfer: one product per left block
+# against the per-row scans
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
+def test_domain_prime_extension_matches_per_row_scan(label, ring, module, block_pairs,
+                                                     monkeypatch):
+    # the real primes pass; with every ideal planted as a prime, in order and
+    # reversed, and the ring declared a domain or not, the clauses fail in
+    # many orders, and the first clause's least pair must be reported
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    ideals = finite_algebra.enumerate_ideals(ring)
+    real_zero_divisors = verify_mod.zero_divisor_set
+    for domain_claim, planted in itertools.product((False, True), (None, ideals, ideals[::-1])):
+        if planted is not None:
+            monkeypatch.setattr(verify_mod, "prime_ideals", lambda r, planted=planted: planted)
+        monkeypatch.setattr(verify_mod, "zero_divisor_set",
+                            (lambda m: 1 << m.zero) if domain_claim else real_zero_divisors)
+        for monoid, window in _windows_up_to(ring.size, 200):
+            report = verify_domain_prime_extension(ring, module, monoid, window)
+            assert report.to_payload() == domain_prime_oracle(ring, module, monoid, window)
+
+
+# Z/6 with index i standing for the residue i + 1: its first window row is
+# the regular 1 + X + X^2, and the least pair with a vanishing product is
+# f = 2 + 2X + 2X^2 (indices (1, 1, 1), row 43), g = 3 + 3X + 3X^2. The
+# planted non-prime {2, 4} (indices 1 and 3) fails at row 0 already, against
+# g = 2 + 2X^2: rows 0 and 43 lie in different blocks at every block size.
+SHIFTED_Z6 = relabeled_zmod(6, 1)
+W012 = SupportWindow(((0,), (1,), (2,)))
+NON_PRIME = finite_algebra.Ideal(SHIFTED_Z6, 0b1010)
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_domain_clause_outranks_an_earlier_prime_failure(block_pairs, monkeypatch):
+    ring = SHIFTED_Z6
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(verify_mod, "prime_ideals", lambda r: [NON_PRIME])
+    alone = verify_domain_prime_extension(ring, None, NAT, W012).counterexample
+    assert alone["clause"] == "extended_prime"
+    assert alone["f"] == _terms_in(W012, ring, NAT, (0, 0, 0))
+    # declared a domain: the walk goes on past the prime's failure to row 43
+    monkeypatch.setattr(verify_mod, "zero_divisor_set", lambda module: 1 << module.zero)
+    report = verify_domain_prime_extension(ring, None, NAT, W012)
+    assert report.to_payload() == domain_prime_oracle(ring, None, NAT, W012)
+    assert report.counterexample == {"clause": "domain_transfer",
+                                     "f": _terms_in(W012, ring, NAT, (1, 1, 1)),
+                                     "g": _terms_in(W012, ring, NAT, (2, 2, 2))}
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_first_prime_outranks_a_later_prime_failing_earlier(block_pairs, monkeypatch):
+    # not a domain; the planted primes are (0), failing first at row 43, and
+    # the non-prime failing at row 0: the least pair of (0) is reported
+    ring = SHIFTED_Z6
+    zero = finite_algebra.Ideal(ring, 1 << ring.zero)
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(verify_mod, "prime_ideals", lambda r: [zero, NON_PRIME])
+    report = verify_domain_prime_extension(ring, None, NAT, W012)
+    assert report.to_payload() == domain_prime_oracle(ring, None, NAT, W012)
+    assert report.counterexample == {"clause": "extended_prime", "prime": [ring.zero],
+                                     "f": _terms_in(W012, ring, NAT, (1, 1, 1)),
+                                     "g": _terms_in(W012, ring, NAT, (2, 2, 2))}
+
+
+def _violation_rows(report, window, ring):
+    rows = window.coeff_array(ring.size, ring.zero).tolist()
+
+    def row(violation):
+        coeffs = {e[0]: c for e, c in violation["r"]}
+        return rows.index([coeffs.get(e[0], ring.zero) for e in window.exponents])
+
+    details = report.details
+    return [row(details[key]) if details[key] else None
+            for key in ("expected_prime_violation", "expected_primary_violation")]
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+@pytest.mark.parametrize("ring,gens,rows", [
+    # (4) is primary: its primary slot never fills, so every block is walked
+    (build_zmod(12), [4], [2, None]),
+    # (6) fills both slots at r = 2X^2 and stops there
+    (build_zmod(12), [6], [2, 2]),
+    # Z/12 with index i standing for i + 6: r = 6 + 6X + 6X^2 (row 0) breaks
+    # primality only, and r = 6 + 6X + 8X^2 (row 2) primariness, in
+    # different blocks at every block size
+    (relabeled_zmod(12, 6), [], [0, 2]),
+], ids=["(4) of Z/12", "(6) of Z/12", "(0) of Z/12 shifted"])
+def test_submodule_transfer_matches_per_row_scan(ring, gens, rows, block_pairs, monkeypatch):
+    module = ring_as_module(ring)
+    sub = submodule_generated(module, gens)
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    for monoid, window in [(NAT, SupportWindow(((0,), (1,)))), (NAT, W012)]:
+        report = verify_submodule_transfer(module, sub, monoid, window)
+        assert report.outcome == "pass"
+        assert report.to_payload() == submodule_transfer_oracle(module, sub, monoid, window)
+    assert _violation_rows(report, W012, ring) == rows
+
+
+def test_one_block_product_per_left_block(monkeypatch):
+    calls = _spy(monkeypatch, "_block_product")
+    z132 = build_zmod(132)
+    report = verify_domain_prime_extension(z132, None, NAT, SupportWindow(((2,),)))
+    assert report.outcome == "pass" and report.details["primes_checked"] == 3
+    # 132 left rows against 132 right-hand tuples, 31 rows a block: every
+    # clause reads the same five products
+    assert [len(left) for left, *_ in calls] == [31, 31, 31, 31, 8]
+    calls.clear()
+    z12 = build_zmod(12)
+    m12 = ring_as_module(z12)
+    report = verify_submodule_transfer(m12, submodule_generated(m12, [4]), NAT, W012)
+    assert report.details["primary_transfer_holds"]
+    # 1,728 left rows against 1,728 right-hand tuples, two rows a block
+    assert len(calls) == 864
