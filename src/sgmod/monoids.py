@@ -19,11 +19,9 @@ from ._tables import (
     audit_commutative,
     audit_identity,
 )
-from .errors import PreconditionError, SizeCapError, StructureMismatchError
+from .errors import PreconditionError, StructureMismatchError
 
 MonoidElement = Union[int, tuple]
-
-DEFAULT_MONOID_CAP = 1024
 
 
 class Monoid:
@@ -101,36 +99,24 @@ def free_monoid(dim: int, label: str | None = None) -> Monoid:
     return Monoid(kind="affine", dim=dim, label=label or f"N^{dim}")
 
 
-def _check_order(order: int, cap: int) -> None:
-    """Raise before any table is built when the order exceeds the cap."""
-    if order > cap:
-        raise SizeCapError(f"monoid order {order} exceeds cap {cap}")
-
-
-def cyclic_group_monoid(k: int, label: str | None = None,
-                        cap: int = DEFAULT_MONOID_CAP) -> Monoid:
+def cyclic_group_monoid(k: int, label: str | None = None) -> Monoid:
     if k < 1:
         raise PreconditionError("cyclic group needs k >= 1")
-    _check_order(k, cap)
     idx = np.arange(k, dtype=INDEX_DTYPE)
     table = (idx[:, None] + idx[None, :]) % k
     return Monoid(kind="finite", cayley=table, identity=0, label=label or f"Z/{k} (additive)")
 
 
-def saturating_monoid(c: int, label: str | None = None,
-                      cap: int = DEFAULT_MONOID_CAP) -> Monoid:
+def saturating_monoid(c: int, label: str | None = None) -> Monoid:
     """{0..c} under capped addition s + t = min(s + t, c)."""
     if c < 1:
         raise PreconditionError("saturating monoid needs c >= 1")
-    _check_order(c + 1, cap)
     idx = np.arange(c + 1, dtype=INDEX_DTYPE)
     table = np.minimum(idx[:, None] + idx[None, :], c)
     return Monoid(kind="finite", cayley=table, identity=0, label=label or f"sat({c})")
 
 
-def monoid_from_table(cayley, identity: int, label: str = "S",
-                      cap: int = DEFAULT_MONOID_CAP) -> Monoid:
-    _check_order(len(cayley), cap)
+def monoid_from_table(cayley, identity: int, label: str = "S") -> Monoid:
     return Monoid(kind="finite", cayley=cayley, identity=identity, label=label)
 
 

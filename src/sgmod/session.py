@@ -32,7 +32,6 @@ from .finite_algebra import (
     zero_divisor_set,
 )
 from .monoids import (
-    DEFAULT_MONOID_CAP,
     Monoid,
     cyclic_group_monoid,
     free_monoid,
@@ -71,7 +70,10 @@ from .zd import (
 SESSION_KEYS = {"rings", "monoids", "modules", "submodules", "series", "commands",
                 "settings"}
 
-INTEGER_SETTINGS = ("budget", "zmod_cap", "ring_cap", "module_cap", "monoid_cap")
+INTEGER_SETTINGS = ("budget", "zmod_cap", "ring_cap", "module_cap")
+
+# the largest order of a finite monoid a session builds
+MONOID_CAP = 1024
 
 STATEMENTS = (
     "mccoy_equivalence",
@@ -191,17 +193,26 @@ class _Builder:
     def _build_monoid(self, name: str, defn: dict) -> Monoid:
         kind = defn.get("kind")
         obj = f"monoid '{name}'"
-        # the order is checked against the cap before any table is built
-        cap = self.session.settings.get("monoid_cap", DEFAULT_MONOID_CAP)
+
+        def check_order(order):
+            # the order is checked before any table is built
+            if order > MONOID_CAP:
+                raise SessionError(f"monoid order {order} exceeds cap {MONOID_CAP}", obj=obj)
+
         if kind == "free":
             return free_monoid(_integer(defn.get("dim", 1), "dim", obj))
         if kind == "cyclic_group":
-            return cyclic_group_monoid(_integer(defn["k"], "k", obj), cap=cap)
+            k = _integer(defn["k"], "k", obj)
+            check_order(k)
+            return cyclic_group_monoid(k)
         if kind == "saturating":
-            return saturating_monoid(_integer(defn["c"], "c", obj), cap=cap)
+            c = _integer(defn["c"], "c", obj)
+            check_order(c + 1)
+            return saturating_monoid(c)
         if kind == "table":
+            check_order(len(defn["cayley"]))
             identity = _integer(defn["identity"], "identity", obj)
-            return monoid_from_table(defn["cayley"], identity, label=name, cap=cap)
+            return monoid_from_table(defn["cayley"], identity, label=name)
         raise SessionError(f"unknown monoid kind {kind!r}", obj=obj)
 
     def _build_module(self, name: str, defn: dict) -> FiniteModule:

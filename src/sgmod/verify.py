@@ -527,7 +527,8 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     layout = _product_layout(monoid, window.exponents)
     f_arr = window.coeff_array(ring.size, ring.zero)
     mul, add = _index_copies(ring.mul_table, ring.add_table)
-    masks = [1 << ring.zero] * is_domain + [p.members for p in primes]
+    first_prime = int(is_domain)  # index of primes[0] among the clauses
+    masks = ([1 << ring.zero] if is_domain else []) + [p.members for p in primes]
     inside = [bitset.bools_from_mask(mask, ring.size) for mask in masks]
     outside = [~member[f_arr].all(axis=1) for member in inside]
     least: dict = {}
@@ -548,8 +549,8 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
         k = min(least)
         f_series, g_series = (window.series(ring, monoid, f_arr[i].tolist()) for i in least[k])
         clause = {"clause": "domain_transfer"}
-        if k >= is_domain:
-            p = primes[k - is_domain]
+        if k >= first_prime:
+            p = primes[k - first_prime]
             if not extended_ideal_membership(series_multiply(f_series, g_series),
                                              ExtendedIdeal(p, monoid)):
                 raise InvariantViolation("extended prime violation failed replay")

@@ -2,7 +2,6 @@ import pytest
 
 from sgmod import (
     AxiomError,
-    SizeCapError,
     StructureMismatchError,
     cyclic_group_monoid,
     free_monoid,
@@ -43,31 +42,6 @@ class TestConstruction:
         table = [[0, 1, 2], [1, 2, 2], [2, 2, 0]]
         with pytest.raises(AxiomError, match="associative"):
             monoid_from_table(table, 0)
-
-
-class TestOrderCap:
-    # orders so large that a table built before the check fails at once
-    HUGE = 10**18
-
-    def test_builders_check_the_default_cap_first(self):
-        with pytest.raises(SizeCapError, match=f"monoid order {self.HUGE} exceeds cap 1024"):
-            cyclic_group_monoid(self.HUGE)
-        with pytest.raises(SizeCapError, match=f"monoid order {self.HUGE + 1} exceeds cap 1024"):
-            saturating_monoid(self.HUGE)
-        # rows are never read: the table would fail its own shape check
-        with pytest.raises(SizeCapError, match="monoid order 1025 exceeds cap 1024"):
-            monoid_from_table([[0]] * 1025, 0)
-
-    def test_cap_argument_bounds_the_order(self):
-        assert cyclic_group_monoid(4, cap=4).order == 4
-        assert saturating_monoid(3, cap=4).order == 4
-        assert monoid_from_table([[0, 1], [1, 0]], 0, cap=2).order == 2
-        with pytest.raises(SizeCapError, match="monoid order 5 exceeds cap 4"):
-            cyclic_group_monoid(5, cap=4)
-        with pytest.raises(SizeCapError, match="monoid order 5 exceeds cap 4"):
-            saturating_monoid(4, cap=4)
-        with pytest.raises(SizeCapError, match="monoid order 2 exceeds cap 1"):
-            monoid_from_table([[0, 1], [1, 0]], 0, cap=1)
 
 
 class TestAddition:
