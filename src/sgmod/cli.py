@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import __version__
 from .errors import SessionError
@@ -27,8 +28,10 @@ BUDGET_ENV_VAR = "SGMOD_BUDGET"
 
 # json.dumps with keyword arguments builds a new encoder on every call; each
 # output form has one, built here. The canonical form is what payload_hash hashes.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_JSON_LINE = json.JSONEncoder(sort_keys=True)
+# Commands and payloads are trees of plain JSON values, so there is no cycle to
+# check for (a payload shared by several records is not one).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_JSON_LINE = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def canonical_json(value) -> str:
@@ -60,49 +63,75 @@ def finish_record(record: dict, key: str | None = None) -> dict:
     return record
 
 
-def exit_code_for(records: list[dict]) -> int:
-    has_counterexample = False
-    has_error = False
-    has_skipped = False
+def _tally(records: list[dict]) -> tuple[int, int, int]:
+    """The numbers of error records, counterexample outcomes and skipped outcomes."""
+    errors = counterexamples = skipped = 0
     for record in records:
         if record["status"] == "error":
-            has_error = True
-        payload = record.get("payload", {})
+            errors += 1
+        payload = record.get("payload")
         if isinstance(payload, dict):
-            if payload.get("outcome") == "counterexample":
-                has_counterexample = True
-            if payload.get("outcome") == "skipped":
-                has_skipped = True
-    if has_counterexample:
+            outcome = payload.get("outcome")
+            if outcome == "counterexample":
+                counterexamples += 1
+            elif outcome == "skipped":
+                skipped += 1
+    return errors, counterexamples, skipped
+
+
+def _code_from_tally(errors: int, counterexamples: int, skipped: int) -> int:
+    if counterexamples:
         return 1
-    if has_error:
+    if errors:
         return 2
-    if has_skipped:
+    if skipped:
         return 3
     return 0
 
 
+def exit_code_for(records: list[dict]) -> int:
+    return _code_from_tally(*_tally(records))
+
+
+def _json_lines(records: list[dict]):
+    """_JSON_LINE.encode(record) for each record, built with each payload encoded once.
+
+    The parts are joined in the sorted key order of a finished record: command,
+    elapsed_ms, payload, payload_hash, status, version. Repeats of a command share
+    its first record's payload object (run_session), so the text is keyed by the
+    payload's id; every record is alive until the last line is built, so no id is
+    reused. elapsed_ms is a finite float, which JSON writes as float.__repr__ does.
+    """
+    payload_texts: dict[int, str] = {}
+    for record in records:
+        payload = record["payload"]
+        text = payload_texts.get(id(payload))
+        if text is None:
+            text = payload_texts[id(payload)] = _JSON_LINE.encode(payload)
+        yield ('{"command": ' + _JSON_LINE.encode(record["command"])
+               + ', "elapsed_ms": ' + float.__repr__(record["elapsed_ms"])
+               + ', "payload": ' + text
+               + ', "payload_hash": ' + _json_string(record["payload_hash"])
+               + ', "status": ' + _json_string(record["status"])
+               + ', "version": ' + _json_string(record["version"]) + "}")
+
+
 def emit_report(records: list[dict], fmt: str, stream) -> int:
     """Write all records plus a summary; returns the exit code."""
-    code = exit_code_for(records)
+    errors, counterexamples, skipped = _tally(records)
+    code = _code_from_tally(errors, counterexamples, skipped)
     try:
         if fmt == "human":
             _emit_human(records, code, stream)
         else:
-            for record in records:
-                stream.write(_JSON_LINE.encode(record) + "\n")
+            for line in _json_lines(records):
+                stream.write(line + "\n")
             summary = {
                 "summary": {
                     "commands": len(records),
-                    "errors": sum(1 for r in records if r["status"] == "error"),
-                    "counterexamples": sum(
-                        1 for r in records
-                        if isinstance(r.get("payload"), dict)
-                        and r["payload"].get("outcome") == "counterexample"),
-                    "skipped": sum(
-                        1 for r in records
-                        if isinstance(r.get("payload"), dict)
-                        and r["payload"].get("outcome") == "skipped"),
+                    "errors": errors,
+                    "counterexamples": counterexamples,
+                    "skipped": skipped,
                     "exit_code": code,
                     "version": __version__,
                 }

@@ -265,12 +265,15 @@ class _Builder:
 
 
 def _reject_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise SessionError(f"duplicate name {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        # name the first key that repeats, in document order
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SessionError(f"duplicate name {key!r}")
+            seen.add(key)
+    return obj
 
 
 def _integer(value, key: str, obj: str | None = None) -> int:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgmod
 import sgmod.cli as cli
 import sgmod.session as session_mod
 from sgmod import SessionError, dump_session, execute, load_session
@@ -84,6 +85,38 @@ class TestLoadSession:
                         '"R": {"kind": "zmod", "n": 3}}, "commands": []}')
         with pytest.raises(SessionError, match="duplicate"):
             load_session(str(path))
+
+    # each document repeats two keys at one level, in the order x, y, y, x: the
+    # error names y, the first key seen again in document order
+    @pytest.mark.parametrize("text,key", [
+        ('{"rings": {}, "commands": [], "commands": [], "rings": {}}', "commands"),
+        ('{"rings": {"R": {"kind": "zmod", "n": 2}, "T": {"kind": "zmod", "n": 3}, '
+         '"T": {"kind": "zmod", "n": 5}, "R": {"kind": "zmod", "n": 7}}, "commands": []}', "T"),
+        ('{"rings": {"R": {"kind": "zmod", "n": 2, "n": 3, "kind": "zmod"}}, "commands": []}',
+         "n"),
+        ('{"rings": {"R": {"kind": "zmod", "n": 2}}, '
+         '"commands": [{"op": "dm", "f": "f", "g": "g", "g": "h", "f": "h"}]}', "g"),
+        ('{"rings": {"R": {"kind": "zmod", "n": 2}}, "monoids": {"N": {"kind": "free", "dim": 1}}, '
+         '"series": {"f": {"ring": "R", "monoid": "N", "terms": [{"exponent": 0, '
+         '"coefficient": 1, "coefficient": 0, "exponent": 1}]}}, "commands": []}', "coefficient"),
+    ], ids=["top_level", "section", "definition", "command", "series_term"])
+    def test_duplicate_error_names_the_first_repeated_key(self, tmp_path, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        with pytest.raises(SessionError) as err:
+            load_session(str(path))
+        assert str(err.value) == f"duplicate name {key!r}"
+
+    @pytest.mark.parametrize("name", ["demo_session.json", "golden_session.json",
+                                      "module_structure_seed11.json"])
+    def test_documents_without_duplicates_parse_as_plain_json(self, name):
+        with open(os.path.join(os.path.dirname(DEMO), name), encoding="utf-8") as fh:
+            text = fh.read()
+        hooked = json.loads(text, object_pairs_hook=session_mod._reject_duplicate_keys)
+        plain = json.loads(text)
+        assert hooked == plain
+        # key order too, all the way down
+        assert json.dumps(hooked) == json.dumps(plain)
 
 
 class TestRoundTrip:
@@ -421,6 +454,68 @@ class TestRunSessionRepeats:
         assert len(calls) == 2
         assert first["payload"] == second["payload"]
         assert first["payload"] is not second["payload"]
+
+
+def _emit_session(tmp_path):
+    """The repeat session plus non-ASCII labels: a module named with one, which
+    runs, and a dm cap that is one, whose error message carries it."""
+    with open(_repeat_session(tmp_path), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["modules"]["Mödul ℤ/6"] = {"kind": "ring_as_module", "ring": "R6"}
+    doc["commands"] += [{"op": "analyze", "module": "Mödul ℤ/6"},
+                        {"op": "dm", "f": "h", "g": "h", "cap": "ℤ/7 é"},
+                        {"module": "Mödul ℤ/6", "op": "analyze"}]
+    return write_session(tmp_path, doc, name="emit.json")
+
+
+class TestEmitReport:
+    def test_lines_are_the_sorted_json_of_each_record(self, tmp_path):
+        records = run_session(load_session(_emit_session(tmp_path)), None)
+        out = io.StringIO()
+        code = cli.emit_report(records, "json-lines", out)
+        lines = out.getvalue().splitlines()
+        assert code == 2
+        assert lines[:-1] == [json.dumps(record, sort_keys=True) for record in records]
+        assert json.loads(lines[-1])["summary"] == {
+            "commands": 19, "errors": 6, "counterexamples": 0, "skipped": 2,
+            "exit_code": 2, "version": sgmod.__version__}
+        statuses = [record["status"] for record in records[-3:]]
+        assert statuses == ["ok", "error", "ok"]
+        # the labels reach the lines escaped, in the command and in the error payload
+        assert "M\\u00f6dul \\u2124/6" in lines[-4]
+        assert "é" in str(json.loads(lines[-3])["payload"])
+
+    def test_records_sharing_a_payload_keep_their_own_command_and_hash(self):
+        shared = {"degree": 2, "primes": [[0, 2, 4], [0, 3]]}
+        records = [finish_record({"command": {"op": "analyze", "module": name},
+                                  "status": "ok", "payload": shared, "elapsed_ms": ms})
+                   for name, ms in (("A", 1.25), ("B", 0.5))]
+        out = io.StringIO()
+        assert cli.emit_report(records, "json-lines", out) == 0
+        lines = out.getvalue().splitlines()
+        assert lines[:2] == [json.dumps(record, sort_keys=True) for record in records]
+        parsed = [json.loads(line) for line in lines[:2]]
+        assert [p["command"]["module"] for p in parsed] == ["A", "B"]
+        assert [p["payload_hash"] for p in parsed] == [
+            payload_hash({"op": "analyze", "module": name}, shared) for name in "AB"]
+        assert parsed[0]["payload_hash"] != parsed[1]["payload_hash"]
+
+    def test_each_distinct_payload_is_encoded_once(self, tmp_path, monkeypatch):
+        records = run_session(load_session(_emit_session(tmp_path)), None)
+        payload_ids = {id(record["payload"]) for record in records}
+        assert len(payload_ids) == 10 < len(records)
+        encoded = []
+        real_encoder = cli._JSON_LINE
+
+        class CountingEncoder:
+            def encode(self, value):
+                encoded.append(value)
+                return real_encoder.encode(value)
+
+        monkeypatch.setattr(cli, "_JSON_LINE", CountingEncoder())
+        cli.emit_report(records, "json-lines", io.StringIO())
+        encoded_payloads = [id(value) for value in encoded if id(value) in payload_ids]
+        assert sorted(encoded_payloads) == sorted(payload_ids)
 
 
 def _z5_tables():
