@@ -39,26 +39,29 @@ def canonical_json(value) -> str:
 
 
 def payload_hash(command: dict, payload: dict) -> str:
-    return _hash_blob(canonical_json(command), payload)
+    return _hash_blob(canonical_json(command), canonical_json(payload))
 
 
-def _hash_blob(command_json: str, payload) -> str:
-    # canonical_json({"command": ..., "payload": ...}) with the command already
+def _hash_blob(command_json: str, payload_json: str) -> str:
+    # canonical_json({"command": ..., "payload": ...}) from the two parts already
     # encoded: sort_keys puts "command" before "payload"
-    blob = '{"command":' + command_json + ',"payload":' + canonical_json(payload) + "}"
+    blob = '{"command":' + command_json + ',"payload":' + payload_json + "}"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def finish_record(record: dict, key: str | None = None) -> dict:
+def finish_record(record: dict, key: str | None = None,
+                  payload_json: str | None = None) -> dict:
     """Attach the deterministic hash and version stamp; elapsed stays outside.
 
-    key, when given, is canonical_json(record["command"]), so the command is
-    not encoded again.
+    key and payload_json, when given, are canonical_json of record["command"]
+    and of record["payload"], so neither is encoded again.
     """
     record = dict(record)
     if key is None:
         key = canonical_json(record["command"])
-    record["payload_hash"] = _hash_blob(key, record["payload"])
+    if payload_json is None:
+        payload_json = canonical_json(record["payload"])
+    record["payload_hash"] = _hash_blob(key, payload_json)
     record["version"] = __version__
     return record
 
@@ -98,9 +101,10 @@ def _json_lines(records: list[dict]):
 
     The parts are joined in the sorted key order of a finished record: command,
     elapsed_ms, payload, payload_hash, status, version. Repeats of a command share
-    its first record's payload object (run_session), so the text is keyed by the
-    payload's id; every record is alive until the last line is built, so no id is
-    reused. elapsed_ms is a finite float, which JSON writes as float.__repr__ does.
+    its first record's payload object (run_session), and so do the commands that
+    reach one memoized result, so the text is keyed by the payload's id; every
+    record is alive until the last line is built, so no id is reused. elapsed_ms
+    is a finite float, which JSON writes as float.__repr__ does.
     """
     payload_texts: dict[int, str] = {}
     for record in records:
@@ -180,16 +184,26 @@ def run_session(session: Session, budget: int | None) -> list[dict]:
     the first one's status, payload, payload_hash and version (the payload
     object is shared, not copied), its own command as given, and the time of
     its lookup as elapsed_ms.
+
+    Distinct commands can share a payload object too: those of analyze, dm and
+    zdtest are built once per memoized result (execute). So the canonical text
+    of a payload is keyed by its id, as in _json_lines; the records hold every
+    payload until the run ends, so no id is reused.
     """
     records = []
     answered: dict[str, dict] = {}
+    payload_texts: dict[int, str] = {}
     for command in session.commands:
         t0 = time.perf_counter()
         key = canonical_json(command)
         first = answered.get(key)
         if first is None:
-            first = answered[key] = finish_record(execute(session, command, budget=budget),
-                                                  key)
+            record = execute(session, command, budget=budget)
+            payload = record["payload"]
+            text = payload_texts.get(id(payload))
+            if text is None:
+                text = payload_texts[id(payload)] = canonical_json(payload)
+            first = answered[key] = finish_record(record, key, text)
             records.append(first)
         else:
             records.append(dict(first, command=command,

@@ -7,6 +7,8 @@ only fact the algebra layer needs.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from typing import Union
 
@@ -170,52 +172,55 @@ def is_cancellative(monoid: Monoid) -> tuple[bool, tuple | None]:
     return result
 
 
-def _orbit_size(monoid: Monoid, e: int) -> int:
-    seen = set()
-    x = e
-    while x not in seen:
-        seen.add(x)
-        x = monoid.add(x, e)
-    return len(seen)
+def _orbit(rows: list, e: int) -> tuple[int, int]:
+    """The index i and period p of the sequence n*e, n >= 1, from one walk.
+
+    n*e = (n + p)*e exactly when n >= i, and the orbit {n*e} has i + p - 1
+    elements, so the walk takes at most order steps.
+    """
+    first = {}
+    x, n = e, 1
+    while x not in first:
+        first[x] = n
+        x, n = rows[x][e], n + 1
+    return first[x], n - first[x]
 
 
 def is_torsion_free(monoid: Monoid) -> tuple[bool, tuple | None]:
-    """Search for s != t with n*s = n*t; bound n <= order^2 is exhaustive.
+    """Search for s != t with n*s = n*t; a failure returns (s, t, n).
 
-    The pair sequence (n*s, n*t) lives in a set of size order^2, so any
-    coincidence repeats within order^2 steps (pigeonhole). The witness picks
-    the first pair in (min, max) order, presents the element with the larger
-    cyclic orbit first, and reports the minimal exponent for that pair.
+    The witness picks the first pair in (min, max) order, presents the element
+    with the larger cyclic orbit first, and reports the minimal exponent for
+    that pair.
     """
-    if monoid._torsion_free is not None:
-        return monoid._torsion_free
-    if not monoid.is_finite:
-        result = (True, None)
-    else:
-        result = (True, None)
-        k = monoid.order
-        bound = k * k
-        for a in range(k):
-            for b in range(a + 1, k):
-                xa, xb = a, b
-                found = None
-                for n in range(1, bound + 1):
-                    if n > 1:
-                        xa = monoid.add(xa, a)
-                        xb = monoid.add(xb, b)
-                    if xa == xb:
-                        found = n
-                        break
-                if found is not None:
-                    s, t = a, b
-                    if _orbit_size(monoid, b) > _orbit_size(monoid, a):
-                        s, t = b, a
-                    result = (False, (s, t, found))
-                    break
-            if result[0] is False:
-                break
-    monoid._torsion_free = result
-    return result
+    if monoid._torsion_free is None:
+        witness = _torsion_witness(monoid) if monoid.is_finite else None
+        monoid._torsion_free = (witness is None, witness)
+    return monoid._torsion_free
+
+
+def _torsion_witness(monoid: Monoid) -> tuple | None:
+    """Each pair's walk stops where its orbits show it never merges.
+
+    From n = max(i_s, i_t) on, the pair sequence (n*s, n*t) is periodic with
+    period lcm(p_s, p_t) (see _orbit). So the least n with n*s = n*t, if there
+    is one, is below max(i_s, i_t) + lcm(p_s, p_t): a later merge would repeat
+    one period earlier. The order^2 pigeonhole bound caps the walk as well.
+    """
+    k = monoid.order
+    rows = monoid._rows
+    orbit = functools.cache(lambda e: _orbit(rows, e))  # walked when first needed
+    for a in range(k):
+        i_a, p_a = orbit(a)
+        for b in range(a + 1, k):
+            i_b, p_b = orbit(b)
+            xa, xb = a, b
+            for n in range(1, min(max(i_a, i_b) + math.lcm(p_a, p_b) - 1, k * k) + 1):
+                if xa == xb:
+                    # the orbit of x has i_x + p_x - 1 elements
+                    return (b, a, n) if i_b + p_b > i_a + p_a else (a, b, n)
+                xa, xb = rows[xa][a], rows[xb][b]
+    return None
 
 
 def same_monoid(a: Monoid, b: Monoid) -> bool:

@@ -219,6 +219,19 @@ class DMResult:
     chain: tuple[DMStep, ...]
     cap_used: int
 
+    # the `dm` payload, built once per memoized transcript by the first command
+    # that reaches it; the window verifiers read k_min only and never build it
+    @cached_property
+    def payload(self) -> dict:
+        return {
+            "k_min": self.k_min,
+            "cap_used": self.cap_used,
+            "chain": [{"k": step.k,
+                       "lhs": list(step.lhs.members_tuple()),
+                       "rhs": list(step.rhs.members_tuple()),
+                       "equal": step.equal} for step in self.chain],
+        }
+
 
 def _dm_search(cf: Ideal, cg: Submodule, cfg: Submodule, cap: int) -> DMResult:
     """The Dedekind-Mertens transcript of the contents c(f), c(g) and c(fg).
@@ -349,13 +362,22 @@ class ZeroDivisorVerdict:
     witness: int | None          # nonzero m with f*m = 0, replay-verified
     annihilator: Submodule       # Ann_M(c(f)), the evidence either way
 
+    # the `zdtest` payload, built once per memoized verdict
+    @cached_property
+    def payload(self) -> dict:
+        return {"is_zero_divisor": self.is_zero_divisor,
+                "witness": self.witness,
+                "annihilator": list(self.annihilator.members_tuple())}
+
 
 def is_zero_divisor_series(f: Series, module: FiniteModule) -> ZeroDivisorVerdict:
     """Decide membership of f in the zero-divisors of M[S] via content annihilators.
 
     A nonzero annihilator of c(f) yields a verified constant witness; a zero
     annihilator certifies regularity. This makes the test decidable although
-    M[S] itself is infinite.
+    M[S] itself is infinite. The verdict depends on f only through
+    Ann_M(c(f)), so it is memoized per module on the annihilator's members;
+    the witness is replayed against this f on every call, hit or miss.
     """
     if not _space_is_ring(f.space):
         raise StructureMismatchError("f must have ring coefficients")
@@ -366,13 +388,16 @@ def is_zero_divisor_series(f: Series, module: FiniteModule) -> ZeroDivisorVerdic
     _require_good_monoid(f.monoid, "zero-divisor test")
     # Ann_M(c(f)) is the intersection of the Ann_M(a) over the coefficients a
     ann = annihilator_in_module(f.coefficients, module)
-    zero_mask = 1 << module.zero
-    if ann.members == zero_mask:
-        return ZeroDivisorVerdict(False, None, ann)
-    m = bitset.lowest_bit(ann.members & ~zero_mask)
-    if not _killed_by(f, module)[m]:
+    key = ("zdv", ann.members)
+    verdict = module._cache.get(key)
+    if verdict is None:
+        # the least nonzero element of the annihilator, if any, is the witness
+        nonzero = ann.members & ~(1 << module.zero)
+        verdict = module._cache[key] = ZeroDivisorVerdict(
+            nonzero != 0, bitset.lowest_bit(nonzero), ann)
+    if verdict.is_zero_divisor and not _killed_by(f, module)[verdict.witness]:
         raise InvariantViolation("zero-divisor witness failed replay")
-    return ZeroDivisorVerdict(True, m, ann)
+    return verdict
 
 
 @dataclass(frozen=True)

@@ -383,7 +383,9 @@ def execute(session: Session, command: dict, budget: int | None = None) -> dict:
 
     The payload goes into the record as built: every command handler returns
     plain Python values (dicts, lists, strs, ints, floats, bools, None), so
-    the record encodes as is.
+    the record encodes as is. The payloads of analyze, dm and zdtest are built
+    once per memoized result (module, transcript, verdict) and shared by every
+    call that reaches it, so they are read-only.
     """
     t0 = time.perf_counter()
     effective_budget = budget if budget is not None else session.budget
@@ -438,6 +440,14 @@ def _named(session: Session, kind: str, name, obj: str | None = None):
 
 def _cmd_analyze(session: Session, command: dict) -> dict:
     module = _get(session, "modules", command, "module")
+    # every report read here is memoized per module, and so is the payload
+    payload = module._cache.get("analyze")
+    if payload is None:
+        payload = module._cache["analyze"] = _analyze_payload(module)
+    return payload
+
+
+def _analyze_payload(module: FiniteModule) -> dict:
     zmask = zero_divisor_set(module)
     decomp = decompose_zero_divisors(module)
     very_few = has_very_few_zero_divisors(module)
@@ -478,14 +488,7 @@ def _cmd_dm(session: Session, command: dict) -> dict:
     g = _get(session, "series", command, "g")
     cap = command.get("cap")
     result = dedekind_mertens_exponent(f, g, cap=None if cap is None else _integer(cap, "cap"))
-    return {
-        "k_min": result.k_min,
-        "cap_used": result.cap_used,
-        "chain": [{"k": step.k,
-                   "lhs": list(step.lhs.members_tuple()),
-                   "rhs": list(step.rhs.members_tuple()),
-                   "equal": step.equal} for step in result.chain],
-    }
+    return result.payload
 
 
 def _cmd_mccoy(session: Session, command: dict) -> dict:
@@ -498,10 +501,7 @@ def _cmd_mccoy(session: Session, command: dict) -> dict:
 def _cmd_zdtest(session: Session, command: dict) -> dict:
     f = _get(session, "series", command, "f")
     module = _get(session, "modules", command, "module")
-    verdict = is_zero_divisor_series(f, module)
-    return {"is_zero_divisor": verdict.is_zero_divisor,
-            "witness": verdict.witness,
-            "annihilator": list(verdict.annihilator.members_tuple())}
+    return is_zero_divisor_series(f, module).payload
 
 
 def _cmd_counterexample(session: Session, command: dict) -> dict:

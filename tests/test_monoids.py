@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from sgmod import (
@@ -12,6 +14,53 @@ from sgmod import (
     monoid_scale,
     saturating_monoid,
 )
+
+
+def _oracle_orbit_size(monoid, e):
+    seen = set()
+    x = e
+    while x not in seen:
+        seen.add(x)
+        x = monoid.add(x, e)
+    return len(seen)
+
+
+def oracle_torsion_scan(monoid):
+    """The torsion scan that walks every pair to the order^2 pigeonhole bound."""
+    k = monoid.order
+    bound = k * k
+    for a in range(k):
+        for b in range(a + 1, k):
+            xa, xb = a, b
+            for n in range(1, bound + 1):
+                if n > 1:
+                    xa = monoid.add(xa, a)
+                    xb = monoid.add(xb, b)
+                if xa == xb:
+                    s, t = a, b
+                    if _oracle_orbit_size(monoid, b) > _oracle_orbit_size(monoid, a):
+                        s, t = b, a
+                    return (False, (s, t, n))
+    return (True, None)
+
+
+def product_monoid(left, right):
+    """S x T as a Cayley table, (s, t) at index s * |T| + t."""
+    k = right.order
+    table = [[left.add(s1, s2) * k + right.add(t1, t2)
+              for s2, t2 in itertools.product(left.elements(), right.elements())]
+             for s1, t1 in itertools.product(left.elements(), right.elements())]
+    return monoid_from_table(table, left.identity * k + right.identity,
+                             label=f"{left.label} x {right.label}")
+
+
+SMALL = ([cyclic_group_monoid(k) for k in range(1, 13)]
+         + [saturating_monoid(c) for c in range(1, 41)])
+FACTORS = (cyclic_group_monoid(2), cyclic_group_monoid(3), saturating_monoid(1),
+           saturating_monoid(2))
+PRODUCTS = [product_monoid(a, b) for a, b in itertools.product(
+    FACTORS, (cyclic_group_monoid(2), cyclic_group_monoid(4), saturating_monoid(1),
+              saturating_monoid(3)))]
 
 
 class TestConstruction:
@@ -127,3 +176,16 @@ class TestTorsionFree:
 
     def test_trivial_monoid_is_torsion_free(self):
         assert is_torsion_free(cyclic_group_monoid(1)) == (True, None)
+
+    @pytest.mark.parametrize("monoid", SMALL + PRODUCTS, ids=lambda m: m.label)
+    def test_matches_the_pigeonhole_scan(self, monoid):
+        assert is_torsion_free(monoid) == oracle_torsion_scan(monoid)
+
+    def test_products_cover_both_verdicts(self):
+        verdicts = {is_torsion_free(monoid)[0] for monoid in PRODUCTS}
+        assert verdicts == {True, False}
+
+    def test_saturating_pairs_stop_at_their_orbits(self):
+        # no pair (0, b) of sat(c) ever merges; each stops after about c/b
+        # steps instead of (c + 1)^2, and (1, 2) merges at n = c
+        assert is_torsion_free(saturating_monoid(400)) == (False, (1, 2, 400))

@@ -14,6 +14,7 @@ from sgmod import (
     PreconditionError,
     StructureMismatchError,
     Submodule,
+    SupportWindow,
     build_noncancellative_counterexample,
     build_torsion_counterexample,
     build_truncated_poly_ring,
@@ -38,10 +39,12 @@ from sgmod import (
     series_multiply,
     series_neg,
     submodule_generated,
+    verify_mccoy_equivalence,
+    verify_regularity_transfer,
     zero_series,
 )
 import sgmod.series as series_mod
-from sgmod.series import DMResult, DMStep, Series, content_mccoy_witness
+from sgmod.series import DMResult, DMStep, Series, ZeroDivisorVerdict, content_mccoy_witness
 from test_lattice import RINGS
 
 
@@ -539,6 +542,48 @@ class TestDedekindMertensMemo:
                 content(f), content(g), content(series_multiply(f, g)), len(g.terms) + 1)
 
 
+class TestPayloadMemo:
+    """The dm and zdtest payloads are built once per memoized result."""
+
+    def test_one_transcript_one_payload(self, nat):
+        z6 = build_zmod(6)
+        m6 = z6.as_module()
+        # contents (2), (3) and c(fg) = 0 for both pairs, and cap 2
+        first = dedekind_mertens_exponent(ring_series(z6, nat, 2, 2),
+                                          make_series(m6, nat, [((0,), 3)]))
+        assert "payload" not in vars(first)
+        second = dedekind_mertens_exponent(ring_series(z6, nat, 4, 0, 2),
+                                           make_series(m6, nat, [((1,), 3)]))
+        assert second is first
+        assert first.payload is second.payload
+        assert first.payload == {"k_min": 1, "cap_used": 2,
+                                 "chain": [{"k": 1, "lhs": [0], "rhs": [0], "equal": True}]}
+
+    def test_window_verifier_builds_no_payload(self, nat):
+        z6 = build_zmod(6)
+        m6 = z6.as_module()
+        window = SupportWindow(((0,), (1,)))
+        for verify in (verify_mccoy_equivalence, verify_regularity_transfer):
+            assert verify(z6, m6, nat, window).outcome == "pass"
+        transcripts = [v for v in m6._cache.values() if isinstance(v, DMResult)]
+        verdicts = [v for v in m6._cache.values() if isinstance(v, ZeroDivisorVerdict)]
+        assert transcripts and verdicts
+        assert not any("payload" in vars(v) for v in transcripts + verdicts)
+
+    def test_one_annihilator_one_verdict(self, nat):
+        z6 = build_zmod(6)
+        m6 = z6.as_module()
+        for coeffs, other, payload in (
+                ((2, 4), (4, 0, 2), {"is_zero_divisor": True, "witness": 3,
+                                     "annihilator": [0, 3]}),
+                ((1, 2), (5,), {"is_zero_divisor": False, "witness": None,
+                                "annihilator": [0]})):
+            first = is_zero_divisor_series(ring_series(z6, nat, *coeffs), m6)
+            assert is_zero_divisor_series(ring_series(z6, nat, *other), m6) is first
+            assert first.payload is first.payload
+            assert first.payload == payload
+
+
 class TestCoefficientReplay:
     def test_planted_mccoy_witness_fails_replay(self, z6, m6, nat, monkeypatch):
         f = ring_series(z6, nat, 2, 4)
@@ -557,6 +602,20 @@ class TestCoefficientReplay:
                             lambda subset, module: Submodule(module, 0b11))
         with pytest.raises(InvariantViolation, match="^zero-divisor witness failed replay$"):
             is_zero_divisor_series(f, m6)
+
+    def test_memo_hit_still_replays_the_witness(self, nat, monkeypatch):
+        z6 = build_zmod(6)
+        m6 = z6.as_module()
+        first = is_zero_divisor_series(ring_series(z6, nat, 2, 4), m6)
+        assert first.witness == 3
+        # c(f) = (2) again, so Ann(c(f)) = (0, 3) reaches the memoized verdict,
+        # and its witness is replayed against this f with a kernel that kills nothing
+        f = ring_series(z6, nat, 4, 0, 2)
+        monkeypatch.setattr(series_mod, "_killed_by", lambda f, module: [False] * module.size)
+        with pytest.raises(InvariantViolation, match="^zero-divisor witness failed replay$"):
+            is_zero_divisor_series(f, m6)
+        monkeypatch.undo()
+        assert is_zero_divisor_series(f, m6) is first
 
     def test_replay_agrees_with_the_product(self, z6, m6, sat2, nat, c2):
         # f kills m exactly when f * m = 0, on good and bad monoids alike

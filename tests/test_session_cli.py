@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 import sgmod
 import sgmod.cli as cli
 import sgmod.session as session_mod
-from sgmod import SessionError, dump_session, execute, load_session
+from sgmod import SessionError, dedekind_mertens_exponent, dump_session, execute, load_session
 from sgmod.cli import (canonical_json, exit_code_for, finish_record, main, payload_hash,
                        run_session)
+from test_golden import GOLDEN
+from test_golden import _session_path as golden_session_path
 
 DEMO = os.path.join(os.path.dirname(__file__), "data", "demo_session.json")
 
@@ -193,6 +195,70 @@ class TestExecute:
                                    "ring": "R6", "module": "M6", "monoid": "N",
                                    "window": [0, 1, 2]}, budget=50)
         assert record["payload"]["outcome"] == "skipped"
+
+
+def _shared_payload_session(tmp_path):
+    """Two (f, g) pairs on Z/6 over N with the contents (2), (3) and c(fg) = 0,
+    so one Dedekind-Mertens transcript (cap 2) and one annihilator (0, 3)."""
+    def series(space, name, terms):
+        return {space: name, "monoid": "N",
+                "terms": [{"exponent": e, "coefficient": c} for e, c in terms]}
+
+    doc = minimal_doc(series={"f1": series("ring", "R6", [(0, 2), (1, 2)]),
+                              "f2": series("ring", "R6", [(0, 4), (2, 2)]),
+                              "g1": series("module", "M6", [(0, 3)]),
+                              "g2": series("module", "M6", [(1, 3)])})
+    return write_session(tmp_path, doc)
+
+
+class TestSharedPayloads:
+    @pytest.mark.parametrize("commands", [
+        [{"op": "dm", "f": "f1", "g": "g1"}, {"op": "dm", "f": "f2", "g": "g2"}],
+        [{"op": "zdtest", "f": "f1", "module": "M6"}, {"op": "zdtest", "f": "f2", "module": "M6"}],
+        [{"op": "analyze", "module": "M6"}, {"op": "analyze", "module": "M6"}],
+    ], ids=["dm", "zdtest", "analyze"])
+    def test_one_memoized_result_gives_one_payload(self, tmp_path, commands):
+        path = _shared_payload_session(tmp_path)
+        session = load_session(path)
+        first, second = (execute(session, command) for command in commands)
+        assert first["status"] == second["status"] == "ok"
+        assert first["payload"] is second["payload"]
+        for record in (first, second):
+            fresh = execute(load_session(path), record["command"])
+            assert fresh["payload"] is not record["payload"]
+            assert fresh["payload"] == record["payload"]
+
+    def test_distinct_commands_encode_a_shared_payload_once(self, tmp_path, monkeypatch):
+        session = load_session(_shared_payload_session(tmp_path))
+        session.commands = [{"op": "dm", "f": "f1", "g": "g1"},
+                            {"op": "dm", "f": "f2", "g": "g2"},
+                            {"op": "dm", "f": "f1", "g": "g1"}]
+        encoded = []
+        real_encoder = cli._CANONICAL
+
+        class CountingEncoder:
+            def encode(self, value):
+                encoded.append(value)
+                return real_encoder.encode(value)
+
+        monkeypatch.setattr(cli, "_CANONICAL", CountingEncoder())
+        records = run_session(session, None)
+        monkeypatch.undo()
+        payload = records[0]["payload"]
+        assert all(record["payload"] is payload for record in records)
+        # a key per record, and the payload once, after the first key
+        assert [value is payload for value in encoded] == [False, True, False, False]
+        assert [record["payload_hash"] for record in records] == [
+            payload_hash(record["command"], payload) for record in records]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_pinned_sessions_in_reverse_give_the_same_hashes(self, name, tmp_path):
+        # the memos are keyed by contents, annihilators and modules: the order
+        # in which commands reach them does not change a payload
+        session = load_session(golden_session_path(name, tmp_path))
+        session.commands.reverse()
+        records = run_session(session, None)
+        assert [record["payload_hash"] for record in records] == GOLDEN[name][::-1]
 
 
 class TestCliEndToEnd:
@@ -453,6 +519,16 @@ class TestRunSessionRepeats:
         second = execute(session, command)
         assert len(calls) == 2
         assert first["payload"] == second["payload"]
+        # every call dispatches; the dm payload is that of the memoized transcript
+        transcript = dedekind_mertens_exponent(session.series["f"], session.series["g"])
+        assert first["payload"] is second["payload"] is transcript.payload
+        # a counterexample has no memoized result, so each call builds its payload
+        command = {"op": "counterexample", "kind": "noncancellative",
+                   "monoid": "Sat2", "module": "M6", "q": 2}
+        first = execute(session, command)
+        second = execute(session, command)
+        assert len(calls) == 4
+        assert first["payload"] == second["payload"]
         assert first["payload"] is not second["payload"]
 
 
@@ -503,7 +579,8 @@ class TestEmitReport:
     def test_each_distinct_payload_is_encoded_once(self, tmp_path, monkeypatch):
         records = run_session(load_session(_emit_session(tmp_path)), None)
         payload_ids = {id(record["payload"]) for record in records}
-        assert len(payload_ids) == 10 < len(records)
+        # the two analyze modules are one object, R6.as_module(), and share a payload
+        assert len(payload_ids) == 9 < len(records)
         encoded = []
         real_encoder = cli._JSON_LINE
 
