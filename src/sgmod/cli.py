@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from . import __version__
 from .errors import SessionError
-from .session import Session, execute, load_session
+from .session import Session, check_budget, check_command, execute, load_session
 from .verify import DEFAULT_BUDGET
 
 BUDGET_ENV_VAR = "SGMOD_BUDGET"
@@ -170,9 +170,10 @@ def _default_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise SessionError(f"${BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    return check_budget(budget, f"${BUDGET_ENV_VAR}")
 
 
 def run_session(session: Session, budget: int | None) -> list[dict]:
@@ -237,7 +238,12 @@ def main(argv=None, stream=None) -> int:
     args = build_parser().parse_args(argv)
     out = stream if stream is not None else sys.stdout
     try:
+        if getattr(args, "budget", None) is not None:
+            check_budget(args.budget, "--budget")
         session = load_session(args.session_file)
+        if args.subcommand == "validate":
+            for i, command in enumerate(session.commands):
+                check_command(command, obj=f"commands[{i}]")
     except SessionError as exc:
         return _input_error(exc, out)
 

@@ -43,82 +43,20 @@ DEFAULT_RING_CAP = 4096
 DEFAULT_MODULE_CAP = 4096
 
 
-class FiniteRing:
-    """A finite commutative ring with identity, given by add/mul index tables."""
-
-    def __init__(self, add_table, mul_table, zero: int, one: int, label: str = "R",
-                 meta: dict | None = None):
-        n = len(add_table)
-        add = as_index_table(add_table, n, n, f"ring '{label}' add table")
-        mul = as_index_table(mul_table, n, n, f"ring '{label}' mul table")
-        self.add_table = add
-        self.mul_table = mul
-        self.zero = int(zero)
-        self.one = int(one)
-        self.label = label
-        self.meta = dict(meta or {})
-        validate_ring(self)
-        self.neg_table = np.argmax(add == self.zero, axis=1).astype(INDEX_DTYPE)
-        self._cache: dict = {}
-
-    @property
-    def size(self) -> int:
-        return self.add_table.shape[0]
-
-    @property
-    def is_zero_ring(self) -> bool:
-        return self.size == 1
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def as_module(self) -> "FiniteModule":
-        """The ring acting on itself by multiplication (memoized per ring)."""
-        mod = self._cache.get("as_module")
-        if mod is None:
-            mod = FiniteModule(self, self.add_table, self.mul_table, self.zero,
-                               label=self.label)
-            self._cache["as_module"] = mod
-        return mod
-
-    def __repr__(self) -> str:
-        return f"FiniteRing({self.label!r}, size={self.size})"
-
-
 class FiniteModule:
     """A finite unital module over a FiniteRing, given by add and action tables."""
 
     def __init__(self, ring: FiniteRing, add_table, action_table, zero: int,
                  label: str = "M"):
         m = len(add_table)
-        add = as_index_table(add_table, m, m, f"module '{label}' add table")
-        act = as_index_table(action_table, ring.size, m, f"module '{label}' action table")
         self.ring = ring
-        self.add_table = add
-        self.action_table = act
+        self.add_table = as_index_table(add_table, m, m, f"module '{label}' add table")
+        self.action_table = as_index_table(action_table, ring.size, m,
+                                           f"module '{label}' action table")
         self.zero = int(zero)
         self.label = label
-        # the ring axioms imply the module axioms of R acting on itself, so a
-        # module built on the ring's own table objects needs no second audit
-        # and shares the ring's negation table
-        if add is ring.add_table and act is ring.mul_table and self.zero == ring.zero:
-            self.neg_table = ring.neg_table
-        else:
-            validate_module(self)
-            self.neg_table = np.argmax(add == self.zero, axis=1).astype(INDEX_DTYPE)
+        validate_module(self)
+        self.neg_table = np.argmax(self.add_table == self.zero, axis=1).astype(INDEX_DTYPE)
         self._cache: dict = {}
 
     @property
@@ -147,6 +85,44 @@ class FiniteModule:
 
     def __repr__(self) -> str:
         return f"FiniteModule({self.label!r}, size={self.size}, over={self.ring.label!r})"
+
+
+class FiniteRing(FiniteModule):
+    """A finite commutative ring with identity, given by add/mul index tables.
+
+    A ring is also the module R_R over itself: its ring is itself and its
+    action table is its multiplication table. The ring axioms imply the
+    module axioms, so the module audit never runs on it.
+    """
+
+    def __init__(self, add_table, mul_table, zero: int, one: int, label: str = "R",
+                 meta: dict | None = None):
+        n = len(add_table)
+        self.ring = self
+        self.add_table = as_index_table(add_table, n, n, f"ring '{label}' add table")
+        self.mul_table = self.action_table = as_index_table(mul_table, n, n,
+                                                            f"ring '{label}' mul table")
+        self.zero = int(zero)
+        self.one = int(one)
+        self.label = label
+        self.meta = dict(meta or {})
+        validate_ring(self)
+        self.neg_table = np.argmax(self.add_table == self.zero, axis=1).astype(INDEX_DTYPE)
+        self._cache: dict = {}
+
+    @property
+    def is_zero_ring(self) -> bool:
+        return self.size == 1
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self.mul_table[a, b])
+
+    def as_module(self) -> FiniteRing:
+        """The ring acting on itself by multiplication: the ring itself."""
+        return self
+
+    def __repr__(self) -> str:
+        return f"FiniteRing({self.label!r}, size={self.size})"
 
 
 def validate_ring(ring: FiniteRing) -> None:
@@ -300,6 +276,10 @@ class Submodule:
         return out
 
     @property
+    def ring(self) -> FiniteRing:
+        return self.module.ring
+
+    @property
     def is_proper(self) -> bool:
         return self.members != self.module.full_mask
 
@@ -312,14 +292,7 @@ class Submodule:
 
 
 class Ideal(Submodule):
-    """An ideal of R: a submodule of R acting on itself."""
-
-    def __init__(self, ring: FiniteRing, members: int):
-        super().__init__(ring.as_module(), members)
-
-    @property
-    def ring(self) -> FiniteRing:
-        return self.module.ring
+    """An ideal of R: a submodule of R acting on itself, so its module is R."""
 
 
 @dataclass(frozen=True)
@@ -480,7 +453,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> FiniteRing:
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Smallest ideal containing gens: their join in the lattice of R acting
     on itself."""
-    return submodule_generated(ring.as_module(), gens)
+    return submodule_generated(ring, gens)
 
 
 def ideal_power(a: Ideal, k: int) -> Ideal:
@@ -555,7 +528,8 @@ def prime_avoidance_locate(ideal: Ideal, primes: list[Ideal]) -> tuple[int | Non
 
 
 def ring_as_module(ring: FiniteRing) -> FiniteModule:
-    return ring.as_module()
+    """R acting on itself: the ring itself."""
+    return ring
 
 
 def module_from_tables(ring: FiniteRing, add_table, action_table, zero: int,
@@ -803,15 +777,13 @@ class SubmoduleLattice:
     been met. Row 0 holds the ids of the cyclic submodules, as 0 + R·a = R·a.
     Each cell is filled once. The lattice lives as long as its module, so ids
     outlive the call that made them: no result may depend on an id's value
-    or on the order in which ids were made. On R acting on itself the
-    submodules are the ideals, and objects holds Ideals.
+    or on the order in which ids were made. On a ring, R acting on itself,
+    the submodules are the ideals, and objects holds Ideals.
     """
 
     def __init__(self, module: FiniteModule):
         self.module = module
-        ring = module.ring
-        self._wrap = (partial(Ideal, ring) if ring._cache.get("as_module") is module
-                      else partial(Submodule, module))
+        self._wrap = partial(Ideal if module is module.ring else Submodule, module)
         self.objects: list[Submodule] = []
         self.by_members: dict[int, int] = {}
         self._members: list[np.ndarray] = []  # members of objects[id] as an index array
@@ -927,7 +899,7 @@ def submodule_lattice(module: FiniteModule) -> SubmoduleLattice:
 
 def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     """All ideals, sorted by member tuple: the submodules of R acting on itself."""
-    return enumerate_submodules(ring.as_module())
+    return enumerate_submodules(ring)
 
 
 def enumerate_submodules(module: FiniteModule) -> list[Submodule]:
@@ -949,4 +921,4 @@ def prime_ideals(ring: FiniteRing) -> list[Ideal]:
     """
     if ring.is_zero_ring:
         return []
-    return [p for p, _ in associated_primes(ring.as_module())]
+    return [p for p, _ in associated_primes(ring)]

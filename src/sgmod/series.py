@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -35,8 +34,6 @@ from .finite_algebra import (
 )
 from .monoids import Monoid, is_cancellative, is_torsion_free, monoid_scale, same_monoid
 
-Space = Union[FiniteRing, FiniteModule]
-
 
 @dataclass(frozen=True)
 class Series:
@@ -47,7 +44,7 @@ class Series:
     print identically.
     """
 
-    space: Space
+    space: FiniteModule  # a FiniteRing for a series of R[S]
     monoid: Monoid
     terms: tuple[tuple, ...]
 
@@ -65,12 +62,6 @@ class Series:
     def coefficients(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.terms)
 
-    def coefficient(self, exponent) -> int:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return self.space.zero
-
     def __repr__(self) -> str:
         if self.is_zero:
             body = "0"
@@ -79,11 +70,7 @@ class Series:
         return f"<{body} over {self.space.label}[{self.monoid.label}]>"
 
 
-def _space_is_ring(space: Space) -> bool:
-    return isinstance(space, FiniteRing)
-
-
-def make_series(space: Space, monoid: Monoid, terms) -> Series:
+def make_series(space: FiniteModule, monoid: Monoid, terms) -> Series:
     """Normalize a term list: combine equal exponents, drop zero coefficients."""
     acc: dict = {}
     zero = space.zero
@@ -104,15 +91,15 @@ def make_series(space: Space, monoid: Monoid, terms) -> Series:
     return Series(space, monoid, cleaned)
 
 
-def zero_series(space: Space, monoid: Monoid) -> Series:
+def zero_series(space: FiniteModule, monoid: Monoid) -> Series:
     return Series(space, monoid, ())
 
 
-def constant_series(space: Space, monoid: Monoid, coeff: int) -> Series:
+def constant_series(space: FiniteModule, monoid: Monoid, coeff: int) -> Series:
     return make_series(space, monoid, [(monoid.identity_key(), coeff)])
 
 
-def monomial_series(space: Space, monoid: Monoid, coeff: int, exponent) -> Series:
+def monomial_series(space: FiniteModule, monoid: Monoid, coeff: int, exponent) -> Series:
     return make_series(space, monoid, [(exponent, coeff)])
 
 
@@ -123,12 +110,8 @@ def _check_same_context(f: Series, g: Series) -> None:
 
 def series_add(f: Series, g: Series) -> Series:
     _check_same_context(f, g)
-    if f.space is not g.space:
-        sf, sg = f.space, g.space
-        ok = (same_ring(sf, sg) if _space_is_ring(sf) and _space_is_ring(sg)
-              else (not _space_is_ring(sf) and not _space_is_ring(sg) and same_module(sf, sg)))
-        if not ok:
-            raise StructureMismatchError("series live over different coefficient spaces")
+    if f.space is not g.space and not same_module(f.space, g.space):
+        raise StructureMismatchError("series live over different coefficient spaces")
     return make_series(f.space, f.monoid, f.terms + g.terms)
 
 
@@ -139,24 +122,18 @@ def series_neg(f: Series) -> Series:
 def series_multiply(f: Series, h: Series) -> Series:
     """Convolution product; the left factor must have ring coefficients.
 
-    Exponents are added in the monoid, coefficients multiplied (or acted on for
-    module coefficients), colliding exponents combined, and zeros dropped. Each
-    left term reads its row of the coefficient table and its exponent sums
-    against h once.
+    Exponents are added in the monoid, coefficients acted on (multiplied, when
+    h is a ring series), colliding exponents combined, and zeros dropped. Each
+    left term reads its row of the action table and its exponent sums against
+    h once.
     """
-    if not _space_is_ring(f.space):
+    if not isinstance(f.space, FiniteRing):
         raise StructureMismatchError("left factor must have ring coefficients")
     _check_same_context(f, h)
-    ring = f.space
-    if _space_is_ring(h.space):
-        if not same_ring(ring, h.space):
-            raise StructureMismatchError("series over different rings")
-        table = ring.mul_table
-    else:
-        if not same_ring(ring, h.space.ring):
-            raise StructureMismatchError("module series over a different base ring")
-        table = h.space.action_table
     space = h.space
+    if not same_ring(f.space, space.ring):
+        raise StructureMismatchError("series over different base rings")
+    table = space.action_table
     add_table = space.add_table
     monoid = f.monoid
     h_support, h_coeffs = h.support, h.coefficients
@@ -178,7 +155,7 @@ def content(h: Series) -> Ideal | Submodule:
     The lattice instance submodule_generated returns, memoized per
     coefficient module on the coefficients; a failed closure stores nothing.
     """
-    module = h.space.as_module() if _space_is_ring(h.space) else h.space
+    module = h.space
     coeffs = h.coefficients
     key = ("content", coeffs)
     out = module._cache.get(key)
@@ -188,20 +165,15 @@ def content(h: Series) -> Ideal | Submodule:
     return out
 
 
-def as_module_series(f: Series) -> Series:
-    """View a ring series inside the ring-as-module; element indices are shared."""
-    if not _space_is_ring(f.space):
-        return f
-    return Series(f.space.as_module(), f.monoid, f.terms)
-
-
-def _require_good_monoid(monoid: Monoid, op: str) -> None:
+def _require_good_monoid(monoid: Monoid, prefix: str) -> None:
+    """Raise HypothesisError unless the monoid is cancellative and torsion-free;
+    the message starts with prefix, as in "McCoy witness requires"."""
     ok, wit = is_cancellative(monoid)
     if not ok:
-        raise HypothesisError(f"{op} requires a cancellative monoid; witness {wit}")
+        raise HypothesisError(f"{prefix} a cancellative monoid; witness {wit}")
     ok, wit = is_torsion_free(monoid)
     if not ok:
-        raise HypothesisError(f"{op} requires a torsion-free monoid; witness {wit}")
+        raise HypothesisError(f"{prefix} a torsion-free monoid; witness {wit}")
 
 
 @dataclass(frozen=True)
@@ -265,11 +237,10 @@ def dedekind_mertens_exponent(f: Series, g: Series, cap: int | None = None) -> D
     The default cap is |support(g)| + 1, the classical single-variable bound;
     exceeding the cap reports "cap exceeded" rather than fabricating a k.
     """
-    if not _space_is_ring(f.space):
+    if not isinstance(f.space, FiniteRing):
         raise StructureMismatchError("f must have ring coefficients")
     _check_same_context(f, g)
-    _require_good_monoid(f.monoid, "Dedekind-Mertens search")
-    g = as_module_series(g)
+    _require_good_monoid(f.monoid, "Dedekind-Mertens search requires")
     if not same_ring(f.space, g.space.ring):
         raise StructureMismatchError("f and g live over different base rings")
     if cap is None:
@@ -308,11 +279,10 @@ def mccoy_witness(f: Series, g: Series) -> int:
     descending, so a repeat before reaching zero would mean no t exists; that
     is impossible under the hypotheses and raises an invariant violation.
     """
-    if not _space_is_ring(f.space):
+    if not isinstance(f.space, FiniteRing):
         raise StructureMismatchError("f must have ring coefficients")
     _check_same_context(f, g)
-    _require_good_monoid(f.monoid, "McCoy witness")
-    g = as_module_series(g)
+    _require_good_monoid(f.monoid, "McCoy witness requires")
     if not same_ring(f.space, g.space.ring):
         raise StructureMismatchError("f and g live over different base rings")
     if g.is_zero:
@@ -379,13 +349,13 @@ def is_zero_divisor_series(f: Series, module: FiniteModule) -> ZeroDivisorVerdic
     Ann_M(c(f)), so it is memoized per module on the annihilator's members;
     the witness is replayed against this f on every call, hit or miss.
     """
-    if not _space_is_ring(f.space):
+    if not isinstance(f.space, FiniteRing):
         raise StructureMismatchError("f must have ring coefficients")
     if not same_ring(f.space, module.ring):
         raise StructureMismatchError("module over a different base ring")
     if module.is_zero_module:
         raise ZeroModuleError("zero-divisor test needs a nonzero module")
-    _require_good_monoid(f.monoid, "zero-divisor test")
+    _require_good_monoid(f.monoid, "zero-divisor test requires")
     # Ann_M(c(f)) is the intersection of the Ann_M(a) over the coefficients a
     ann = annihilator_in_module(f.coefficients, module)
     key = ("zdv", ann.members)
@@ -408,7 +378,7 @@ class ExtendedIdeal:
 
 
 def extended_ideal_membership(f: Series, extended: ExtendedIdeal) -> bool:
-    if not _space_is_ring(f.space):
+    if not isinstance(f.space, FiniteRing):
         raise StructureMismatchError("membership applies to ring series")
     if not same_ring(f.space, extended.base.ring):
         raise StructureMismatchError("extended ideal over a different ring")

@@ -75,15 +75,6 @@ INTEGER_SETTINGS = ("budget", "zmod_cap", "ring_cap", "module_cap")
 # the largest order of a finite monoid a session builds
 MONOID_CAP = 1024
 
-STATEMENTS = (
-    "mccoy_equivalence",
-    "domain_prime_extension",
-    "submodule_transfer",
-    "regularity_transfer",
-    "zero_divisor_transfer",
-    "finite_ring_chain",
-)
-
 
 @dataclass
 class Session:
@@ -109,6 +100,8 @@ class _Builder:
         for key in INTEGER_SETTINGS:
             if key in settings:
                 _integer(settings[key], key, "settings")
+        if "budget" in settings:
+            check_budget(settings["budget"], "'budget'", obj="settings")
         self.session = Session(
             commands=list(doc.get("commands", [])),
             settings=dict(settings),
@@ -283,6 +276,13 @@ def _integer(value, key: str, obj: str | None = None) -> int:
     return value
 
 
+def check_budget(budget: int, what: str, obj: str | None = None) -> int:
+    """The budget, unless it is negative: a budget bounds work, and 0 runs nothing."""
+    if budget < 0:
+        raise SessionError(f"{what} must be nonnegative, got {budget}", obj=obj)
+    return budget
+
+
 def _exponent_for(monoid: Monoid, raw, obj: str | None = None):
     if isinstance(raw, list):
         key = tuple(_integer(x, "exponent", obj) for x in raw)
@@ -404,21 +404,21 @@ def execute(session: Session, command: dict, budget: int | None = None) -> dict:
             "elapsed_ms": elapsed_ms}
 
 
-def _dispatch(session: Session, command: dict, budget: int) -> dict:
+def check_command(command: dict, obj: str | None = None) -> None:
+    """Raise SessionError unless the command names a known op and, for verify,
+    a known statement: the check both `run` and `validate` make."""
     op = command.get("op")
-    if op == "analyze":
-        return _cmd_analyze(session, command)
-    if op == "dm":
-        return _cmd_dm(session, command)
-    if op == "mccoy":
-        return _cmd_mccoy(session, command)
-    if op == "zdtest":
-        return _cmd_zdtest(session, command)
-    if op == "counterexample":
-        return _cmd_counterexample(session, command)
-    if op == "verify":
-        return _cmd_verify(session, command, budget)
-    raise SessionError(f"unknown command op {op!r}")
+    if not (isinstance(op, str) and op in OPS):
+        raise SessionError(f"unknown command op {op!r}", obj=obj)
+    statement = command.get("statement")
+    if op == "verify" and not (isinstance(statement, str) and statement in STATEMENTS):
+        raise SessionError(
+            f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}", obj=obj)
+
+
+def _dispatch(session: Session, command: dict, budget: int) -> dict:
+    check_command(command)
+    return OPS[command["op"]](session, command, budget)
 
 
 def _get(session: Session, kind: str, command: dict, key: str):
@@ -438,7 +438,7 @@ def _named(session: Session, kind: str, name, obj: str | None = None):
     return store[name]
 
 
-def _cmd_analyze(session: Session, command: dict) -> dict:
+def _cmd_analyze(session: Session, command: dict, budget: int) -> dict:
     module = _get(session, "modules", command, "module")
     # every report read here is memoized per module, and so is the payload
     payload = module._cache.get("analyze")
@@ -483,7 +483,7 @@ def _analyze_payload(module: FiniteModule) -> dict:
     }
 
 
-def _cmd_dm(session: Session, command: dict) -> dict:
+def _cmd_dm(session: Session, command: dict, budget: int) -> dict:
     f = _get(session, "series", command, "f")
     g = _get(session, "series", command, "g")
     cap = command.get("cap")
@@ -491,20 +491,20 @@ def _cmd_dm(session: Session, command: dict) -> dict:
     return result.payload
 
 
-def _cmd_mccoy(session: Session, command: dict) -> dict:
+def _cmd_mccoy(session: Session, command: dict, budget: int) -> dict:
     f = _get(session, "series", command, "f")
     g = _get(session, "series", command, "g")
     witness = mccoy_witness(f, g)
     return {"witness": witness}
 
 
-def _cmd_zdtest(session: Session, command: dict) -> dict:
+def _cmd_zdtest(session: Session, command: dict, budget: int) -> dict:
     f = _get(session, "series", command, "f")
     module = _get(session, "modules", command, "module")
     return is_zero_divisor_series(f, module).payload
 
 
-def _cmd_counterexample(session: Session, command: dict) -> dict:
+def _cmd_counterexample(session: Session, command: dict, budget: int) -> dict:
     kind = command.get("kind")
     monoid = _get(session, "monoids", command, "monoid")
     module = _get(session, "modules", command, "module")
@@ -536,41 +536,60 @@ def _cmd_counterexample(session: Session, command: dict) -> dict:
 
 
 def _cmd_verify(session: Session, command: dict, budget: int) -> dict:
-    statement = command.get("statement")
-    if statement not in STATEMENTS:
-        raise SessionError(f"unknown statement {statement!r}; expected one of {STATEMENTS}")
-    if statement == "finite_ring_chain":
-        report = verify_finite_ring_chain(_get(session, "rings", command, "ring"))
-        return report.to_payload()
+    return STATEMENTS[command["statement"]](session, command, budget).to_payload()
+
+
+def _monoid_window(session: Session, command: dict) -> tuple[Monoid, SupportWindow]:
     monoid = _get(session, "monoids", command, "monoid")
-    window = _window_from(command, monoid)
-    if statement == "mccoy_equivalence":
-        report = verify_mccoy_equivalence(
-            _get(session, "rings", command, "ring"),
-            _get(session, "modules", command, "module"),
-            monoid, window, budget=budget)
-    elif statement == "domain_prime_extension":
-        module = None
-        if command.get("module") is not None:
-            module = _get(session, "modules", command, "module")
-        report = verify_domain_prime_extension(
-            _get(session, "rings", command, "ring"), module, monoid, window,
-            budget=budget)
-    elif statement == "submodule_transfer":
-        sub = _get(session, "submodules", command, "submodule")
-        report = verify_submodule_transfer(sub.module, sub, monoid, window,
-                                           budget=budget)
-    elif statement == "regularity_transfer":
-        report = verify_regularity_transfer(
-            _get(session, "rings", command, "ring"),
-            _get(session, "modules", command, "module"),
-            monoid, window, budget=budget)
-    else:
-        report = verify_zero_divisor_transfer(
-            _get(session, "rings", command, "ring"),
-            _get(session, "modules", command, "module"),
-            monoid, window, budget=budget)
-    return report.to_payload()
+    return monoid, _window_from(command, monoid)
+
+
+def _ring_module_window(session: Session, command: dict) -> tuple:
+    """The arguments of a verifier on (ring, module, monoid, window); the
+    monoid and window are read first."""
+    monoid, window = _monoid_window(session, command)
+    return (_get(session, "rings", command, "ring"), _get(session, "modules", command, "module"),
+            monoid, window)
+
+
+def _verify_domain_prime_extension(session: Session, command: dict, budget: int):
+    monoid, window = _monoid_window(session, command)
+    module = None
+    if command.get("module") is not None:
+        module = _get(session, "modules", command, "module")
+    return verify_domain_prime_extension(_get(session, "rings", command, "ring"), module,
+                                         monoid, window, budget=budget)
+
+
+def _verify_submodule_transfer(session: Session, command: dict, budget: int):
+    monoid, window = _monoid_window(session, command)
+    sub = _get(session, "submodules", command, "submodule")
+    return verify_submodule_transfer(sub.module, sub, monoid, window, budget=budget)
+
+
+# op -> handler(session, command, budget), and verify statement -> handler
+# returning a VerificationReport. The handlers look the verifiers up by name
+# when called, so a rebound module attribute is the one that runs.
+OPS = {
+    "analyze": _cmd_analyze,
+    "dm": _cmd_dm,
+    "mccoy": _cmd_mccoy,
+    "zdtest": _cmd_zdtest,
+    "counterexample": _cmd_counterexample,
+    "verify": _cmd_verify,
+}
+STATEMENTS = {
+    "mccoy_equivalence": lambda session, command, budget: verify_mccoy_equivalence(
+        *_ring_module_window(session, command), budget=budget),
+    "domain_prime_extension": _verify_domain_prime_extension,
+    "submodule_transfer": _verify_submodule_transfer,
+    "regularity_transfer": lambda session, command, budget: verify_regularity_transfer(
+        *_ring_module_window(session, command), budget=budget),
+    "zero_divisor_transfer": lambda session, command, budget: verify_zero_divisor_transfer(
+        *_ring_module_window(session, command), budget=budget),
+    "finite_ring_chain": lambda session, command, budget: verify_finite_ring_chain(
+        _get(session, "rings", command, "ring")),
+}
 
 
 def _window_from(command: dict, monoid: Monoid) -> SupportWindow:

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import bitset
 from .errors import (
-    HypothesisError,
     InvariantViolation,
     PreconditionError,
     ZeroModuleError,
@@ -45,7 +44,6 @@ from .finite_algebra import (
     ideal_product,
     is_prime_ideal,
     prime_ideals,
-    ring_as_module,
     same_ring,
     submodule_lattice,
     zero_divisor_set,
@@ -56,6 +54,7 @@ from .series import (
     Series,
     _dm_search,
     _least_killed,
+    _require_good_monoid,
     build_noncancellative_counterexample,
     build_torsion_counterexample,
     constant_series,
@@ -293,15 +292,6 @@ def _extended_annihilator_violation(ring: FiniteRing, module: FiniteModule | Non
     return None
 
 
-def _require_hypotheses(monoid: Monoid, statement: str) -> None:
-    ok, wit = is_cancellative(monoid)
-    if not ok:
-        raise HypothesisError(f"{statement} assumes a cancellative monoid; witness {wit}")
-    ok, wit = is_torsion_free(monoid)
-    if not ok:
-        raise HypothesisError(f"{statement} assumes a torsion-free monoid; witness {wit}")
-
-
 # ---------------------------------------------------------------------------
 # the big equivalence: monoid hypotheses <-> Dedekind-Mertens <-> McCoy <->
 # content-annihilator criterion
@@ -358,7 +348,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     g_arr = window.coeff_array(module.size, mzero)
     g_nonzero = (g_arr != mzero).any(axis=1)
     ann_nonzero = _content_annihilates(module, f_arr)
-    ideals = submodule_lattice(ring.as_module())
+    ideals = submodule_lattice(ring)
     subs = submodule_lattice(module)
     # Dedekind-Mertens with the default cap |support(g)| + 1
     g_cap = (g_arr != mzero).sum(axis=1) + 1
@@ -490,7 +480,7 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     Instances: domain pairs + |primes| * |R[S] window|^2 + |Ass| * |R[S] window|.
     """
     statement = "domain_prime_extension"
-    _require_hypotheses(monoid, statement)
+    _require_good_monoid(monoid, f"{statement} assumes")
     window.validate_for(monoid)
     if module is not None and not same_ring(ring, module.ring):
         raise PreconditionError("module is not over the given ring")
@@ -498,8 +488,7 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
                           monoid=monoid)
     nf = window.count(ring.size)
     primes = prime_ideals(ring)
-    is_domain = (not ring.is_zero_ring
-                 and zero_divisor_set(ring_as_module(ring)) == (1 << ring.zero))
+    is_domain = not ring.is_zero_ring and zero_divisor_set(ring) == (1 << ring.zero)
     ass = associated_primes(module) if module is not None and not module.is_zero_module else []
     clause1 = (nf - 1) ** 2 if is_domain else 1
     predicted = clause1 + len(primes) * nf * nf + len(ass) * nf
@@ -585,7 +574,7 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     Instances: |R[S] window| * |M[S] window| pairs.
     """
     statement = "submodule_transfer"
-    _require_hypotheses(monoid, statement)
+    _require_good_monoid(monoid, f"{statement} assumes")
     window.validate_for(monoid)
     ring = module.ring
     config = _config_echo(window=window, budget=budget, module=module, monoid=monoid)
@@ -601,7 +590,7 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     in_p = bitset.bools_from_mask(sub.members, module.size)
     full = Submodule(module, module.full_mask)
 
-    contents = submodule_lattice(ring.as_module())
+    contents = submodule_lattice(ring)
 
     @cache
     def facts_for(cid):
@@ -728,7 +717,7 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
         raise ZeroModuleError(f"{statement} needs a nonzero module")
     if not same_ring(ring, module.ring):
         raise PreconditionError("module is not over the given ring")
-    _require_hypotheses(monoid, statement)
+    _require_good_monoid(monoid, f"{statement} assumes")
     window.validate_for(monoid)
     config = _config_echo(window=window, budget=budget, ring=ring, module=module,
                           monoid=monoid)
@@ -747,7 +736,7 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     last = int(mismatch[0]) if mismatch.size else nf
     # contents in the order of their least f, until one lies past the least
     # disagreeing f found so far
-    contents = submodule_lattice(ring.as_module())
+    contents = submodule_lattice(ring)
     content_of = contents.ids(f_arr)
     n_ids = len(contents.objects)
     # first_f[c, v]: the least f of content id c whose content verdict is v
@@ -810,7 +799,7 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
         raise ZeroModuleError(f"{statement} needs a nonzero module")
     if not same_ring(ring, module.ring):
         raise PreconditionError("module is not over the given ring")
-    _require_hypotheses(monoid, statement)
+    _require_good_monoid(monoid, f"{statement} assumes")
     window.validate_for(monoid)
     config = _config_echo(window=window, budget=budget, ring=ring, module=module,
                           monoid=monoid)
@@ -886,13 +875,12 @@ def verify_finite_ring_chain(ring: FiniteRing) -> VerificationReport:
     """
     statement = "finite_ring_chain"
     config = _config_echo(ring=ring)
-    module = ring_as_module(ring)
-    if module.is_zero_module:
+    if ring.is_zero_ring:
         raise ZeroModuleError(f"{statement} needs a nonzero ring")
-    decomp = decompose_zero_divisors(module)
+    decomp = decompose_zero_divisors(ring)
     primes = [list(p.members_tuple()) for p in decomp.primes]
     union = reduce(or_, (p.members for p in decomp.primes), 0)
-    uncovered = union ^ zero_divisor_set(module)
+    uncovered = union ^ zero_divisor_set(ring)
     nested = [[i, j] for (i, p), (j, q) in permutations(enumerate(decomp.primes), 2)
               if bitset.is_subset(p.members, q.members)]
     if uncovered:

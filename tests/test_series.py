@@ -98,9 +98,13 @@ class TestMultiply:
         assert series_multiply(f, g).is_zero
 
     def test_left_factor_must_be_ring(self, m6, nat):
-        g = constant_series(m6, nat, 3)
-        with pytest.raises(StructureMismatchError):
+        # R acting on itself is the ring, so a series over it is a ring series;
+        # a genuine module series cannot stand on the left
+        g = constant_series(direct_sum(m6, m6), nat, 3)
+        with pytest.raises(StructureMismatchError, match="left factor must have ring"):
             series_multiply(g, g)
+        # 3 * (0, 3) = (0, 3), the element coded 3
+        assert series_multiply(constant_series(m6, nat, 3), g).terms == (((0,), 3),)
 
     def test_monoid_mismatch(self, z6, nat, sat2):
         f = ring_series(z6, nat, 1)

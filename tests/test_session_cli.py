@@ -19,6 +19,9 @@ from test_golden import GOLDEN
 from test_golden import _session_path as golden_session_path
 
 DEMO = os.path.join(os.path.dirname(__file__), "data", "demo_session.json")
+EXPECTED_STATEMENTS = ("; expected one of ('mccoy_equivalence', 'domain_prime_extension', "
+                       "'submodule_transfer', 'regularity_transfer', "
+                       "'zero_divisor_transfer', 'finite_ring_chain')")
 
 
 def write_session(tmp_path, doc, name="session.json"):
@@ -757,6 +760,60 @@ class TestStrictInputs:
         error = lines[0]["error"]
         assert error["type"] == "SessionError"
         assert "SGMOD_BUDGET must be an integer" in error["message"]
+
+    @pytest.mark.parametrize("command,message", [
+        ({"op": "frobnicate"}, "unknown command op 'frobnicate'"),
+        ({"op": ["verify"]}, "unknown command op ['verify']"),
+        ({"op": "verify", "statement": "nope", "ring": "R6"},
+         f"unknown statement 'nope'{EXPECTED_STATEMENTS}"),
+        ({"op": "verify", "statement": ["nope"]},
+         f"unknown statement ['nope']{EXPECTED_STATEMENTS}"),
+    ])
+    def test_unknown_op_or_statement_fails_validate_as_run(self, tmp_path, command, message):
+        doc = minimal_doc()
+        doc["commands"].append(command)
+        path = write_session(tmp_path, doc)
+        code, lines = self.run_cli("validate", path)
+        assert code == 2
+        assert lines == [{"error": {"type": "SessionError",
+                                    "message": f"{message} [commands[1]]"}}]
+        # run answers the good command and reports the bad one as its error record
+        code, lines = self.run_cli("run", path)
+        assert code == 2
+        assert [line["status"] for line in lines[:2]] == ["ok", "error"]
+        assert lines[1]["payload"]["error"] == {"type": "SessionError", "message": message}
+
+    def run_with_budget(self, tmp_path, monkeypatch, source, budget):
+        """Run a one-verify session with the budget given by the flag, the
+        session settings or the environment variable."""
+        doc = minimal_doc()
+        doc["commands"] = [{"op": "verify", "statement": "mccoy_equivalence",
+                            "ring": "R6", "module": "M6", "monoid": "N", "window": [0]}]
+        flags = []
+        if source == "flag":
+            flags = [f"--budget={budget}"]
+        elif source == "settings":
+            doc["settings"] = {"budget": budget}
+        else:
+            monkeypatch.setenv("SGMOD_BUDGET", str(budget))
+        return self.run_cli("run", write_session(tmp_path, doc), *flags)
+
+    @pytest.mark.parametrize("source,message", [
+        ("flag", "--budget must be nonnegative, got -1"),
+        ("settings", "'budget' must be nonnegative, got -1 [settings]"),
+        ("env", "$SGMOD_BUDGET must be nonnegative, got -1"),
+    ])
+    def test_negative_budget_exits_two_before_any_command(self, tmp_path, monkeypatch,
+                                                          source, message):
+        code, lines = self.run_with_budget(tmp_path, monkeypatch, source, -1)
+        assert code == 2
+        assert lines == [{"error": {"type": "SessionError", "message": message}}]
+
+    @pytest.mark.parametrize("source", ["flag", "settings", "env"])
+    def test_zero_budget_is_legal(self, tmp_path, monkeypatch, source):
+        code, lines = self.run_with_budget(tmp_path, monkeypatch, source, 0)
+        assert code == 3
+        assert lines[0]["payload"]["skip_reason"] == "predicted 36 instances exceeds budget 0"
 
     @pytest.mark.parametrize("max_support,message", [
         (-1, "max_support must be at least 1"),

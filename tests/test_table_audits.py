@@ -319,7 +319,7 @@ class TestFallbackGuard:
 
 
 class TestRingAsModule:
-    """R acting on itself is built without a second audit of the ring's tables."""
+    """R acting on itself is the ring, and is never audited as a module."""
 
     @pytest.mark.parametrize("ring", valid_rings(), ids=lambda r: r.label)
     def test_explicit_audit_passes(self, ring):
@@ -335,17 +335,20 @@ class TestRingAsModule:
         ring = fa.FiniteRing(tables.add_table, tables.mul_table, tables.zero, tables.one)
         fa.validate_module(ring.as_module())
 
-    def test_own_tables_are_not_audited_again(self, monkeypatch):
+    def test_ring_is_its_own_module_and_is_not_audited_as_one(self, monkeypatch):
         calls = []
         monkeypatch.setattr(fa, "validate_module", calls.append)
         ring = build_zmod(12)
-        ring.as_module()
-        fa.FiniteModule(ring, ring.add_table, ring.mul_table, ring.zero)
+        assert ring_as_module(ring) is ring.as_module() is ring.ring is ring
+        assert ring.action_table is ring.mul_table
         assert calls == []
-        # copies of the same tables are audited
+        # a module built on the ring's own tables is a second object, audited
+        # like any other table set, and so are copies of the tables
+        own = fa.FiniteModule(ring, ring.add_table, ring.mul_table, ring.zero)
         copied = fa.FiniteModule(ring, ring.add_table.copy(), ring.mul_table.copy(), ring.zero)
         listed = fa.FiniteModule(ring, ring.add_table.tolist(), ring.mul_table, ring.zero)
-        assert calls == [copied, listed]
+        assert own is not ring
+        assert calls == [own, copied, listed]
 
     def test_own_tables_share_the_ring_mirrors(self):
         ring = build_zmod(12)

@@ -11,9 +11,14 @@ from sgmod import (
     SupportWindow,
     ZeroModuleError,
     build_zmod,
+    constant_series,
     content,
+    cyclic_group_monoid,
+    dedekind_mertens_exponent,
     ideal_action_submodule,
+    is_zero_divisor_series,
     make_series,
+    mccoy_witness,
     prime_ideals,
     ring_as_module,
     saturating_monoid,
@@ -326,3 +331,39 @@ class TestCounterexamplePayloadReplay:
             lhs = is_zero_divisor_series(f, m6).is_zero_divisor
             rhs = any(extended_ideal_membership(f, e) for e in extended)
             assert lhs == rhs
+
+
+def _hypothesis_checks():
+    """Each operation and verifier that checks the monoid hypotheses, with the
+    start of its HypothesisError message, on Z/6 and a monoid over which
+    a constant series lives."""
+    z6 = build_zmod(6)
+    p2 = submodule_generated(z6, [2])
+    window = SupportWindow((0,))
+    return [
+        ("Dedekind-Mertens search requires",
+         lambda f, monoid: dedekind_mertens_exponent(f, f)),
+        ("McCoy witness requires", lambda f, monoid: mccoy_witness(f, f)),
+        ("zero-divisor test requires", lambda f, monoid: is_zero_divisor_series(f, z6)),
+        ("domain_prime_extension assumes",
+         lambda f, monoid: verify_domain_prime_extension(z6, None, monoid, window)),
+        ("submodule_transfer assumes",
+         lambda f, monoid: verify_submodule_transfer(z6, p2, monoid, window)),
+        ("regularity_transfer assumes",
+         lambda f, monoid: verify_regularity_transfer(z6, z6, monoid, window)),
+        ("zero_divisor_transfer assumes",
+         lambda f, monoid: verify_zero_divisor_transfer(z6, z6, monoid, window)),
+    ]
+
+
+@pytest.mark.parametrize("monoid,tail", [
+    (saturating_monoid(2), "a cancellative monoid; witness (2, 0, 1)"),
+    (cyclic_group_monoid(2), "a torsion-free monoid; witness (1, 0, 2)"),
+], ids=["not_cancellative", "not_torsion_free"])
+@pytest.mark.parametrize("prefix,call", _hypothesis_checks(),
+                         ids=[prefix for prefix, _ in _hypothesis_checks()])
+def test_hypothesis_messages(monoid, tail, prefix, call):
+    f = constant_series(build_zmod(6), monoid, 2)
+    with pytest.raises(HypothesisError) as exc:
+        call(f, monoid)
+    assert str(exc.value) == f"{prefix} {tail}"
