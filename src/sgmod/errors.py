@@ -10,7 +10,7 @@ class AxiomError(AlgebraError):
 
 
 class SizeCapError(AlgebraError):
-    """A requested construction exceeds the configured size cap."""
+    """A ring or module would have more than SIZE_CAP elements."""
 
 
 class StructureMismatchError(AlgebraError):

@@ -7,6 +7,8 @@ validate the full axiom tables on the way in.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable
@@ -38,9 +40,13 @@ from .errors import (
     ZeroModuleError,
 )
 
-DEFAULT_ZMOD_CAP = 256
-DEFAULT_RING_CAP = 4096
-DEFAULT_MODULE_CAP = 4096
+# the most elements of any ring or module, checked before a table is read or built
+SIZE_CAP = 4096
+
+
+def _check_size(size: int, what: str) -> None:
+    if size > SIZE_CAP:
+        raise SizeCapError(f"{what} {size} exceeds cap {SIZE_CAP}")
 
 
 class FiniteModule:
@@ -49,6 +55,7 @@ class FiniteModule:
     def __init__(self, ring: FiniteRing, add_table, action_table, zero: int,
                  label: str = "M"):
         m = len(add_table)
+        _check_size(m, "module size")
         self.ring = ring
         self.add_table = as_index_table(add_table, m, m, f"module '{label}' add table")
         self.action_table = as_index_table(action_table, ring.size, m,
@@ -98,6 +105,7 @@ class FiniteRing(FiniteModule):
     def __init__(self, add_table, mul_table, zero: int, one: int, label: str = "R",
                  meta: dict | None = None):
         n = len(add_table)
+        _check_size(n, "ring size")
         self.ring = self
         self.add_table = as_index_table(add_table, n, n, f"ring '{label}' add table")
         self.mul_table = self.action_table = as_index_table(mul_table, n, n,
@@ -309,12 +317,11 @@ class SubmoduleClassification:
 # ring constructors
 
 
-def build_zmod(n: int, cap: int = DEFAULT_ZMOD_CAP) -> FiniteRing:
+def build_zmod(n: int) -> FiniteRing:
     """The ring of integers modulo n as explicit tables."""
     if n < 1:
         raise PreconditionError(f"zmod size must be positive, got {n}")
-    if n > cap:
-        raise SizeCapError(f"zmod size {n} exceeds cap {cap}")
+    _check_size(n, "zmod size")
     idx = np.arange(n, dtype=INDEX_DTYPE)
     add = (idx[:, None] + idx[None, :]) % n
     # a product of two residues passes 2^31 once n > 46340: reduce it in int64
@@ -341,35 +348,35 @@ def _is_prime_int(p: int) -> bool:
 
 
 def _truncated_monomials(nvars: int, cap: int) -> list[tuple[int, ...]]:
-    monos = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            monos.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    rec([], nvars, cap - 1)
+    monos = [e for e in itertools.product(range(cap), repeat=nvars) if sum(e) < cap]
     monos.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
     return monos
 
 
-def build_truncated_poly_ring(p: int, nvars: int, cap: int,
-                              size_cap: int = DEFAULT_RING_CAP) -> FiniteRing:
+def build_truncated_poly_ring(p: int, nvars: int, cap: int) -> FiniteRing:
     """(Z/p)[x_1..x_nvars] with every monomial of total degree >= cap set to zero.
 
     Elements are coefficient vectors over the monomial basis of degree < cap,
     encoded base p in graded order, so index 0 is zero and index 1 is one.
+    The ring has p^B elements, B = C(nvars + cap - 1, nvars) the monomials,
+    and both are bounded before the primality test and the enumeration: for
+    cap >= 2, B >= nvars + cap - 1, so p^B <= SIZE_CAP needs
+    nvars + cap - 1 <= 12. For cap = 1 the ring is F_p, and the same bound
+    keeps the variables it names to 12.
     """
-    if not _is_prime_int(p):
-        raise PreconditionError(f"coefficient modulus {p} is not prime")
     if nvars < 1 or cap < 1:
         raise PreconditionError("nvars and cap must be positive")
+    if p < 2:
+        raise PreconditionError(f"coefficient modulus {p} is not prime")
+    if nvars + cap - 1 > SIZE_CAP.bit_length() - 1:
+        raise SizeCapError(f"truncated_poly with {nvars} variables and degree cap {cap} "
+                           f"exceeds cap {SIZE_CAP}")
+    B = math.comb(nvars + cap - 1, nvars)
+    if p > SIZE_CAP or p ** B > SIZE_CAP:
+        raise SizeCapError(f"truncated_poly size {p}^{B} exceeds cap {SIZE_CAP}")
+    if not _is_prime_int(p):
+        raise PreconditionError(f"coefficient modulus {p} is not prime")
     monos = _truncated_monomials(nvars, cap)
-    B = len(monos)
-    if p ** B > size_cap:
-        raise SizeCapError(f"p^{B} = {p ** B} elements exceeds cap {size_cap}")
     n = p ** B
     pos = {m: i for i, m in enumerate(monos)}
     # every power, digit sum and product below is less than n, so int32 holds it
@@ -533,14 +540,11 @@ def ring_as_module(ring: FiniteRing) -> FiniteModule:
 
 
 def module_from_tables(ring: FiniteRing, add_table, action_table, zero: int,
-                       label: str = "M", cap: int = DEFAULT_MODULE_CAP) -> FiniteModule:
-    if len(add_table) > cap:
-        raise SizeCapError(f"module size {len(add_table)} exceeds cap {cap}")
+                       label: str = "M") -> FiniteModule:
     return FiniteModule(ring, add_table, action_table, zero, label=label)
 
 
-def direct_sum(left: FiniteModule, right: FiniteModule,
-               cap: int = DEFAULT_MODULE_CAP) -> FiniteModule:
+def direct_sum(left: FiniteModule, right: FiniteModule) -> FiniteModule:
     """Componentwise sum; element (x, y) is encoded as x * |right| + y.
 
     The size cap is checked before the tables are built.
@@ -548,8 +552,7 @@ def direct_sum(left: FiniteModule, right: FiniteModule,
     if left.ring is not right.ring and not same_ring(left.ring, right.ring):
         raise PreconditionError("direct sum requires a shared base ring")
     m1, m2 = left.size, right.size
-    if m1 * m2 > cap:
-        raise SizeCapError(f"module size {m1} * {m2} = {m1 * m2} exceeds cap {cap}")
+    _check_size(m1 * m2, f"module size {m1} * {m2} =")
     add = _pair_table(left.add_table, right.add_table)
     act = (left.action_table[:, :, None] * m2
            + right.action_table[:, None, :]).reshape(left.ring.size, m1 * m2)

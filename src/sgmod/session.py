@@ -7,15 +7,13 @@ stay diff-friendly and trivially parseable.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 from . import bitset
 from .errors import AlgebraError, SessionError
 from .finite_algebra import (
-    DEFAULT_MODULE_CAP,
-    DEFAULT_RING_CAP,
-    DEFAULT_ZMOD_CAP,
     FiniteModule,
     FiniteRing,
     Submodule,
@@ -70,8 +68,6 @@ from .zd import (
 SESSION_KEYS = {"rings", "monoids", "modules", "submodules", "series", "commands",
                 "settings"}
 
-INTEGER_SETTINGS = ("budget", "zmod_cap", "ring_cap", "module_cap")
-
 # the largest order of a finite monoid a session builds
 MONOID_CAP = 1024
 
@@ -97,11 +93,12 @@ class _Builder:
         settings = doc.get("settings", {})
         if not isinstance(settings, dict):
             raise SessionError("'settings' must be an object", obj="settings")
-        for key in INTEGER_SETTINGS:
-            if key in settings:
-                _integer(settings[key], key, "settings")
+        unknown = set(settings) - {"budget"}
+        if unknown:
+            raise SessionError(f"unknown settings keys: {sorted(unknown)}", obj="settings")
         if "budget" in settings:
-            check_budget(settings["budget"], "'budget'", obj="settings")
+            check_budget(_integer(settings["budget"], "budget", "settings"), "'budget'",
+                         obj="settings")
         self.session = Session(
             commands=list(doc.get("commands", [])),
             settings=dict(settings),
@@ -156,29 +153,21 @@ class _Builder:
 
     def _build_ring(self, name: str, defn: dict) -> FiniteRing:
         kind = defn.get("kind")
-        settings = self.session.settings
         obj = f"ring '{name}'"
 
         def integer(key):
             return _integer(defn[key], key, obj)
 
         if kind == "zmod":
-            return build_zmod(integer("n"),
-                              cap=settings.get("zmod_cap", DEFAULT_ZMOD_CAP))
+            return build_zmod(integer("n"))
         if kind == "truncated_poly":
-            return build_truncated_poly_ring(
-                integer("p"), integer("nvars"), integer("cap"),
-                size_cap=settings.get("ring_cap", DEFAULT_RING_CAP))
+            return build_truncated_poly_ring(integer("p"), integer("nvars"), integer("cap"))
         if kind == "quotient":
             base = self._resolve("rings", defn["ring"])
             gens = [_integer(g, "gens", obj) for g in defn.get("gens", [])]
             ideal = ideal_generated(base, gens)
             return quotient_ring(base, ideal)
         if kind == "tables":
-            # the cap is checked before the tables are audited
-            size = len(defn["add"])
-            if size > settings.get("ring_cap", DEFAULT_RING_CAP):
-                raise SessionError(f"ring size {size} exceeds cap", obj=name)
             return FiniteRing(defn["add"], defn["mul"], integer("zero"), integer("one"),
                               label=name)
         raise SessionError(f"unknown ring kind {kind!r}", obj=obj)
@@ -219,13 +208,11 @@ class _Builder:
             return quotient_module(base, sub)
         if kind == "direct_sum":
             return direct_sum(self._resolve("modules", defn["left"]),
-                              self._resolve("modules", defn["right"]),
-                              cap=self.session.settings.get("module_cap", DEFAULT_MODULE_CAP))
+                              self._resolve("modules", defn["right"]))
         if kind == "tables":
             ring = self._resolve("rings", defn["ring"])
-            return module_from_tables(
-                ring, defn["add"], defn["action"], _integer(defn["zero"], "zero", obj),
-                label=name, cap=self.session.settings.get("module_cap", DEFAULT_MODULE_CAP))
+            return module_from_tables(ring, defn["add"], defn["action"],
+                                      _integer(defn["zero"], "zero", obj), label=name)
         raise SessionError(f"unknown module kind {kind!r}", obj=obj)
 
     def _build_submodule(self, name: str, defn: dict) -> Submodule:
@@ -253,9 +240,6 @@ class _Builder:
                           _integer(item["coefficient"], "coefficient", obj)))
         return make_series(space, monoid, terms)
 
-    # section name "series" strips to "serie"
-    _build_series = _build_serie
-
 
 def _reject_duplicate_keys(pairs):
     obj = dict(pairs)
@@ -267,6 +251,15 @@ def _reject_duplicate_keys(pairs):
                 raise SessionError(f"duplicate name {key!r}")
             seen.add(key)
     return obj
+
+
+def _finite_number(text: str) -> float:
+    """A JSON number; NaN, Infinity, -Infinity and literals past the float
+    range (1e400) are not finite, and JSON has no token for them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SessionError(f"parse error: {text} is not a finite number")
+    return value
 
 
 def _integer(value, key: str, obj: str | None = None) -> int:
@@ -298,12 +291,16 @@ def load_session(path: str) -> Session:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SessionError(f"cannot read session file: {exc}")
     try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys,
+                         parse_constant=_finite_number, parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise SessionError(f"parse error: {exc.msg}", line=exc.lineno, column=exc.colno)
+    except (RecursionError, ValueError) as exc:
+        # nesting past the recursion limit, or an integer of more digits than int() reads
+        raise SessionError(f"parse error: {exc}")
     if not isinstance(doc, dict):
         raise SessionError("session document must be a JSON object")
     unknown = set(doc) - SESSION_KEYS
@@ -313,18 +310,13 @@ def load_session(path: str) -> Session:
 
 
 def dump_session(session: Session) -> dict:
-    """Serialize every object back to the structured format (tables variant)."""
+    """Serialize every object back to the structured format (tables variant);
+    a module that is its own ring stays one object, as a ring_as_module."""
     doc: dict = {"rings": {}, "monoids": {}, "modules": {}, "submodules": {},
                  "series": {}, "commands": session.commands,
                  "settings": session.settings}
     for name, ring in session.rings.items():
-        doc["rings"][name] = {
-            "kind": "tables",
-            "add": ring.add_table.tolist(),
-            "mul": ring.mul_table.tolist(),
-            "zero": ring.zero,
-            "one": ring.one,
-        }
+        doc["rings"][name] = _ring_tables(ring)
     for name, monoid in session.monoids.items():
         if monoid.is_finite:
             doc["monoids"][name] = {"kind": "table", "cayley": monoid.cayley.tolist(),
@@ -335,13 +327,10 @@ def dump_session(session: Session) -> dict:
         ring_name = _name_of(session.rings, module.ring)
         if ring_name is None:
             ring_name = f"__ring_of_{name}"
-            doc["rings"][ring_name] = {
-                "kind": "tables",
-                "add": module.ring.add_table.tolist(),
-                "mul": module.ring.mul_table.tolist(),
-                "zero": module.ring.zero,
-                "one": module.ring.one,
-            }
+            doc["rings"][ring_name] = _ring_tables(module.ring)
+        if module is module.ring:
+            doc["modules"][name] = {"kind": "ring_as_module", "ring": ring_name}
+            continue
         doc["modules"][name] = {
             "kind": "tables",
             "ring": ring_name,
@@ -365,6 +354,11 @@ def dump_session(session: Session) -> dict:
                          "coefficient": c} for e, c in series.terms]
         doc["series"][name] = ref
     return doc
+
+
+def _ring_tables(ring: FiniteRing) -> dict:
+    return {"kind": "tables", "add": ring.add_table.tolist(), "mul": ring.mul_table.tolist(),
+            "zero": ring.zero, "one": ring.one}
 
 
 def _name_of(store: dict, obj) -> str | None:

@@ -55,9 +55,10 @@ class TestRingConstructors:
         assert z4.mul(2, 2) == 0
 
     def test_zmod_cap(self):
-        with pytest.raises(SizeCapError):
-            build_zmod(300)
-        build_zmod(300, cap=512)
+        # Z/n has the cap of every other ring, no smaller one of its own
+        with pytest.raises(SizeCapError, match="zmod size 4097 exceeds cap 4096"):
+            build_zmod(4097)
+        assert build_zmod(300).size == 300
 
     def test_zmod_rejects_nonpositive(self):
         with pytest.raises(PreconditionError):

@@ -151,6 +151,9 @@ class TestRoundTrip:
         for name, monoid in session.monoids.items():
             other = reloaded.monoids[name]
             assert monoid.kind == other.kind
+        # R6 acting on itself is R6, and it is reloaded as one object
+        assert dumped["modules"]["M6"] == {"kind": "ring_as_module", "ring": "R6"}
+        assert reloaded.modules["M6"] is reloaded.rings["R6"]
 
 
 class TestExecute:
@@ -625,17 +628,19 @@ class TestStrictInputs:
         return calls
 
     def test_tables_ring_cap_checked_before_audit(self, tmp_path, audited):
-        doc = minimal_doc(settings={"ring_cap": 4})
-        doc["rings"] = {"R5": _z5_tables()}
+        # the rows are never read: the row count alone is over the cap
+        doc = minimal_doc()
+        doc["rings"] = {"R": {"kind": "tables", "add": [[0]] * 4097, "mul": [[0]] * 4097,
+                              "zero": 0, "one": 0}}
         doc["modules"] = {}
         doc["commands"] = []
         code, lines = self.run_cli("run", write_session(tmp_path, doc))
         assert code == 2
-        assert "ring size 5 exceeds cap" in lines[0]["error"]["message"]
+        assert lines[0]["error"]["message"] == "ring size 4097 exceeds cap 4096 [ring 'R']"
         assert audited == []
 
     def test_tables_ring_within_cap_is_audited(self, tmp_path, audited):
-        doc = minimal_doc(settings={"ring_cap": 5})
+        doc = minimal_doc()
         doc["rings"]["R5"] = _z5_tables()
         code, _ = self.run_cli("validate", write_session(tmp_path, doc))
         assert code == 0
@@ -706,15 +711,15 @@ class TestStrictInputs:
         assert f"{section[:-1]} '{name}'" in error["message"]
 
     def test_direct_sum_checks_the_module_cap(self, tmp_path):
-        doc = minimal_doc(settings={"module_cap": 10})
-        doc["rings"]["R4"] = {"kind": "zmod", "n": 4}
-        doc["modules"]["M4"] = {"kind": "ring_as_module", "ring": "R4"}
-        doc["modules"]["S"] = {"kind": "direct_sum", "left": "M4", "right": "M4"}
+        doc = minimal_doc()
+        doc["rings"]["R65"] = {"kind": "zmod", "n": 65}
+        doc["modules"]["M65"] = {"kind": "ring_as_module", "ring": "R65"}
+        doc["modules"]["S"] = {"kind": "direct_sum", "left": "M65", "right": "M65"}
         code, lines = self.run_cli("run", write_session(tmp_path, doc))
         assert code == 2
         error = lines[0]["error"]
         assert error["type"] == "SessionError"
-        assert "module size 4 * 4 = 16 exceeds cap 10" in error["message"]
+        assert "module size 65 * 65 = 4225 exceeds cap 4096" in error["message"]
         assert "module 'S'" in error["message"]
 
     @pytest.mark.parametrize("defn,order", [
@@ -736,9 +741,9 @@ class TestStrictInputs:
     @pytest.mark.parametrize("settings", [
         {"budget": "lots"},
         {"budget": 1e7},
-        {"zmod_cap": 6.5},
-        {"ring_cap": True},
-        {"module_cap": 6.9},
+        {"budget": True},
+        {"budget": None},
+        {"budget": [7]},
     ])
     def test_non_integral_settings_exit_two(self, tmp_path, settings):
         code, lines = self.run_cli("run", write_session(tmp_path, minimal_doc(settings=settings)))
@@ -746,6 +751,46 @@ class TestStrictInputs:
         error = lines[0]["error"]
         assert error["type"] == "SessionError"
         assert f"'{next(iter(settings))}' must be an integer" in error["message"]
+
+    # the size caps were settings once; a session written for them fails loudly
+    @pytest.mark.parametrize("key", ["zmod_cap", "ring_cap", "module_cap", "budgett"])
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_settings_other_than_budget_exit_two(self, tmp_path, subcommand, key):
+        doc = minimal_doc(settings={"budget": 100, key: 4096})
+        code, lines = self.run_cli(subcommand, write_session(tmp_path, doc))
+        assert code == 2
+        assert lines == [{"error": {"type": "SessionError",
+                                    "message": f"unknown settings keys: [{key!r}] [settings]"}}]
+
+    @pytest.mark.parametrize("text,message", [
+        (b'{"commands": [], "rings": {"\xff": {}}}',
+         "'utf-8' codec can't decode byte 0xff in position 28"),
+        (b'{"commands": ' + b"[" * 200000 + b"]" * 200000 + b"}",
+         "maximum recursion depth exceeded"),
+        (b'{"commands": [], "settings": {"budget": ' + b"1" * 5000 + b"}}",
+         "Exceeds the limit (4300 digits)"),
+    ], ids=["not_utf8", "nested_200000_deep", "integer_of_5000_digits"])
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_unreadable_document_exits_two(self, tmp_path, subcommand, text, message):
+        path = tmp_path / "session.json"
+        path.write_bytes(text)
+        code, lines = self.run_cli(subcommand, str(path))
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0]["error"]["type"] == "SessionError"
+        assert message in lines[0]["error"]["message"]
+
+    # JSON (RFC 8259) has no token for these, so a record echoing one would not be JSON
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_non_finite_number_exits_two(self, tmp_path, subcommand, number):
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(minimal_doc())[:-2]
+                        + f', {{"op": "analyze", "module": "M6", "note": {number}}}]}}')
+        code, lines = self.run_cli(subcommand, str(path))
+        assert code == 2
+        assert lines == [{"error": {"type": "SessionError",
+                                    "message": f"parse error: {number} is not a finite number"}}]
 
     def test_settings_must_be_an_object(self, tmp_path):
         code, lines = self.run_cli("run", write_session(tmp_path, minimal_doc(settings="x")))
