@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _json_string
 
 from . import __version__
@@ -26,12 +27,30 @@ from .verify import DEFAULT_BUDGET
 
 BUDGET_ENV_VAR = "SGMOD_BUDGET"
 
-# json.dumps with keyword arguments builds a new encoder on every call; each
-# output form has one, built here. The canonical form is what payload_hash hashes.
-# Commands and payloads are trees of plain JSON values, so there is no cycle to
-# check for (a payload shared by several records is not one).
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
-_JSON_LINE = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+class _Encoder:
+    """json.JSONEncoder(sort_keys=True, separators=..., check_circular=False).encode
+    with its C encoder built once.
+
+    JSONEncoder.encode builds a new C encoder on every call, so each output form
+    holds one, built here. Commands and payloads are trees of plain JSON values,
+    so there is no cycle to check for (a payload shared by several records is not
+    one), and anything else raises JSONEncoder's TypeError.
+    """
+
+    __slots__ = ("_encoder",)
+
+    def __init__(self, key_separator: str, item_separator: str):
+        self._encoder = c_make_encoder(None, json.JSONEncoder().default, _json_string, None,
+                                       key_separator, item_separator, True, False, True)
+
+    def encode(self, value) -> str:
+        return "".join(self._encoder(value, 0))
+
+
+# The canonical form is what payload_hash hashes.
+_CANONICAL = _Encoder(":", ",")
+_JSON_LINE = _Encoder(": ", ", ")
 
 
 def canonical_json(value) -> str:
@@ -97,27 +116,32 @@ def exit_code_for(records: list[dict]) -> int:
 
 
 def _json_lines(records: list[dict]):
-    """_JSON_LINE.encode(record) for each record, built with each payload encoded once.
+    """_JSON_LINE.encode(record) and a newline for each record, built with each
+    distinct command and payload object encoded once.
 
     The parts are joined in the sorted key order of a finished record: command,
-    elapsed_ms, payload, payload_hash, status, version. Repeats of a command share
-    its first record's payload object (run_session), and so do the commands that
-    reach one memoized result, so the text is keyed by the payload's id; every
-    record is alive until the last line is built, so no id is reused. elapsed_ms
-    is a finite float, which JSON writes as float.__repr__ does.
+    elapsed_ms, payload, payload_hash, status, version. A repeat of a command
+    shares its first record's command and payload objects (run_session), and the
+    commands that reach one memoized result share a payload object, so texts are
+    keyed by id; every record is alive until the last line is built, so no id is
+    reused. elapsed_ms is a finite float, which JSON writes as float.__repr__ does.
     """
-    payload_texts: dict[int, str] = {}
+    encode = _JSON_LINE.encode
+    texts: dict[int, str] = {}
     for record in records:
-        payload = record["payload"]
-        text = payload_texts.get(id(payload))
-        if text is None:
-            text = payload_texts[id(payload)] = _JSON_LINE.encode(payload)
-        yield ('{"command": ' + _JSON_LINE.encode(record["command"])
-               + ', "elapsed_ms": ' + float.__repr__(record["elapsed_ms"])
-               + ', "payload": ' + text
-               + ', "payload_hash": ' + _json_string(record["payload_hash"])
-               + ', "status": ' + _json_string(record["status"])
-               + ', "version": ' + _json_string(record["version"]) + "}")
+        command, payload = record["command"], record["payload"]
+        command_text = texts.get(id(command))
+        if command_text is None:
+            command_text = texts[id(command)] = encode(command)
+        payload_text = texts.get(id(payload))
+        if payload_text is None:
+            payload_text = texts[id(payload)] = encode(payload)
+        yield "".join(('{"command": ', command_text,
+                       ', "elapsed_ms": ', float.__repr__(record["elapsed_ms"]),
+                       ', "payload": ', payload_text,
+                       ', "payload_hash": ', _json_string(record["payload_hash"]),
+                       ', "status": ', _json_string(record["status"]),
+                       ', "version": ', _json_string(record["version"]), '}\n'))
 
 
 def emit_report(records: list[dict], fmt: str, stream) -> int:
@@ -129,7 +153,7 @@ def emit_report(records: list[dict], fmt: str, stream) -> int:
             _emit_human(records, code, stream)
         else:
             for line in _json_lines(records):
-                stream.write(line + "\n")
+                stream.write(line)
             summary = {
                 "summary": {
                     "commands": len(records),
@@ -182,9 +206,11 @@ def run_session(session: Session, budget: int | None) -> list[dict]:
     A payload depends only on the command and the budget. So commands are keyed
     by their canonical JSON, the bytes payload_hash hashes: key order does not
     matter, and 1, 1.0 and true stay distinct. A repeat gets a new record with
-    the first one's status, payload, payload_hash and version (the payload
-    object is shared, not copied), its own command as given, and the time of
-    its lookup as elapsed_ms.
+    the first one's command, status, payload, payload_hash and version, and the
+    time of its lookup as elapsed_ms. The command and payload objects are the
+    first record's, shared, not copied: the repeat's command as given is parsed
+    JSON with the same canonical JSON, so it is == to that object and has the
+    same sorted JSON line.
 
     Distinct commands can share a payload object too: those of analyze, dm and
     zdtest are built once per memoized result (execute). So the canonical text
@@ -207,8 +233,7 @@ def run_session(session: Session, budget: int | None) -> list[dict]:
             first = answered[key] = finish_record(record, key, text)
             records.append(first)
         else:
-            records.append(dict(first, command=command,
-                                elapsed_ms=(time.perf_counter() - t0) * 1000.0))
+            records.append(dict(first, elapsed_ms=(time.perf_counter() - t0) * 1000.0))
     return records
 
 

@@ -106,7 +106,6 @@ class FiniteRing(FiniteModule):
                  meta: dict | None = None):
         n = len(add_table)
         _check_size(n, "ring size")
-        self.ring = self
         self.add_table = as_index_table(add_table, n, n, f"ring '{label}' add table")
         self.mul_table = self.action_table = as_index_table(mul_table, n, n,
                                                             f"ring '{label}' mul table")
@@ -117,6 +116,12 @@ class FiniteRing(FiniteModule):
         validate_ring(self)
         self.neg_table = np.argmax(self.add_table == self.zero, axis=1).astype(INDEX_DTYPE)
         self._cache: dict = {}
+
+    @property
+    def ring(self) -> FiniteRing:
+        # a property, not an attribute: self.ring = self would be a reference
+        # cycle, and a dropped ring would wait for the cyclic collector
+        return self
 
     @property
     def is_zero_ring(self) -> bool:

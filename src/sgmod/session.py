@@ -112,18 +112,20 @@ class _Builder:
                 raise SessionError(f"'{kind}' must be an object", obj=kind)
             for name in section:
                 self._resolve(kind, name)
-        reference_keys = {"ring": "rings", "module": "modules", "monoid": "monoids",
-                          "submodule": "submodules", "f": "series", "g": "series"}
-        for i, cmd in enumerate(self.session.commands):
+        session = self.session
+        references = [(key, kind, getattr(session, kind))
+                      for key, kind in (("ring", "rings"), ("module", "modules"),
+                                        ("monoid", "monoids"), ("submodule", "submodules"),
+                                        ("f", "series"), ("g", "series"))]
+        for i, cmd in enumerate(session.commands):
             if not isinstance(cmd, dict) or "op" not in cmd:
                 raise SessionError("command must be an object with an 'op' key",
                                    obj=f"commands[{i}]")
-            for key, kind in reference_keys.items():
+            for key, kind, store in references:
                 name = cmd.get(key)
-                if name is not None and (not isinstance(name, str)
-                                         or name not in getattr(self.session, kind)):
-                    _named(self.session, kind, name, obj=f"commands[{i}]")  # raises
-        return self.session
+                if name is not None and (not isinstance(name, str) or name not in store):
+                    _named(session, kind, name, obj=f"commands[{i}]")  # raises
+        return session
 
     def _resolve(self, kind: str, name: str):
         store = getattr(self.session, kind)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from math import comb
 
 import numpy as np
@@ -59,6 +61,25 @@ class TestRingConstructors:
         with pytest.raises(SizeCapError, match="zmod size 4097 exceeds cap 4096"):
             build_zmod(4097)
         assert build_zmod(300).size == 300
+
+    @pytest.mark.parametrize("build", [lambda: build_zmod(12),
+                                       lambda: build_truncated_poly_ring(2, 3, 2)],
+                             ids=["zmod", "truncated_poly"])
+    def test_a_dropped_ring_is_freed_without_the_cycle_collector(self, build):
+        # a ring is its own ring and module, with no reference to itself, so
+        # reference counting frees it (a ring used for closures holds cycles
+        # through its _cache, so this says nothing of one)
+        ring = build()
+        assert ring.ring is ring.as_module() is ring
+        ref = weakref.ref(ring)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del ring
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_zmod_rejects_nonpositive(self):
         with pytest.raises(PreconditionError):

@@ -465,13 +465,19 @@ class TestRunSessionRepeats:
             return real_execute(session, command, budget=budget)
 
         monkeypatch.setattr(cli, "execute", counting_execute)
-        records = run_session(load_session(path), None)
+        session = load_session(path)
+        records = run_session(session, None)
         monkeypatch.undo()
 
         fresh = [finish_record(execute(load_session(path), record["command"]))
                  for record in records]
         commands = load_session(path).commands
         assert [record["command"] for record in records] == commands
+        # a repeat holds its first occurrence's command object, == its own
+        first = {}
+        for record, command in zip(records, session.commands):
+            assert record["command"] is first.setdefault(canonical_json(command), command)
+        assert len(first) == 8
         for record, expected in zip(records, fresh):
             for key in ("status", "payload", "payload_hash", "version"):
                 assert record[key] == expected[key]
@@ -582,6 +588,20 @@ class TestEmitReport:
             payload_hash({"op": "analyze", "module": name}, shared) for name in "AB"]
         assert parsed[0]["payload_hash"] != parsed[1]["payload_hash"]
 
+    def test_equal_but_distinct_command_objects_keep_their_own_lines(self):
+        # 1, 1.0 and True are == in Python but not in JSON: the line texts are
+        # keyed by the command object, not by its value
+        payload = {"error": {"message": "shared"}}
+        commands = [{"op": "dm", "f": "h", "g": "h", "cap": cap} for cap in (1, 1.0, True, 1)]
+        assert all(command == commands[0] for command in commands)
+        records = [finish_record({"command": command, "status": "ok", "payload": payload,
+                                  "elapsed_ms": 0.5}) for command in commands]
+        out = io.StringIO()
+        assert cli.emit_report(records, "json-lines", out) == 0
+        lines = out.getvalue().splitlines()[:-1]
+        assert lines == [json.dumps(record, sort_keys=True) for record in records]
+        assert len(set(lines)) == 3
+
     def test_each_distinct_payload_is_encoded_once(self, tmp_path, monkeypatch):
         records = run_session(load_session(_emit_session(tmp_path)), None)
         payload_ids = {id(record["payload"]) for record in records}
@@ -599,6 +619,67 @@ class TestEmitReport:
         cli.emit_report(records, "json-lines", io.StringIO())
         encoded_payloads = [id(value) for value in encoded if id(value) in payload_ids]
         assert sorted(encoded_payloads) == sorted(payload_ids)
+
+
+ENCODER_SESSIONS = ["demo_session.json", "golden_session.json",
+                    "verify_window_seed11.json", "module_structure_seed11.json",
+                    "table_build_seed11.json", "command_stream_seed11.json"]
+EDGE_VALUES = ["M\u00f6dul \u2124/6", "\u00e9 \"q\" \\ \t \u0000 \U0001d53d", 1, 1.0, True, False,
+               -0.0, 1e-07, 1e+16, -3, 2 ** 70, 0.1, [], {}, [[], {}, [[{}]], {"a": []}],
+               {"b": {"d": [1, 1.0, True, None], "c": {}}, "a": [[]]}, None]
+
+
+def _oracle(encoder):
+    """The json.JSONEncoder that the module's encoder stands for."""
+    separators = (",", ":") if encoder is cli._CANONICAL else (", ", ": ")
+    return json.JSONEncoder(sort_keys=True, separators=separators, check_circular=False)
+
+
+class TestEncoders:
+    @pytest.mark.parametrize("encoder", [cli._CANONICAL, cli._JSON_LINE],
+                             ids=["canonical", "json_line"])
+    @pytest.mark.parametrize("name", ENCODER_SESSIONS)
+    def test_session_values_encode_as_the_oracle(self, name, encoder, tmp_path):
+        records = run_session(load_session(golden_session_path(name, tmp_path)), None)
+        values = [record[key] for record in records for key in ("command", "payload")]
+        oracle = _oracle(encoder)
+        assert [encoder.encode(value) for value in values] == [
+            oracle.encode(value) for value in values]
+
+    @pytest.mark.parametrize("encoder", [cli._CANONICAL, cli._JSON_LINE],
+                             ids=["canonical", "json_line"])
+    def test_edge_values_encode_as_the_oracle(self, encoder):
+        oracle = _oracle(encoder)
+        for value in EDGE_VALUES + [EDGE_VALUES, dict(zip("zyxw", EDGE_VALUES))]:
+            assert encoder.encode(value) == oracle.encode(value), value
+        with pytest.raises(TypeError, match="int64"):
+            encoder.encode({"a": [np.int64(1)]})
+
+    def test_command_stream_encodes_each_distinct_command_once_per_form(
+            self, tmp_path, monkeypatch):
+        session = load_session(golden_session_path("command_stream_seed11.json", tmp_path))
+        counts = {"_CANONICAL": 0, "_JSON_LINE": 0}
+
+        class CountingEncoder:
+            def __init__(self, name):
+                self.name, self.real = name, getattr(cli, name)
+
+            def encode(self, value):
+                counts[self.name] += 1
+                return self.real.encode(value)
+
+        for name in counts:
+            monkeypatch.setattr(cli, name, CountingEncoder(name))
+        records = run_session(session, None)
+        assert cli.emit_report(records, "json-lines", io.StringIO()) == 0
+        monkeypatch.undo()
+        commands = {id(record["command"]) for record in records}
+        payloads = {id(record["payload"]) for record in records}
+        assert (len(records), len(commands), len(payloads)) == (4010, 1518, 658)
+        # canonical: a memo key per command and a text per payload object;
+        # line form: a text per command object and per payload object, and
+        # the summary
+        assert counts == {"_CANONICAL": 4010 + 658, "_JSON_LINE": 1518 + 658 + 1}
 
 
 def _z5_tables():
