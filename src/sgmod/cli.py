@@ -172,6 +172,10 @@ def emit_report(records: list[dict], fmt: str, stream) -> int:
 
 
 def _emit_human(records: list[dict], code: int, stream) -> None:
+    # the indented block of each distinct payload object, keyed by id as in
+    # _json_lines; a default {} may be freed and its id reused, but only by
+    # another default {}, whose block is the same
+    blocks: dict[int, str] = {}
     for i, record in enumerate(records, 1):
         cmd = record["command"]
         op = cmd.get("op", "?")
@@ -182,8 +186,11 @@ def _emit_human(records: list[dict], code: int, stream) -> None:
         if isinstance(payload, dict) and "outcome" in payload:
             stream.write(f"   outcome: {payload['outcome']}"
                          f" ({payload.get('instances_checked', 0)} instances)\n")
-        for line in json.dumps(payload, sort_keys=True, indent=2).splitlines():
-            stream.write(f"   {line}\n")
+        block = blocks.get(id(payload))
+        if block is None:
+            text = json.dumps(payload, sort_keys=True, indent=2)
+            block = blocks[id(payload)] = "".join(f"   {line}\n" for line in text.splitlines())
+        stream.write(block)
         stream.write(f"   hash: {record['payload_hash']}\n")
         stream.write(f"   elapsed: {record['elapsed_ms']:.1f} ms\n")
     stream.write(f"exit code: {code}\n")

@@ -684,6 +684,14 @@ def annihilator_ideal_of_element(module: FiniteModule, x: int) -> Ideal:
     return Ideal(module.ring, bitset.mask_from_bools(col))
 
 
+def units(ring: FiniteRing) -> np.ndarray:
+    """The units of the ring, ascending: the rows of mul_table holding the one."""
+    hit = ring._cache.get("units")
+    if hit is None:
+        hit = ring._cache["units"] = np.flatnonzero((ring.mul_table == ring.one).any(axis=1))
+    return hit
+
+
 def zero_divisor_set(module: FiniteModule) -> int:
     """Bit mask of ring elements killing some nonzero module element."""
     if module.is_zero_module:

@@ -18,7 +18,6 @@ the window never refutes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import permutations
@@ -61,9 +60,9 @@ from .series import (
     content_mccoy_witness,
     extended_ideal_membership,
     is_zero_divisor_series,
-    make_series,
     series_multiply,
 )
+from .window import SupportWindow, _WindowOrbits, _window_orbits
 from .zd import decompose_zero_divisors
 
 DEFAULT_BUDGET = 10_000_000
@@ -73,70 +72,6 @@ _BLOCK_PAIRS = 1 << 12
 OUTCOME_PASS = "pass"
 OUTCOME_COUNTEREXAMPLE = "counterexample"
 OUTCOME_SKIPPED = "skipped"
-
-
-@dataclass(frozen=True)
-class SupportWindow:
-    """A finite exponent list; series enumeration assigns every coefficient.
-
-    max_support optionally caps the number of nonzero terms, and is at least
-    one: a window of the zero tuple alone checks nothing. The enumeration
-    order is the lexicographic coefficient-tuple order, so first-found
-    counterexamples are the lexicographically least.
-    """
-
-    exponents: tuple
-    max_support: int | None = None
-
-    def __post_init__(self):
-        exps = tuple(tuple(e) if isinstance(e, list) else e for e in self.exponents)
-        object.__setattr__(self, "exponents", exps)
-        if len(set(exps)) != len(exps):
-            raise PreconditionError("window exponents must be pairwise distinct")
-        if not exps:
-            raise PreconditionError("window needs at least one exponent")
-        if self.max_support is not None and self.max_support < 1:
-            raise PreconditionError(f"max_support must be at least 1, got {self.max_support}")
-
-    def validate_for(self, monoid: Monoid) -> None:
-        for e in self.exponents:
-            if not monoid.contains(e):
-                raise PreconditionError(f"window exponent {e!r} outside {monoid.label}")
-
-    def count(self, space_size: int) -> int:
-        """Number of coefficient assignments (the enumeration cardinality):
-        j nonzero terms can sit at C(E, j) position sets, with |space| - 1
-        values each; summed over every j this is |space|^E."""
-        e = len(self.exponents)
-        cap = e if self.max_support is None else min(self.max_support, e)
-        return sum(math.comb(e, j) * (space_size - 1) ** j for j in range(cap + 1))
-
-    def coeff_array(self, space_size: int, zero_index: int) -> np.ndarray:
-        """Every supported coefficient tuple as one row, in lexicographic order.
-
-        Tuples grow one position at a time: a prefix below max_support takes
-        every value, a prefix at it takes only zero. No unsupported tuple is
-        ever built, so the work is linear in the count() the budget charges.
-        The array is column-major, so each column is a contiguous index
-        vector for the gathers of the kernels.
-        """
-        e = len(self.exponents)
-        cap = e if self.max_support is None else min(self.max_support, e)
-        rows = np.zeros((1, 0), dtype=np.intp)
-        support = np.zeros(1, dtype=np.intp)
-        for _ in self.exponents:
-            full = support >= cap
-            width = np.where(full, 1, space_size)
-            parent = np.repeat(np.arange(len(rows)), width)
-            value = np.arange(len(parent)) - (np.cumsum(width) - width)[parent]
-            value[full[parent]] = zero_index
-            rows = np.column_stack((rows[parent], value))
-            support = support[parent] + (value != zero_index)
-        return np.asfortranarray(rows)
-
-    def series(self, space, monoid: Monoid, coeffs) -> Series:
-        terms = [(e, c) for e, c in zip(self.exponents, coeffs) if c != space.zero]
-        return make_series(space, monoid, terms)
 
 
 @dataclass
@@ -275,6 +210,56 @@ def _replay_mccoy_witnesses(module: FiniteModule, f_rows: np.ndarray,
         raise InvariantViolation("McCoy witness failed replay")
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]), concatenated in order."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
+
+
+def _replay_vanishing_pairs(module, fo: _WindowOrbits, go: _WindowOrbits, f_orbits: np.ndarray,
+                            g_orbits: np.ndarray, witnesses: np.ndarray, cut: tuple) -> int:
+    """Replay the McCoy witness of every vanishing pair (f, g) of the window
+    before the row pair cut, in lexicographic pair order; return their number.
+
+    (f_orbits[k], g_orbits[k]) are the vanishing orbit pairs, ordered, whose
+    least pairs come before the cut, and witnesses[k] is their witness. A
+    pair vanishes iff its orbit pair does, and its witness reads only the two
+    contents. The members of the orbit pairs are expanded for a chunk of f
+    rows at a time, so the work grows with the vanishing pairs, not with all
+    pairs.
+    """
+    cut_f, cut_g = cut
+    n_g = len(go.coeffs)
+    n_orbits = len(fo.reps)
+    # the vanishing orbit pairs of each f orbit, and the g rows they cover
+    pair_count = np.bincount(f_orbits, minlength=n_orbits)
+    pair_end = np.cumsum(pair_count)
+    first_pair = pair_end - pair_count
+    rows_before = np.concatenate(([0], np.cumsum(go.sizes[g_orbits])))
+    row_count = rows_before[pair_end] - rows_before[first_pair]
+    stop = min(cut_f + 1, len(fo.coeffs))
+    # a chunk holds the rows whose running replay count has one quotient by
+    # _BLOCK_ROWS, so it replays fewer than _BLOCK_ROWS pairs beyond its first row
+    chunk = np.divmod(np.cumsum(row_count[fo.orbit[:stop]]), _BLOCK_ROWS)[0]
+    edges = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), stop]
+    replayed = 0
+    for lo, hi in zip(edges, edges[1:]):
+        orbits = fo.orbit[lo:hi]
+        pairs = _ranges(first_pair[orbits], pair_count[orbits])
+        g_of_pair = g_orbits[pairs]
+        spans = go.sizes[g_of_pair]
+        f_rows = np.repeat(np.repeat(np.arange(lo, hi), pair_count[orbits]), spans)
+        codes = f_rows * n_g + go.members[_ranges(go.starts[g_of_pair], spans)]
+        order = codes.argsort()
+        order = order[codes[order] < cut_f * n_g + cut_g]
+        if order.size:
+            _replay_mccoy_witnesses(module, fo.coeffs[f_rows[order]],
+                                    np.repeat(witnesses[pairs], spans)[order])
+            replayed += order.size
+    return replayed
+
+
 def _extended_annihilator_violation(ring: FiniteRing, module: FiniteModule | None,
                                     monoid: Monoid, window: SupportWindow,
                                     f_arr: np.ndarray, ass, clause: str) -> dict | None:
@@ -335,25 +320,29 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
 
 def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                             statement) -> VerificationReport:
-    """Left rows go in blocks of at most _BLOCK_PAIRS pairs. Each pair's
-    Dedekind-Mertens instance (c(f), c(g), c(fg), cap) is packed over the
-    content ids into one code, and the search runs once per distinct
-    instance. The least row with a failure is reported at its least g, and
-    every vanishing product before that pair replays its McCoy witness: the
-    witness depends only on (c(f), c(g)), so it is computed once per content
-    pair and the replays of a block run at once."""
+    """Walks the window up to units. For units u and v, c(uf) = c(f),
+    c(vg) = c(g) and (uf)(vg) = uv·fg, so each pair's Dedekind-Mertens
+    instance (c(f), c(g), c(fg), cap), whether fg vanishes and its McCoy
+    witness are those of its orbit pair. Left orbits go in blocks of at most
+    _BLOCK_PAIRS pairs against the right orbits, each orbit represented by its
+    least member. Each instance is packed over the content ids into one code,
+    and the search runs once per distinct instance. Every f checks the content
+    criterion against its orbit's window partner. The least row with a failure
+    is reported at its least g, the least member of a failing orbit, and every
+    vanishing product before that pair replays the witness of its contents."""
     layout = _product_layout(monoid, window.exponents)
     mzero = module.zero
-    f_arr = window.coeff_array(ring.size, ring.zero)
-    g_arr = window.coeff_array(module.size, mzero)
-    g_nonzero = (g_arr != mzero).any(axis=1)
-    ann_nonzero = _content_annihilates(module, f_arr)
+    fo = _window_orbits(ring, window)
+    go = _window_orbits(module, window)
+    f_reps, g_reps = fo.coeffs[fo.reps], go.coeffs[go.reps]
+    ann_nonzero = _content_annihilates(module, fo.coeffs)
     ideals = submodule_lattice(ring)
     subs = submodule_lattice(module)
+    g_nonzero = (g_reps != mzero).any(axis=1)
     # Dedekind-Mertens with the default cap |support(g)| + 1
-    g_cap = (g_arr != mzero).sum(axis=1) + 1
-    g_cg = subs.ids(g_arr)
-    n_g = len(g_arr)
+    g_cap = (g_reps != mzero).sum(axis=1) + 1
+    g_cg = subs.ids(g_reps)
+    n_g = len(g_reps)
 
     @cache
     def k_min(cf_id, cg_id, cfg_id, cap):
@@ -361,71 +350,92 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
         return _dm_search(ideals.objects[cf_id], subs.objects[cg_id], subs.objects[cfg_id],
                           cap).k_min or 0
 
+    # per left orbit: its content id, its first failing right orbit (n_g for
+    # none), and whether a vanishing product with a nonzero g comes before it
+    cf = np.zeros(len(f_reps), dtype=np.intp)
+    end = np.full(len(f_reps), n_g)
+    killed = np.zeros(len(f_reps), dtype=bool)
+    vanishing = []
     zero_product_pairs = 0
     max_k = 0
     act, add = _index_copies(module.action_table, module.add_table)
 
-    for rows in _left_blocks(f_arr, g_arr):
-        f_block = f_arr[rows]
-        cf = ideals.ids(f_block)
-        block = _block_product(f_block, act, add, g_arr, layout)
+    for rows in _left_blocks(f_reps, g_reps):
+        f_block = f_reps[rows]
+        cf[rows] = ideals.ids(f_block)
+        block = _block_product(f_block, act, add, g_reps, layout)
         cfg = subs.ids(block.reshape(layout[0], -1).T).reshape(len(f_block), n_g)
         dims = (len(ideals.objects), len(subs.objects), len(subs.objects),
                 len(window.exponents) + 2)
-        codes = np.ravel_multi_index((cf[:, None], g_cg, cfg, g_cap), dims).ravel()
+        codes = np.ravel_multi_index((cf[rows, None], g_cg, cfg, g_cap), dims).ravel()
         distinct, inverse = np.unique(codes, return_inverse=True)
         instances = zip(*(a.tolist() for a in np.unravel_index(distinct, dims)))
         k_of = np.array([k_min(*key) for key in instances], dtype=np.int64)
         k_block = k_of[inverse].reshape(len(f_block), n_g)
-        # every vanishing pair before its row's first Dedekind-Mertens failure
-        # replays; the first row with a failure or a content mismatch is reported
         dm_fails = k_block == 0
-        end = np.where(dm_fails.any(axis=1), dm_fails.argmax(axis=1), n_g)
-        replay = ((block == mzero).all(axis=0) & g_nonzero
-                  & (np.arange(n_g) < end[:, None]))
-        killed = replay.any(axis=1)
-        bad = np.flatnonzero((end < n_g) | (killed != ann_nonzero[rows]))
-        last = int(bad[0]) if bad.size else len(f_block) - 1
-        pair_rows, pair_cols = np.nonzero(replay[:last + 1])
-        if pair_rows.size:
-            # one witness per (c(f), c(g)) pair, replayed on every vanishing pair
-            pair_codes = np.ravel_multi_index((cf[pair_rows], g_cg[pair_cols]), dims[:2])
-            witness_codes, witness_of = np.unique(pair_codes, return_inverse=True)
-            cf_ids, cg_ids = np.unravel_index(witness_codes, dims[:2])
-            witnesses = np.array([content_mccoy_witness(ideals.objects[i], subs.objects[j])
-                                  for i, j in zip(cf_ids.tolist(), cg_ids.tolist())],
-                                 dtype=np.intp)
-            _replay_mccoy_witnesses(module, f_block[pair_rows], witnesses[witness_of])
-            zero_product_pairs += len(pair_rows)
-        if bad.size:
-            f_coeffs = f_block[last].tolist()
-            if end[last] < n_g:
-                gi = int(end[last])
-                return VerificationReport(
-                    statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                    counterexample={
-                        "clause": "dedekind_mertens",
-                        "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
-                        "g": _terms_payload(window.series(module, monoid, g_arr[gi].tolist())),
-                        "reason": f"no exponent within cap {int(g_cap[gi])}",
-                    })
+        end[rows] = np.where(dm_fails.any(axis=1), dm_fails.argmax(axis=1), n_g)
+        vanish = (block == mzero).all(axis=0) & g_nonzero
+        killed[rows] = (vanish & (np.arange(n_g) < end[rows, None])).any(axis=1)
+        f_orbits, g_orbits = np.nonzero(vanish)
+        f_orbits += rows.start
+        vanishing.append((f_orbits, g_orbits))
+        zero_product_pairs += int((fo.sizes[f_orbits] * go.sizes[g_orbits]).sum())
+        if (end[rows] < n_g).any():
+            # every f in a later orbit comes after this failing least member
+            break
+        max_k = max(max_k, int(k_block.max()))
+
+    # the least f failing a check, among the rows of the orbits walked
+    of = fo.orbit
+    bad = np.flatnonzero(((end[of] < n_g) | (killed[of] != ann_nonzero)) & (of < rows.stop))
+    if bad.size:
+        last = int(bad[0])
+        gi = int(end[of[last]])
+        cut = (last, int(go.reps[gi]) if gi < n_g else len(go.coeffs))
+    else:
+        cut = (len(fo.coeffs), 0)
+
+    # the vanishing orbit pairs whose least pair comes before the cut, and
+    # one witness per content pair (c(f), c(g)) among them
+    f_orbits, g_orbits = (np.concatenate(parts) for parts in zip(*vanishing))
+    f_first, g_first = fo.reps[f_orbits], go.reps[g_orbits]
+    before = (f_first < cut[0]) | ((f_first == cut[0]) & (g_first < cut[1]))
+    f_orbits, g_orbits = f_orbits[before], g_orbits[before]
+    ids = (len(ideals.objects), len(subs.objects))
+    pair_codes = np.ravel_multi_index((cf[f_orbits], g_cg[g_orbits]), ids)
+    witness_codes, witness_of = np.unique(pair_codes, return_inverse=True)
+    cf_ids, cg_ids = np.unravel_index(witness_codes, ids)
+    witnesses = np.array([content_mccoy_witness(ideals.objects[i], subs.objects[j])
+                          for i, j in zip(cf_ids.tolist(), cg_ids.tolist())], dtype=np.intp)
+    replayed = _replay_vanishing_pairs(module, fo, go, f_orbits, g_orbits,
+                                       witnesses[witness_of], cut)
+    if bad.size:
+        f_coeffs = fo.coeffs[last].tolist()
+        if gi < n_g:
             return VerificationReport(
                 statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                 counterexample={
-                    "clause": "content_annihilator",
+                    "clause": "dedekind_mertens",
                     "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
-                    "annihilator_nonzero": bool(ann_nonzero[rows][last]),
-                    "window_partner_found": bool(killed[last]),
+                    "g": _terms_payload(window.series(module, monoid, g_reps[gi].tolist())),
+                    "reason": f"no exponent within cap {int(g_cap[gi])}",
                 })
-        max_k = max(max_k, int(k_block.max()))
+        return VerificationReport(
+            statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+            counterexample={
+                "clause": "content_annihilator",
+                "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
+                "annihilator_nonzero": bool(ann_nonzero[last]),
+                "window_partner_found": bool(killed[of[last]]),
+            })
 
     details = {
         "branch": "hypotheses_hold",
         "pairs": predicted,
         "max_dm_exponent": max_k,
         "zero_product_pairs": zero_product_pairs,
-        "mccoy_witnesses_verified": zero_product_pairs,
-        "content_criterion_series": len(f_arr),
+        "mccoy_witnesses_verified": replayed,
+        "content_criterion_series": len(fo.coeffs),
     }
     return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
 

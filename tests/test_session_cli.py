@@ -682,6 +682,37 @@ class TestEncoders:
         assert counts == {"_CANONICAL": 4010 + 658, "_JSON_LINE": 1518 + 658 + 1}
 
 
+def _human_oracle(records, code):
+    """The human report with every payload block dumped per record."""
+    out = io.StringIO()
+    for i, record in enumerate(records, 1):
+        cmd = record["command"]
+        out.write(f"== command {i}: {cmd.get('op', '?')} ==\n")
+        out.write(f"   args: {canonical_json(cmd)}\n")
+        out.write(f"   status: {record['status']}\n")
+        payload = record.get("payload", {})
+        if isinstance(payload, dict) and "outcome" in payload:
+            out.write(f"   outcome: {payload['outcome']}"
+                      f" ({payload.get('instances_checked', 0)} instances)\n")
+        for line in json.dumps(payload, sort_keys=True, indent=2).splitlines():
+            out.write(f"   {line}\n")
+        out.write(f"   hash: {record['payload_hash']}\n")
+        out.write(f"   elapsed: {record['elapsed_ms']:.1f} ms\n")
+    out.write(f"exit code: {code}\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", ["demo_session.json", "golden_session.json",
+                                  "verify_window_seed11.json", "module_structure_seed11.json",
+                                  "command_stream_seed11.json"])
+def test_human_report_matches_per_record_dumps(name, tmp_path):
+    # payload blocks are built once per payload object; repeats share one
+    records = run_session(load_session(golden_session_path(name, tmp_path)), None)
+    out = io.StringIO()
+    code = cli.emit_report(records, "human", out)
+    assert out.getvalue() == _human_oracle(records, code)
+
+
 def _z5_tables():
     idx = range(5)
     return {"kind": "tables", "add": [[(a + b) % 5 for b in idx] for a in idx],

@@ -5,7 +5,8 @@ the filtered itertools.product enumeration of window tuples, the per-pair
 pure-Python convolution, the content-annihilator verdict taken by closing
 the content ideal c(f) and annihilating it, and the per-pair loop of
 mccoy_equivalence, which closed c(fg) and probed the Dedekind-Mertens memo
-once per pair and replayed mccoy_witness on every vanishing pair, the search
+once per pair and replayed mccoy_witness on every vanishing pair, the block
+walk of mccoy_equivalence over every window pair, the search
 of regularity_transfer for an annihilating partner among all window tuples,
 the closure of each row's content, and the per-row scans of
 domain_prime_extension and submodule_transfer, which multiplied one left
@@ -18,7 +19,9 @@ Dedekind-Mertens instance of a block once, computes one McCoy witness per
 content pair (c(f), c(g)), calls is_zero_divisor_series once per content in
 regularity_transfer, searches partners only among the window tuples over the
 socles (0 :_M p) of the associated primes p, and reads every clause of
-domain_prime_extension off one product per left block.
+domain_prime_extension off one product per left block. mccoy_equivalence
+multiplies one pair per orbit of the unit group R^× × R^×, and the orbits are
+checked against the images u·x of every tuple x.
 """
 
 import functools
@@ -63,6 +66,7 @@ from sgmod.verify import (
     _product_layout,
     _socle_partners,
 )
+from sgmod.window import _window_orbits
 
 from closure_oracles import oracle_closure
 
@@ -170,6 +174,89 @@ def _report(statement, predicted, config, details, counterexample):
     outcome = "pass" if counterexample is None else "counterexample"
     return verify_mod.VerificationReport(statement, outcome, predicted, config, details,
                                          counterexample).to_payload()
+
+
+def mccoy_block_oracle(ring, module, monoid, window, budget):
+    """The block walk of mccoy_equivalence on the good branch over every
+    window pair: left rows in blocks against all right-hand tuples, one
+    Dedekind-Mertens search per distinct instance code of a block, and one
+    McCoy witness per content pair of a block, replayed on each vanishing
+    pair before the report. Returns the report payload."""
+    v = verify_mod
+    statement = "mccoy_equivalence"
+    config = v._config_echo(window=window, budget=budget, ring=ring, module=module,
+                            monoid=monoid)
+    predicted = window.count(ring.size) * window.count(module.size)
+    layout = _product_layout(monoid, window.exponents)
+    mzero = module.zero
+    f_arr = window.coeff_array(ring.size, ring.zero)
+    g_arr = window.coeff_array(module.size, mzero)
+    g_nonzero = (g_arr != mzero).any(axis=1)
+    ann_nonzero = _content_annihilates(module, f_arr)
+    ideals = finite_algebra.submodule_lattice(ring)
+    subs = finite_algebra.submodule_lattice(module)
+    g_cap = (g_arr != mzero).sum(axis=1) + 1
+    g_cg = subs.ids(g_arr)
+    n_g = len(g_arr)
+
+    @functools.cache
+    def k_min(cf_id, cg_id, cfg_id, cap):
+        return _dm_search(ideals.objects[cf_id], subs.objects[cg_id], subs.objects[cfg_id],
+                          cap).k_min or 0
+
+    def terms(space, coeffs):
+        return v._terms_payload(window.series(space, monoid, coeffs))
+
+    zero_product_pairs = 0
+    max_k = 0
+    act, add = v._index_copies(module.action_table, module.add_table)
+    for rows in v._left_blocks(f_arr, g_arr):
+        f_block = f_arr[rows]
+        cf = ideals.ids(f_block)
+        block = _block_product(f_block, act, add, g_arr, layout)
+        cfg = subs.ids(block.reshape(layout[0], -1).T).reshape(len(f_block), n_g)
+        dims = (len(ideals.objects), len(subs.objects), len(subs.objects),
+                len(window.exponents) + 2)
+        codes = np.ravel_multi_index((cf[:, None], g_cg, cfg, g_cap), dims).ravel()
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        instances = zip(*(a.tolist() for a in np.unravel_index(distinct, dims)))
+        k_of = np.array([k_min(*key) for key in instances], dtype=np.int64)
+        k_block = k_of[inverse].reshape(len(f_block), n_g)
+        dm_fails = k_block == 0
+        end = np.where(dm_fails.any(axis=1), dm_fails.argmax(axis=1), n_g)
+        replay = ((block == mzero).all(axis=0) & g_nonzero
+                  & (np.arange(n_g) < end[:, None]))
+        killed = replay.any(axis=1)
+        bad = np.flatnonzero((end < n_g) | (killed != ann_nonzero[rows]))
+        last = int(bad[0]) if bad.size else len(f_block) - 1
+        pair_rows, pair_cols = np.nonzero(replay[:last + 1])
+        if pair_rows.size:
+            pair_codes = np.ravel_multi_index((cf[pair_rows], g_cg[pair_cols]), dims[:2])
+            witness_codes, witness_of = np.unique(pair_codes, return_inverse=True)
+            cf_ids, cg_ids = np.unravel_index(witness_codes, dims[:2])
+            witnesses = np.array([v.content_mccoy_witness(ideals.objects[i], subs.objects[j])
+                                  for i, j in zip(cf_ids.tolist(), cg_ids.tolist())],
+                                 dtype=np.intp)
+            v._replay_mccoy_witnesses(module, f_block[pair_rows], witnesses[witness_of])
+            zero_product_pairs += len(pair_rows)
+        if bad.size:
+            f_coeffs = f_block[last].tolist()
+            if end[last] < n_g:
+                gi = int(end[last])
+                return _report(statement, predicted, config, {}, {
+                    "clause": "dedekind_mertens", "f": terms(ring, f_coeffs),
+                    "g": terms(module, g_arr[gi].tolist()),
+                    "reason": f"no exponent within cap {int(g_cap[gi])}"})
+            return _report(statement, predicted, config, {}, {
+                "clause": "content_annihilator", "f": terms(ring, f_coeffs),
+                "annihilator_nonzero": bool(ann_nonzero[rows][last]),
+                "window_partner_found": bool(killed[last])})
+        max_k = max(max_k, int(k_block.max()))
+    return _report(statement, predicted, config, {
+        "branch": "hypotheses_hold", "pairs": predicted, "max_dm_exponent": max_k,
+        "zero_product_pairs": zero_product_pairs,
+        "mccoy_witnesses_verified": zero_product_pairs,
+        "content_criterion_series": len(f_arr)}, None)
 
 
 def domain_prime_oracle(ring, module, monoid, window):
@@ -832,6 +919,22 @@ def test_planted_dm_failure_in_a_later_block(block_pairs, monkeypatch):
     assert _replayed(replays) == vanishing
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, verify_mod._BLOCK_ROWS])
+def test_replays_in_chunks_match_per_pair_loop(block_rows, monkeypatch):
+    # replays go in chunks of f rows; each chunk keeps the pair order, and the
+    # chunks together replay every vanishing pair once
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    _, details, vanishing, _ = mccoy_oracle(z6, m6, NAT, window)
+    monkeypatch.setattr(verify_mod, "_BLOCK_ROWS", block_rows)
+    replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
+    report = verify_mccoy_equivalence(z6, m6, NAT, window)
+    assert report.details == details
+    assert _replayed(replays) == vanishing
+    assert len(replays) > 1 or block_rows == verify_mod._BLOCK_ROWS
+
+
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
 def test_planted_content_failure_in_a_later_block(block_pairs, monkeypatch):
     # series with content (2) are declared to have a zero annihilator; the
@@ -1004,6 +1107,86 @@ def test_planted_wrong_witness_fails_replay(block_pairs, monkeypatch):
     monkeypatch.setattr(verify_mod, "content_mccoy_witness", planted)
     with pytest.raises(InvariantViolation, match="McCoy witness failed replay"):
         verify_mccoy_equivalence(z6, m6, NAT, window)
+
+
+# ---------------------------------------------------------------------------
+# mccoy_equivalence: the walk on unit-orbit representatives against the
+# block walk over every pair, and the orbits against the images u·x
+
+# every space of CASES once, rings and modules; a ring is its own module
+ORBIT_SPACES = list({id(space): (f"{label} {side}", space)
+                     for label, ring, module in CASES
+                     for side, space in (("ring", ring), ("module", module))}.values())
+# the most window tuples whose unit images the test takes one at a time
+ORBIT_TUPLES = 25_000
+
+
+def _assert_orbits_are_unit_images(space, window, unit_list):
+    """The orbits of the window tuples against the least row of the images
+    u·x over every unit u, taken one tuple and one unit at a time."""
+    orbits = _window_orbits(space, window)
+    tuples = [tuple(t) for t in orbits.coeffs.tolist()]
+    assert tuples == [tuple(t) for t in window.coeff_array(space.size, space.zero).tolist()]
+    act_rows = space.action_table.tolist()
+    row_of = {t: i for i, t in enumerate(tuples)}
+    least = [min(row_of[tuple(act_rows[u][c] for c in t)] for u in unit_list) for t in tuples]
+    reps = sorted(set(least))
+    assert orbits.reps.tolist() == reps
+    assert orbits.reps[orbits.orbit].tolist() == least
+    assert int(orbits.sizes.sum()) == window.count(space.size)
+    rows_of: dict = {}
+    for i, rep in enumerate(least):
+        rows_of.setdefault(rep, []).append(i)
+    for k, rep in enumerate(reps):
+        start, size = int(orbits.starts[k]), int(orbits.sizes[k])
+        assert orbits.members[start:start + size].tolist() == rows_of[rep]
+
+
+def _units_oracle(ring):
+    return [u for u in ring.elements() if any(ring.mul(u, v) == ring.one for v in ring.elements())]
+
+
+@pytest.mark.parametrize("label,space", ORBIT_SPACES, ids=[label for label, _ in ORBIT_SPACES])
+def test_window_orbits_match_unit_images(label, space):
+    unit_list = _units_oracle(space.ring)
+    assert finite_algebra.units(space.ring).tolist() == unit_list
+    windows = [w for _, w in MCCOY_WINDOWS if w.count(space.size) <= ORBIT_TUPLES]
+    assert any(w.max_support is not None for w in windows)
+    for window in windows:
+        _assert_orbits_are_unit_images(space, window, unit_list)
+
+
+def test_window_orbits_are_kept_per_exponent_count_and_cap():
+    # the exponent values do not enter, and a cap of at least E is no cap
+    z6 = build_zmod(6)
+    orbits = _window_orbits(z6, SupportWindow(((0,), (1,))))
+    assert _window_orbits(ring_as_module(z6), SupportWindow(((3,), (7,)), max_support=2)) \
+        is orbits
+    assert _window_orbits(z6, SupportWindow(((0,), (1,)), max_support=1)) is not orbits
+
+
+@pytest.mark.parametrize("ring,window", [
+    (build_zmod(12), SupportWindow(((0,), (1,), (2,)))),
+    (build_truncated_poly_ring(2, 2, 3), SupportWindow(((0,), (1,)))),
+], ids=["Z/12 {0,1,2}", "F2[a,b]/m^3 {0,1}"])
+def test_mccoy_orbit_walk_matches_block_walk(ring, window):
+    module = ring_as_module(ring)
+    report = verify_mccoy_equivalence(ring, module, NAT, window, budget=10 ** 9)
+    assert report.outcome == "pass"
+    assert report.to_payload() == mccoy_block_oracle(ring, module, NAT, window, 10 ** 9)
+
+
+def test_window_orbit_ranks_stay_exact_past_int64_codes():
+    # mixed-radix codes of 16 coefficients in Z/16 reach 16^16 = 2^64, yet
+    # the window has 241 tuples and 58,081 pairs
+    z16 = build_zmod(16)
+    window = SupportWindow(tuple((i,) for i in range(16)), max_support=1)
+    assert 16 ** 16 > np.iinfo(np.int64).max
+    _assert_orbits_are_unit_images(z16, window, _units_oracle(z16))
+    report = verify_mccoy_equivalence(z16, z16, NAT, window)
+    assert report.instances_checked == 58_081
+    assert report.to_payload() == mccoy_block_oracle(z16, z16, NAT, window,
+                                                     verify_mod.DEFAULT_BUDGET)
 
 
 # ---------------------------------------------------------------------------
