@@ -109,6 +109,26 @@ def _config_echo(window: SupportWindow | None = None, budget: int | None = None,
     return cfg
 
 
+def _window_config(statement: str, ring: FiniteRing | None, module: FiniteModule | None,
+                   monoid: Monoid, window: SupportWindow, budget: int, *,
+                   nonzero_module: bool, good_monoid: bool) -> dict:
+    """The argument checks of a window verifier, then its config echo.
+
+    In this order: a nonzero module where the statement needs one, a module
+    over the given ring (no check without a ring or a module), a cancellative
+    and torsion-free monoid where the statement assumes one, and window
+    exponents in the monoid. A ring or module of None is not echoed.
+    """
+    if nonzero_module and module.is_zero_module:
+        raise ZeroModuleError(f"{statement} needs a nonzero module")
+    if ring is not None and module is not None and not same_ring(ring, module.ring):
+        raise PreconditionError("module is not over the given ring")
+    if good_monoid:
+        _require_good_monoid(monoid, f"{statement} assumes")
+    window.validate_for(monoid)
+    return _config_echo(window=window, budget=budget, ring=ring, module=module, monoid=monoid)
+
+
 def _skipped(statement: str, config: dict, predicted: int, budget: int) -> VerificationReport:
     return VerificationReport(
         statement=statement,
@@ -142,16 +162,17 @@ def _block_product(left: np.ndarray, table, add_table, right: np.ndarray,
     left is an (F, E) block of left tuples, table[a] the multiplication (or
     action) row of the coefficient a, add_table the target's addition, right
     the (N, E) window array and layout the _product_layout of the window.
-    Returns an (n_prod, F, N) array; [:, a, b] holds left[a] * right[b].
-    The tables are the caller's _index_copies: every term and partial sum is
-    then an intp index array, and no gather casts one.
+    Returns an (n_prod, F, N) intp array; [:, a, b] holds left[a] * right[b].
+    The tables are the stored int32 ones. Each gathered (F, |target|) row
+    block is cast to intp once, so every term and partial sum is an intp
+    index array and no later gather casts one; no whole table is copied.
     """
     n_prod, pos = layout
-    acc = np.empty((n_prod, len(left), len(right)), dtype=add_table.dtype)
+    acc = np.empty((n_prod, len(left), len(right)), dtype=np.intp)
     # every product position receives a term: the first is stored, later ones added
     stored = [False] * n_prod
     for i in range(left.shape[1]):
-        rows = table.take(left[:, i], axis=0)
+        rows = table.take(left[:, i], axis=0).astype(np.intp, copy=False)
         for j, k in enumerate(pos[i]):
             # one take and no index arithmetic: every extra (F, N) temporary
             # page-faults afresh on wide windows
@@ -162,13 +183,6 @@ def _block_product(left: np.ndarray, table, add_table, right: np.ndarray,
                 acc[k] = term
                 stored[k] = True
     return acc
-
-
-def _index_copies(*tables: np.ndarray) -> list:
-    """intp copies of the int32 tables a window kernel gathers through, taken
-    once per verifier after its budget check. Their entries index the next
-    gather, and numpy casts a non-intp index array on every gather."""
-    return [table.astype(np.intp) for table in tables]
 
 
 def _left_blocks(left: np.ndarray, right: np.ndarray) -> list:
@@ -183,12 +197,13 @@ def _content_annihilates(module: FiniteModule, coeffs: np.ndarray) -> np.ndarray
 
     The ring elements killing a module element form an ideal, so
     Ann_M(c(f)) is the intersection of the Ann_M(a) over the coefficients a
-    of f: the rows of action_table == zero are intersected as packed bit
-    rows, and no content ideal is closed. Rows are taken in blocks so the
-    packed rows in flight stay bounded.
+    of f: the rows of action_table == zero, without the column of zero, are
+    intersected as packed bit rows, and no content ideal is closed. Rows are
+    taken in blocks so the packed rows in flight stay bounded.
     """
-    nonzero = np.arange(module.size) != module.zero
-    kills = np.packbits(module.action_table[:, nonzero] == module.zero, axis=1)
+    kills = module.action_table == module.zero
+    kills[:, module.zero] = False
+    kills = np.packbits(kills, axis=1)
     out = np.empty(len(coeffs), dtype=bool)
     for start in range(0, len(coeffs), _BLOCK_ROWS):
         block = coeffs[start:start + _BLOCK_ROWS]
@@ -294,13 +309,8 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
     construction replays on the failure branch.
     """
     statement = "mccoy_equivalence"
-    if module.is_zero_module:
-        raise ZeroModuleError(f"{statement} needs a nonzero module")
-    if not same_ring(ring, module.ring):
-        raise PreconditionError("module is not over the given ring")
-    window.validate_for(monoid)
-    config = _config_echo(window=window, budget=budget, ring=ring, module=module,
-                          monoid=monoid)
+    config = _window_config(statement, ring, module, monoid, window, budget,
+                            nonzero_module=True, good_monoid=False)
     canc, canc_wit = is_cancellative(monoid)
     # the torsion witness is read only on cancellative monoids
     tf, tf_wit = is_torsion_free(monoid) if canc else (False, None)
@@ -358,12 +368,11 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     vanishing = []
     zero_product_pairs = 0
     max_k = 0
-    act, add = _index_copies(module.action_table, module.add_table)
 
     for rows in _left_blocks(f_reps, g_reps):
         f_block = f_reps[rows]
         cf[rows] = ideals.ids(f_block)
-        block = _block_product(f_block, act, add, g_reps, layout)
+        block = _block_product(f_block, module.action_table, module.add_table, g_reps, layout)
         cfg = subs.ids(block.reshape(layout[0], -1).T).reshape(len(f_block), n_g)
         dims = (len(ideals.objects), len(subs.objects), len(subs.objects),
                 len(window.exponents) + 2)
@@ -490,12 +499,8 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     Instances: domain pairs + |primes| * |R[S] window|^2 + |Ass| * |R[S] window|.
     """
     statement = "domain_prime_extension"
-    _require_good_monoid(monoid, f"{statement} assumes")
-    window.validate_for(monoid)
-    if module is not None and not same_ring(ring, module.ring):
-        raise PreconditionError("module is not over the given ring")
-    config = _config_echo(window=window, budget=budget, ring=ring, module=module,
-                          monoid=monoid)
+    config = _window_config(statement, ring, module, monoid, window, budget,
+                            nonzero_module=False, good_monoid=True)
     nf = window.count(ring.size)
     primes = prime_ideals(ring)
     is_domain = not ring.is_zero_ring and zero_divisor_set(ring) == (1 << ring.zero)
@@ -525,7 +530,6 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     # domain clause is the zero ideal (0) and outranks the primes, in order
     layout = _product_layout(monoid, window.exponents)
     f_arr = window.coeff_array(ring.size, ring.zero)
-    mul, add = _index_copies(ring.mul_table, ring.add_table)
     first_prime = int(is_domain)  # index of primes[0] among the clauses
     masks = ([1 << ring.zero] if is_domain else []) + [p.members for p in primes]
     inside = [bitset.bools_from_mask(mask, ring.size) for mask in masks]
@@ -535,7 +539,7 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     for rows in _left_blocks(f_arr, f_arr):
         if not pending:  # the first clause has failed: nothing outranks it
             break
-        prod = _block_product(f_arr[rows], mul, add, f_arr, layout)
+        prod = _block_product(f_arr[rows], ring.mul_table, ring.add_table, f_arr, layout)
         for k in pending:
             hit = inside[k][prod].all(axis=0) & outside[k][rows, None] & outside[k]
             if hit.any():
@@ -584,10 +588,9 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     Instances: |R[S] window| * |M[S] window| pairs.
     """
     statement = "submodule_transfer"
-    _require_good_monoid(monoid, f"{statement} assumes")
-    window.validate_for(monoid)
+    config = _window_config(statement, None, module, monoid, window, budget,
+                            nonzero_module=False, good_monoid=True)
     ring = module.ring
-    config = _config_echo(window=window, budget=budget, module=module, monoid=monoid)
     config["submodule"] = list(sub.members_tuple())
     classification = classify_submodule(module, sub)
     nr = window.count(ring.size)
@@ -625,13 +628,14 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     x_outside = ~in_p[x_arr].all(axis=1)
     r_arr = window.coeff_array(ring.size, ring.zero)
     r_content = contents.ids(r_arr).tolist()
-    act, add = _index_copies(module.action_table, module.add_table)
 
     def least_hits():
         # per r with a hit, in order, only the least x with r x in P[S] and x
         # outside P[S]: no other x can be reported
         for rows in _left_blocks(r_arr, x_arr):
-            hit = in_p[_block_product(r_arr[rows], act, add, x_arr, layout)].all(axis=0)
+            block = _block_product(r_arr[rows], module.action_table, module.add_table, x_arr,
+                                   layout)
+            hit = in_p[block].all(axis=0)
             hit &= x_outside
             for i in np.flatnonzero(hit.any(axis=1)).tolist():
                 yield rows.start + i, int(hit[i].argmax())
@@ -692,9 +696,9 @@ def _partner_search(module: FiniteModule, f_arr: np.ndarray, partners: np.ndarra
                     layout) -> list:
     """Per row f of f_arr, whether f * g = 0 for some row g of partners."""
     verdicts = []
-    act, add = _index_copies(module.action_table, module.add_table)
     for rows in _left_blocks(f_arr, partners):
-        acc = _block_product(f_arr[rows], act, add, partners, layout)
+        acc = _block_product(f_arr[rows], module.action_table, module.add_table, partners,
+                             layout)
         verdicts += (acc == module.zero).all(axis=0).any(axis=1).tolist()
     return verdicts
 
@@ -723,14 +727,8 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     are a subset.
     """
     statement = "regularity_transfer"
-    if module.is_zero_module:
-        raise ZeroModuleError(f"{statement} needs a nonzero module")
-    if not same_ring(ring, module.ring):
-        raise PreconditionError("module is not over the given ring")
-    _require_good_monoid(monoid, f"{statement} assumes")
-    window.validate_for(monoid)
-    config = _config_echo(window=window, budget=budget, ring=ring, module=module,
-                          monoid=monoid)
+    config = _window_config(statement, ring, module, monoid, window, budget,
+                            nonzero_module=True, good_monoid=True)
 
     nf = window.count(ring.size)
     ng = window.count(module.size)
@@ -805,14 +803,8 @@ def verify_zero_divisor_transfer(ring: FiniteRing, module: FiniteModule, monoid:
     + n * |R[S] window| witness checks.
     """
     statement = "zero_divisor_transfer"
-    if module.is_zero_module:
-        raise ZeroModuleError(f"{statement} needs a nonzero module")
-    if not same_ring(ring, module.ring):
-        raise PreconditionError("module is not over the given ring")
-    _require_good_monoid(monoid, f"{statement} assumes")
-    window.validate_for(monoid)
-    config = _config_echo(window=window, budget=budget, ring=ring, module=module,
-                          monoid=monoid)
+    config = _window_config(statement, ring, module, monoid, window, budget,
+                            nonzero_module=True, good_monoid=True)
 
     decomp = decompose_zero_divisors(module)
     n = decomp.degree

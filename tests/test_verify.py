@@ -15,11 +15,13 @@ from sgmod import (
     content,
     cyclic_group_monoid,
     dedekind_mertens_exponent,
+    free_monoid,
     ideal_action_submodule,
     is_zero_divisor_series,
     make_series,
     mccoy_witness,
     prime_ideals,
+    quotient_module,
     ring_as_module,
     saturating_monoid,
     series_multiply,
@@ -367,3 +369,70 @@ def test_hypothesis_messages(monoid, tail, prefix, call):
     with pytest.raises(HypothesisError) as exc:
         call(f, monoid)
     assert str(exc.value) == f"{prefix} {tail}"
+
+
+def _window_verifiers():
+    """Each window verifier as a call on (ring, module, monoid, window), with
+    the faults it checks for, in the order it checks them."""
+    return [
+        ("mccoy_equivalence", verify_mccoy_equivalence,
+         ["zero_module", "foreign_module", "window_outside"]),
+        ("domain_prime_extension", verify_domain_prime_extension,
+         ["foreign_module", "not_cancellative", "window_outside"]),
+        ("submodule_transfer",
+         lambda ring, module, monoid, window: verify_submodule_transfer(
+             module, submodule_generated(module, []), monoid, window),
+         ["not_cancellative", "window_outside"]),
+        ("regularity_transfer", verify_regularity_transfer,
+         ["zero_module", "foreign_module", "not_cancellative", "window_outside"]),
+        ("zero_divisor_transfer", verify_zero_divisor_transfer,
+         ["zero_module", "foreign_module", "not_cancellative", "window_outside"]),
+    ]
+
+
+def _faulty_arguments(fault):
+    """(ring, module, monoid, window) over Z/6 with the one given fault, and
+    the error class and message it raises, the statement left to fill in."""
+    z6 = build_zmod(6)
+    zero = quotient_module(z6, submodule_generated(z6, [1]))
+    nat, w2 = free_monoid(1), SupportWindow(((0,), (1,)))
+    return {
+        "zero_module": ((z6, zero, nat, w2),
+                        ZeroModuleError, "{} needs a nonzero module"),
+        "foreign_module": ((z6, build_zmod(4), nat, w2),
+                           PreconditionError, "module is not over the given ring"),
+        "not_cancellative": ((z6, z6, saturating_monoid(2), SupportWindow((0, 1))),
+                             HypothesisError,
+                             "{} assumes a cancellative monoid; witness (2, 0, 1)"),
+        "window_outside": ((z6, z6, nat, SupportWindow(((0,), (-1,)))),
+                           PreconditionError, "window exponent (-1,) outside N^1"),
+    }[fault]
+
+
+@pytest.mark.parametrize("statement,call,fault", [
+    pytest.param(statement, call, fault, id=f"{statement}-{fault}")
+    for statement, call, faults in _window_verifiers() for fault in faults
+])
+def test_window_verifier_argument_errors(statement, call, fault):
+    args, error, message = _faulty_arguments(fault)
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(statement)
+
+
+@pytest.mark.parametrize("statement,call", [
+    pytest.param(statement, call, id=statement)
+    for statement, call, faults in _window_verifiers() if "zero_module" not in faults
+])
+def test_zero_module_is_no_fault_where_not_needed(statement, call):
+    (ring, zero, monoid, window), *_ = _faulty_arguments("zero_module")
+    assert call(ring, zero, monoid, window).outcome == "pass"
+
+
+def test_domain_prime_extension_checks_the_module_before_the_monoid():
+    # both faults at once: the module error comes first, as in every other
+    # window verifier
+    with pytest.raises(PreconditionError, match="^module is not over the given ring$"):
+        verify_domain_prime_extension(build_zmod(6), build_zmod(4), saturating_monoid(2),
+                                      SupportWindow((0, 1)))

@@ -26,6 +26,7 @@ checked against the images u·x of every tuple x.
 
 import functools
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -209,11 +210,10 @@ def mccoy_block_oracle(ring, module, monoid, window, budget):
 
     zero_product_pairs = 0
     max_k = 0
-    act, add = v._index_copies(module.action_table, module.add_table)
     for rows in v._left_blocks(f_arr, g_arr):
         f_block = f_arr[rows]
         cf = ideals.ids(f_block)
-        block = _block_product(f_block, act, add, g_arr, layout)
+        block = _block_product(f_block, module.action_table, module.add_table, g_arr, layout)
         cfg = subs.ids(block.reshape(layout[0], -1).T).reshape(len(f_block), n_g)
         dims = (len(ideals.objects), len(subs.objects), len(subs.objects),
                 len(window.exponents) + 2)
@@ -1344,3 +1344,22 @@ def test_one_block_product_per_left_block(monkeypatch):
     assert report.details["primary_transfer_holds"]
     # 1,728 left rows against 1,728 right-hand tuples, two rows a block
     assert len(calls) == 864
+
+
+@pytest.mark.parametrize("verifier", [verify_mccoy_equivalence, verify_domain_prime_extension],
+                         ids=["mccoy_equivalence", "domain_prime_extension"])
+def test_window_kernel_copies_no_whole_table(verifier):
+    # Z/1024 and {0, 1} with max_support 1: 2,047 window tuples. One intp
+    # copy of a 1024 x 1024 table is 8 MB; the traced peak of a run with warm
+    # memos stays below that
+    z1024 = build_zmod(1024)
+    window = SupportWindow(((0,), (1,)), max_support=1)
+    expected = verifier(z1024, z1024, NAT, window).to_payload()
+    tracemalloc.start()
+    try:
+        report = verifier(z1024, z1024, NAT, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.outcome == "pass" and report.to_payload() == expected
+    assert peak < 8 * 2**20
