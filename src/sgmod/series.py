@@ -236,6 +236,8 @@ def dedekind_mertens_exponent(f: Series, g: Series, cap: int | None = None) -> D
 
     The default cap is |support(g)| + 1, the classical single-variable bound;
     exceeding the cap reports "cap exceeded" rather than fabricating a k.
+    When one coefficient of f generates c(f), c(fg) = c(f)c(g) is taken
+    without forming fg; otherwise c(fg) is read off the product.
     """
     if not isinstance(f.space, FiniteRing):
         raise StructureMismatchError("f must have ring coefficients")
@@ -249,7 +251,12 @@ def dedekind_mertens_exponent(f: Series, g: Series, cap: int | None = None) -> D
         raise PreconditionError("cap must be nonnegative")
     cf = content(f)
     cg = content(g)
-    cfg = content(series_multiply(f, g))
+    if any(submodule_generated(f.space, (a,)) is cf for a in f.coefficients):
+        # every coefficient is a*u_i, u_i = 1 at a itself: f = a f' with
+        # c(f') = R, so Dedekind-Mertens gives c(f'g) = c(g), and c(fg) = a c(g)
+        cfg = ideal_action_submodule(cf, cg)
+    else:
+        cfg = content(series_multiply(f, g))
     return _dm_search(cf, cg, cfg, cap)
 
 

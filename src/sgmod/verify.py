@@ -163,20 +163,26 @@ def _block_product(left: np.ndarray, table, add_table, right: np.ndarray,
     action) row of the coefficient a, add_table the target's addition, right
     the (N, E) window array and layout the _product_layout of the window.
     Returns an (n_prod, F, N) intp array; [:, a, b] holds left[a] * right[b].
-    The tables are the stored int32 ones. Each gathered (F, |target|) row
-    block is cast to intp once, so every term and partial sum is an intp
-    index array and no later gather casts one; no whole table is copied.
+    The tables are the stored int32 ones, and no whole table is copied. On a
+    wide right, each gathered (F, |target|) row block is cast to intp once,
+    so every term and partial sum is an intp index array and no later gather
+    casts one. When the N * E cells read per left column are fewer than
+    |target|, each (F, N) term is gathered from the table directly instead.
     """
     n_prod, pos = layout
     acc = np.empty((n_prod, len(left), len(right)), dtype=np.intp)
     # every product position receives a term: the first is stored, later ones added
     stored = [False] * n_prod
+    narrow = len(right) * left.shape[1] < table.shape[1]
     for i in range(left.shape[1]):
-        rows = table.take(left[:, i], axis=0).astype(np.intp, copy=False)
+        if narrow:
+            column = left[:, i, None]
+        else:
+            rows = table.take(left[:, i], axis=0).astype(np.intp, copy=False)
         for j, k in enumerate(pos[i]):
             # one take and no index arithmetic: every extra (F, N) temporary
             # page-faults afresh on wide windows
-            term = rows.take(right[:, j], axis=1)
+            term = table[column, right[:, j]] if narrow else rows.take(right[:, j], axis=1)
             if stored[k]:
                 acc[k] = add_table[acc[k], term]
             else:

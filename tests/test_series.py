@@ -429,6 +429,14 @@ def oracle_series_multiply(f, h):
     return tuple(sorted((e, c) for e, c in acc.items() if c != space.zero))
 
 
+def oracle_dedekind_mertens(f, g, cap=None):
+    """The memoized Dedekind-Mertens transcript with c(fg) read off the
+    product f * g for every f, the path dedekind_mertens_exponent takes only
+    when no coefficient of f generates c(f)."""
+    used = len(g.terms) + 1 if cap is None else cap
+    return series_mod._dm_search(content(f), content(g), content(series_multiply(f, g)), used)
+
+
 def _random_series(rng, space, monoid, exponents):
     """A series of up to four terms with random coefficients; exponents may
     repeat, so make_series combines some of them."""
@@ -544,6 +552,120 @@ class TestDedekindMertensMemo:
         for g in (g1, g2, g1):
             assert dedekind_mertens_exponent(f, g) == oracle_dm_search(
                 content(f), content(g), content(series_multiply(f, g)), len(g.terms) + 1)
+
+
+def _has_generating_coefficient(f):
+    cf = content(f)
+    return any(ideal_generated(f.space, [a]).members == cf.members for a in f.coefficients)
+
+
+def _unit_shift_representatives(ring, nat):
+    """The 1-3-term series over {0, 1, 2} with a nonzero constant term whose
+    coefficient tuple is the least of its multiples by the units of the ring.
+
+    A shift X^s f or a unit multiple u f keeps c(f), c(fg) and whether a
+    coefficient generates c(f), so these stand for every 1-3-term series over
+    {0, 1, 2}, on either side of a pair.
+    """
+    units = [u for u in range(ring.size) if (ring.mul_table[u] == ring.one).any()]
+    reps = []
+    for coeffs in itertools.product(range(ring.size), repeat=3):
+        scaled = min(tuple(int(ring.mul_table[u, c]) for c in coeffs) for u in units)
+        if coeffs[0] != ring.zero and coeffs == scaled:
+            reps.append(ring_series(ring, nat, *coeffs))
+    return reps
+
+
+class TestDedekindMertensProductOracle:
+    """dedekind_mertens_exponent against the oracle that always multiplies:
+    the same memoized transcript, and a payload equal to the uncached one."""
+
+    @staticmethod
+    def check_pairs(pairs, cap=None):
+        """Check every pair; return how many took each branch, as
+        (generating coefficient, product)."""
+        payloads = {}
+        generating = {}
+        branches = [0, 0]
+        for f, g in pairs:
+            result = dedekind_mertens_exponent(f, g, cap=cap)
+            assert result is oracle_dedekind_mertens(f, g, cap), (f, g)
+            if id(result) not in payloads:
+                used = len(g.terms) + 1 if cap is None else cap
+                expected = oracle_dm_search(content(f), content(g),
+                                            content(series_multiply(f, g)), used)
+                assert result.payload == expected.payload, (f, g)
+                payloads[id(result)] = result
+            if id(f) not in generating:
+                generating[id(f)] = _has_generating_coefficient(f)
+            branches[not generating[id(f)]] += 1
+        return branches
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_pair_over_zmod(self, n, nat):
+        ring = build_zmod(n)
+        reps = _unit_shift_representatives(ring, nat)
+        principal, product = self.check_pairs(itertools.product(reps, repeat=2))
+        # over the local Z/p^k the ideals form a chain, so some coefficient
+        # of every f generates c(f)
+        assert principal and bool(product) == (n in (6, 10, 12))
+
+    def test_sampled_pairs_over_truncated_ring(self, trunc, mt, nat):
+        rng = random.Random(64)
+        exps = [(e,) for e in range(3)]
+        a, b = trunc.meta["generators"]
+        pairs = [(make_series(trunc, nat, [((0,), a), ((1,), b)]),
+                  make_series(mt, nat, [((0,), b), ((1,), a)]))]
+        while len(pairs) < 1500:
+            f = _random_series(rng, trunc, nat, exps)
+            g = _random_series(rng, mt, nat, exps)
+            if not (f.is_zero or g.is_zero):
+                pairs.append((f, g))
+        principal, product = self.check_pairs(pairs)
+        assert principal > 100 and product > 100
+        # a cap below k_min is reported as exceeded on both paths
+        self.check_pairs(pairs[:300], cap=1)
+
+    @pytest.mark.parametrize("monoid,exps", [
+        (free_monoid(1), [(e,) for e in range(3)]),
+        (free_monoid(2), [(0, 0), (1, 0), (0, 1), (1, 1)])], ids=["N", "N^2"])
+    def test_sampled_pairs_over_a_module(self, z12, m12, monoid, exps):
+        module = direct_sum(m12, m12)
+        rng = random.Random(144)
+        pairs = []
+        while len(pairs) < 1500:
+            f = _random_series(rng, z12, monoid, exps)
+            g = _random_series(rng, module, monoid, exps)
+            if not (f.is_zero or g.is_zero):
+                pairs.append((f, g))
+        principal, product = self.check_pairs(pairs)
+        assert principal and product
+
+    def test_no_generating_coefficient_needs_the_product(self, trunc, mt, nat):
+        # f = a + bX and g = b + aX: neither a nor b generates c(f) = m, and
+        # c(fg) = (ab, a^2 + b^2) is half of c(f)c(g) = m^2
+        a, b = trunc.meta["generators"]
+        assert (a, b) == (2, 4)
+        f = make_series(trunc, nat, [((0,), a), ((1,), b)])
+        g = make_series(mt, nat, [((0,), b), ((1,), a)])
+        assert not _has_generating_coefficient(f)
+        assert len(content(series_multiply(f, g)).members_tuple()) == 4
+        assert len(ideal_action_submodule(content(f), content(g)).members_tuple()) == 8
+        result = dedekind_mertens_exponent(f, g)
+        assert result is oracle_dedekind_mertens(f, g)
+        assert result.payload == {
+            "k_min": 2, "cap_used": 3,
+            "chain": [{"k": 1, "lhs": [0, 8, 16, 24, 32, 40, 48, 56], "rhs": [0, 16, 40, 56],
+                       "equal": False},
+                      {"k": 2, "lhs": [0], "rhs": [0], "equal": True}]}
+
+    def test_generating_coefficient_builds_no_product(self, trunc, mt, nat, monkeypatch):
+        a, b = trunc.meta["generators"]
+        f = make_series(trunc, nat, [((0,), a), ((1,), trunc.mul(a, b))])
+        g = make_series(mt, nat, [((0,), b), ((1,), a)])
+        expected = oracle_dedekind_mertens(f, g)
+        monkeypatch.setattr(series_mod, "series_multiply", None)
+        assert dedekind_mertens_exponent(f, g) is expected
 
 
 class TestPayloadMemo:

@@ -500,6 +500,32 @@ def test_block_product_matches_pairwise_loop(label, ring, module):
             start, height = start + height, height % 3 + 1
 
 
+@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
+def test_block_product_narrow_right_matches_pairwise_loop(label, ring, module):
+    # fewer than |M| / E right-hand tuples: the terms are gathered cell by
+    # cell from the table, not from whole rows
+    act_rows, add_rows = module.action_table.tolist(), module.add_table.tolist()
+    checked = 0
+    for monoid, window in _windows_up_to(module.size, 25_000):
+        e_count = len(window.exponents)
+        n_right = (module.size - 1) // e_count
+        if not n_right:
+            continue
+        layout = _product_layout(monoid, window.exponents)
+        f_arr = window.coeff_array(ring.size, ring.zero)
+        g_arr = window.coeff_array(module.size, module.zero)
+        right = g_arr[np.linspace(0, len(g_arr) - 1, n_right).astype(int)]
+        rows = f_arr[::max(1, len(f_arr) // 200)]
+        block = _block_product(rows, module.action_table, module.add_table, right, layout)
+        assert block.shape == (layout[0], len(rows), len(right)) and block.dtype == np.intp
+        for a, f in enumerate(rows.tolist()):
+            expected = [convolution_oracle(f, g, layout, act_rows, add_rows, ring.zero,
+                                           module.zero) for g in right.tolist()]
+            assert block[:, a].T.tolist() == expected
+        checked += 1
+    assert checked or module.size <= 2
+
+
 def test_block_product_on_ring_tables():
     ring = relabeled_zmod(6, 2)
     window = WINDOWS_N[2]
@@ -1346,12 +1372,15 @@ def test_one_block_product_per_left_block(monkeypatch):
     assert len(calls) == 864
 
 
-@pytest.mark.parametrize("verifier", [verify_mccoy_equivalence, verify_domain_prime_extension],
-                         ids=["mccoy_equivalence", "domain_prime_extension"])
+@pytest.mark.parametrize("verifier", [verify_mccoy_equivalence, verify_domain_prime_extension,
+                                      verify_regularity_transfer],
+                         ids=["mccoy_equivalence", "domain_prime_extension",
+                              "regularity_transfer"])
 def test_window_kernel_copies_no_whole_table(verifier):
     # Z/1024 and {0, 1} with max_support 1: 2,047 window tuples. One intp
     # copy of a 1024 x 1024 table is 8 MB; the traced peak of a run with warm
-    # memos stays below that
+    # memos stays below that. regularity_transfer searches two socle
+    # partners, so its terms are gathered without the (2,047, 1,024) rows
     z1024 = build_zmod(1024)
     window = SupportWindow(((0,), (1,)), max_support=1)
     expected = verifier(z1024, z1024, NAT, window).to_payload()
