@@ -711,6 +711,8 @@ def associated_primes(module: FiniteModule) -> list[tuple[Ideal, int]]:
     """Prime annihilators of nonzero elements, deduplicated and canonically sorted.
 
     Each prime is tagged with the least nonzero element whose annihilator it is.
+    They are the annihilators that no other one strictly contains, so no
+    primality search runs.
     """
     if module.is_zero_module:
         raise ZeroModuleError("associated primes are undefined on the zero module")
@@ -718,15 +720,23 @@ def associated_primes(module: FiniteModule) -> list[tuple[Ideal, int]]:
     hit = module._cache.get(key)
     if hit is not None:
         return hit
-    # killed[x] packs the annihilator of x; each distinct one is tested once,
+    # killed[x] packs the annihilator of x; each distinct one is kept once,
     # with the least nonzero element that has it
     killed = np.packbits(module.action_table.T == module.zero, axis=1, bitorder="little")
     least: dict[int, int] = {}
     for x in module.elements():
         if x != module.zero:
             least.setdefault(int.from_bytes(killed[x].tobytes(), "little"), x)
-    anns = [(Ideal(module.ring, m), x) for m, x in least.items()]
-    out = sorted(((p, x) for p, x in anns if is_prime_ideal(p)[0]),
+    # Ann(x) is prime iff no Ann(y), y != 0, strictly contains it. (=>) A prime
+    # of a finite ring is maximal, and each Ann(y) is proper, as 1 y != 0.
+    # (<=) If ab kills x and b does not, then bx != 0 and Ann(bx) contains
+    # Ann(x), so the two are equal by maximality, and a kills bx. Walked by
+    # falling size, a mask is maximal iff it lies in no maximal one kept so far.
+    maximal: list[int] = []
+    for m in sorted(least, key=int.bit_count, reverse=True):
+        if not any(m & ~big == 0 for big in maximal):
+            maximal.append(m)
+    out = sorted(((Ideal(module.ring, m), least[m]) for m in maximal),
                  key=lambda pw: pw[0].members_tuple())
     module._cache[key] = out
     return out

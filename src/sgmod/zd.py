@@ -5,6 +5,13 @@ All four are read off one pass, the memoised associated_primes. For a finite
 nonzero module Z(M) is the union of Ass(M) and every prime is maximal, so the
 cover is always incomparable, the module always has very few zero-divisors
 and Property (A), and it is primal exactly when the degree is one.
+
+That pass runs no primality search: it keeps the annihilators of nonzero
+elements that no other one strictly contains. In any commutative ring such a
+maximal Ann(x) is prime (if ab kills x and b does not, Ann(bx) = Ann(x), so a
+kills x), and in a finite ring every prime Ann(x) is maximal, so these are
+exactly the prime annihilators. is_prime_ideal stays public, but no session
+path calls it.
 """
 
 from __future__ import annotations

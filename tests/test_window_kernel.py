@@ -299,7 +299,7 @@ def domain_prime_oracle(ring, module, monoid, window):
                     "g": _terms_in(window, ring, monoid, f_list[hits[0]])})
         details["domain_pairs"] = clause1
     else:
-        a, b = v.is_prime_ideal(ideal_generated(ring, ()))[1] or (None, None)
+        a, b = finite_algebra.is_prime_ideal(ideal_generated(ring, ()))[1] or (None, None)
         details["non_domain_witness"] = None if a is None else [a, b]
     for p in primes:
         in_p = v.bitset.bools_from_mask(p.members, ring.size)

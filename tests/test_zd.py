@@ -1,10 +1,16 @@
+import importlib.util
+import json
+import os
+
 import numpy as np
 import pytest
 
 from sgmod import (
     FiniteModule,
+    FiniteRing,
     Ideal,
     PrimeDecomposition,
+    SupportWindow,
     ZeroModuleError,
     annihilator_ideal_of_element,
     annihilator_in_module,
@@ -15,6 +21,7 @@ from sgmod import (
     decompose_zero_divisors,
     direct_sum,
     enumerate_ideals,
+    free_monoid,
     has_very_few_zero_divisors,
     ideal_generated,
     is_primal,
@@ -25,9 +32,13 @@ from sgmod import (
     quotient_ring,
     ring_as_module,
     submodule_generated,
+    verify_domain_prime_extension,
     zero_divisor_set,
 )
 from sgmod import bitset
+
+GEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "perfbench", "gen.py")
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +72,25 @@ def oracle_maximal_ideals_within(ring, zmask):
     return sorted(maximal, key=lambda i: i.members_tuple())
 
 
+def oracle_associated_primes(module):
+    """The primality filter that associated_primes replaced: each distinct
+    per-element annihilator with its least nonzero witness, kept iff
+    is_prime_ideal holds, sorted by members."""
+    least = {}
+    for x in module.elements():
+        if x != module.zero:
+            least.setdefault(annihilator_ideal_of_element(module, x).members, x)
+    anns = [(Ideal(module.ring, m), x) for m, x in least.items()]
+    return sorted(((p, x) for p, x in anns if is_prime_ideal(p)[0]),
+                  key=lambda pw: pw[0].members_tuple())
+
+
 def oracle_decomposition(module):
-    """Maximal prime candidates among Ass(M) and the saturated ideals inside Z,
-    checked to cover Z, each with the least m whose annihilator it is."""
+    """Maximal prime candidates among the oracle's Ass(M) and the saturated
+    ideals inside Z, checked to cover Z, each with the least m whose
+    annihilator it is."""
     zmask = zero_divisor_set(module)
-    candidates = {p.members: p for p, _ in associated_primes(module)}
+    candidates = {p.members: p for p, _ in oracle_associated_primes(module)}
     for ideal in oracle_maximal_ideals_within(module.ring, zmask):
         if is_prime_ideal(ideal)[0]:
             candidates[ideal.members] = ideal
@@ -164,6 +189,53 @@ def _oracle_modules():
     ]
 
 
+def _relabelled_product_ring():
+    """Z/16 x Z/16 as the `tables` ring X of the seed-11 table_build benchmark
+    session: its elements are shuffled, so its zero is not index 0."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    x = json.loads(gen.generate("table_build", 11))["rings"]["X"]
+    ring = FiniteRing(x["add"], x["mul"], x["zero"], x["one"], label="X")
+    assert ring.zero != 0
+    return ring
+
+
+def _sum12():
+    z12 = ring_as_module(build_zmod(12))
+    return direct_sum(z12, z12)
+
+
+def _quotient_of_sum12(gens):
+    s12 = _sum12()
+    return quotient_module(s12, submodule_generated(s12, gens))
+
+
+def _over(n, d):
+    """Z/d as a Z/n-module, the quotient of Z/n by (d)."""
+    zn = ring_as_module(build_zmod(n))
+    return quotient_module(zn, submodule_generated(zn, [d]))
+
+
+# the quotients Q of Z/12 (+) Z/12 that the module_structure benchmark session
+# draws from; (x, y) has index 12 x + y
+Q_GENS = ([6 * 12], [6], [6 * 12 + 6], [4 * 12], [3 * 12 + 3], [4 * 12 + 6])
+
+# name -> builder of a nonzero module: the corpus on which associated_primes
+# and the non-domain witness are compared with their oracles
+CORPUS = {
+    **{f"Z/{n}": (lambda n=n: ring_as_module(build_zmod(n))) for n in [*range(2, 129), 210, 360]},
+    "F2[a,b]/m^3": lambda: ring_as_module(build_truncated_poly_ring(2, 2, 3)),
+    "F2[a..e]/m^2": lambda: ring_as_module(build_truncated_poly_ring(2, 5, 2)),
+    "F3[a,b]/m^2": lambda: ring_as_module(build_truncated_poly_ring(3, 2, 2)),
+    "Z/12+Z/12": _sum12,
+    **{f"Q{gens}": (lambda gens=gens: _quotient_of_sum12(gens)) for gens in Q_GENS},
+    "Z/2 over Z/4": lambda: _over(4, 2),
+    "Z/3 over Z/6": lambda: _over(6, 3),
+    "Z/16xZ/16 relabelled": _relabelled_product_ring,
+}
+
+
 def _assert_matches_oracles(module):
     primes, witnesses = oracle_decomposition(module)
     d = decompose_zero_divisors(module)
@@ -209,6 +281,32 @@ class TestAgainstOracles:
         for report in (check_property_a, has_very_few_zero_divisors, is_primal):
             with pytest.raises(ZeroModuleError):
                 report(ring_as_module(zero))
+
+
+class TestAssociatedPrimesOracle:
+    """associated_primes keeps the annihilators that no other one strictly
+    contains; the primality filter it replaced finds the same primes, with the
+    same witnesses, in the same order."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_maximal_annihilators_are_the_prime_ones(self, name):
+        module = CORPUS[name]()
+        assert [(p.members_tuple(), x) for p, x in associated_primes(module)] == \
+               [(p.members_tuple(), x) for p, x in oracle_associated_primes(module)]
+
+    @pytest.mark.parametrize("name", [*CORPUS, "zero ring"])
+    def test_non_domain_witness_is_the_least_zero_product(self, name):
+        # the least pair outside the zero ideal with a product inside it, the
+        # pair that domain_prime_extension reports for a non-domain
+        ring = build_zmod(1) if name == "zero ring" else CORPUS[name]().ring
+        report = verify_domain_prime_extension(ring, None, free_monoid(1), SupportWindow(((0,),)))
+        prime, pair = is_prime_ideal(ideal_generated(ring, ()))
+        assert report.outcome == "pass"
+        assert report.details["ring_is_domain"] == prime
+        if prime:
+            assert "non_domain_witness" not in report.details
+        else:
+            assert report.details["non_domain_witness"] == (None if pair is None else list(pair))
 
 
 class TestDecomposition:
