@@ -620,7 +620,10 @@ def submodule_from_members(module: FiniteModule, members: Iterable[int]) -> Subm
 
 
 def ideal_action_submodule(ideal: Ideal, sub: Submodule) -> Submodule:
-    """Submodule generated by all products a*x with a in the ideal, x in the submodule."""
+    """I·N: the submodule the products a*x, a in the ideal, x in the submodule,
+    generate. As I = Σ R·aᵢ and N = Σ R·xⱼ give IN = Σ R·aᵢxⱼ, only the
+    lattice generators of both factors are multiplied; a mask that is not
+    closed acts as the submodule it generates."""
     module = sub.module
     if ideal.ring is not module.ring and not same_ring(ideal.ring, module.ring):
         raise StructureMismatchError("ideal over a different base ring")
@@ -628,13 +631,10 @@ def ideal_action_submodule(ideal: Ideal, sub: Submodule) -> Submodule:
     hit = module._cache.get(key)
     if hit is not None:
         return hit
-    ia = list(bitset.iter_bits(ideal.members))
-    ix = list(bitset.iter_bits(sub.members))
-    if not ia or not ix:
-        out = submodule_generated(module, ())
-    else:
-        out = submodule_generated(module,
-                                  _distinct(submatrix(module.action_table, ia, ix), module.size))
+    ideal_gens = submodule_lattice(ideal.ring).generators(ideal.members)
+    sub_gens = submodule_lattice(module).generators(sub.members)
+    act = module.action_table
+    out = submodule_generated(module, [act.item(a, x) for a in ideal_gens for x in sub_gens])
     module._cache[key] = out
     return out
 
@@ -814,6 +814,7 @@ class SubmoduleLattice:
         self.by_members: dict[int, int] = {}
         self._members: list[np.ndarray] = []  # members of objects[id] as an index array
         self.step = np.full((_LATTICE_ROWS, module.size), -1, dtype=INDEX_DTYPE)
+        self._generators: dict[int, tuple[int, ...]] = {}
         self._intern(np.arange(module.size) == module.zero)
 
     def fold(self, gens: Iterable[int]) -> int:
@@ -822,6 +823,23 @@ class SubmoduleLattice:
         for a in gens:
             cid = self.join(cid, a)
         return cid
+
+    def generators(self, members: int) -> tuple[int, ...]:
+        """Greedy generators, memoized per mask, of the submodule N the members
+        generate: each is the least member outside the join of those before
+        it, so there are at most log2 |N|, and no id decides them."""
+        out = self._generators.get(members)
+        if out is None:
+            gens = []
+            cid = 0
+            rest = members & ~self.objects[0].members
+            while rest:
+                a = bitset.lowest_bit(rest)
+                gens.append(a)
+                cid = self.join(cid, a)
+                rest &= ~self.objects[cid].members
+            out = self._generators[members] = tuple(gens)
+        return out
 
     def join(self, cid: int, a: int) -> int:
         """The id of objects[cid] + R·a."""

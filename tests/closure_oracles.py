@@ -1,6 +1,7 @@
-"""The closure and enumeration code the submodule lattice replaced, kept as
-independent oracles: the numpy fixpoint loop of submodule_generated and the
-enumeration that closes every frontier ideal with every element."""
+"""The closure, enumeration and product code the submodule lattice replaced,
+kept as independent oracles: the numpy fixpoint loop of submodule_generated,
+the enumeration that closes every frontier ideal with every element, and the
+member-wise ideal action that multiplied every member of both factors."""
 
 import numpy as np
 
@@ -45,3 +46,10 @@ def oracle_enumerate_submodules(module):
         frontier = nxt
     return sorted(known, key=members)
 
+
+def oracle_ideal_action(ideal, sub):
+    """The member mask of I·N: the product of every member of the ideal with
+    every member of the submodule, closed by the fixpoint loop."""
+    module = sub.module
+    return oracle_closure(module, [module.act(a, x) for a in members(ideal.members)
+                                   for x in members(sub.members)])

@@ -1,19 +1,21 @@
 """The submodule lattice against the closure code it replaced.
 
-closure_oracles keeps the numpy fixpoint loop of submodule_generated and the
-enumeration that closed every frontier ideal with every element. The library
-now folds generators through the step table of one persistent lattice per
-module, and enumerates ideals and submodules as the join closure of the
-cyclic ones.
+closure_oracles keeps the numpy fixpoint loop of submodule_generated, the
+enumeration that closed every frontier ideal with every element, and the
+member-wise ideal action. The library now folds generators through the step
+table of one persistent lattice per module, enumerates ideals and submodules
+as the join closure of the cyclic ones, and multiplies only the greedy
+lattice generators of two factors.
 """
 
 import dataclasses
+import itertools
 import os
 
 import numpy as np
 import pytest
 
-from closure_oracles import oracle_closure, oracle_enumerate_submodules
+from closure_oracles import oracle_closure, oracle_enumerate_submodules, oracle_ideal_action
 from sgmod import (
     FiniteRing,
     Ideal,
@@ -35,7 +37,7 @@ from sgmod import (
     ring_as_module,
     submodule_generated,
 )
-from sgmod.bitset import members
+from sgmod.bitset import lowest_bit, members
 from sgmod.cli import payload_hash
 from sgmod.finite_algebra import SubmoduleLattice, submodule_lattice
 from sgmod.session import execute
@@ -134,19 +136,80 @@ def test_ideals_are_the_submodules_of_the_ring_on_itself(ring):
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"{r.label}|{r.size}")
 def test_ideal_product_is_the_action_on_the_ring(ring):
-    module = ring.as_module()
     ideals = enumerate_ideals(ring)
     for a in ideals:
         for b in ideals:
             product = ideal_product(a, b)
             assert product is ideal_action_submodule(a, b)
-            pairs = [ring.mul(x, y) for x in a.members_tuple() for y in b.members_tuple()]
-            assert product.members == oracle_closure(module, pairs)
+            assert product.members == oracle_ideal_action(a, b)
         power = ring.full_mask
         for k in range(4):
             assert ideal_power(a, k).members == power
-            power = oracle_closure(module, [ring.mul(x, y) for x in members(power)
-                                            for y in a.members_tuple()])
+            power = oracle_ideal_action(a, Ideal(ring, power))
+
+
+# the products against the member-wise oracle, on every ideal × submodule pair
+_z12 = build_zmod(12)
+PRODUCT_MODULES = [
+    ring_as_module(_z12),
+    ring_as_module(build_truncated_poly_ring(2, 2, 3)),
+    ring_as_module(build_truncated_poly_ring(3, 2, 2)),
+    direct_sum(ring_as_module(_z12), ring_as_module(_z12)),
+]
+PRODUCT_IDS = ["Z/12", "F2[a,b]/m^3", "F3[a,b]/m^2", "Z/12 (+) Z/12"]
+
+
+def _open_mask(subs):
+    """The union of the first two submodules whose union is not a submodule."""
+    closed = {sub.members for sub in subs}
+    return next(a.members | b.members for a, b in itertools.combinations(subs, 2)
+                if a.members | b.members not in closed)
+
+
+@pytest.mark.parametrize("module", PRODUCT_MODULES, ids=PRODUCT_IDS)
+def test_ideal_action_matches_member_wise_oracle(module):
+    ring = module.ring
+    ideals = enumerate_ideals(ring)
+    subs = enumerate_submodules(module)
+    zero, unit = Ideal(ring, 1 << ring.zero), Ideal(ring, ring.full_mask)
+    assert zero in ideals and unit in ideals
+    # masks that are not closed act as the submodules they generate
+    open_ideal = Ideal(ring, _open_mask(ideals))
+    open_sub = Submodule(module, _open_mask(subs))
+    lattice = submodule_lattice(module)
+    for ideal in ideals + [open_ideal]:
+        for sub in subs + [open_sub]:
+            product = ideal_action_submodule(ideal, sub)
+            assert product.members == oracle_ideal_action(ideal, sub)
+            assert product is lattice.objects[lattice.by_members[product.members]]
+    for ideal in ideals:
+        power = ring.full_mask
+        for k in range(5):
+            assert ideal_power(ideal, k).members == power
+            power = oracle_ideal_action(ideal, Ideal(ring, power))
+
+
+@pytest.mark.parametrize("module", PRODUCT_MODULES, ids=PRODUCT_IDS)
+def test_generators_are_greedy_members_joining_to_the_submodule(module):
+    subs = enumerate_submodules(module)
+    fresh = SubmoduleLattice(module)
+    # a second lattice whose ids are made in reverse order
+    reverse = SubmoduleLattice(module)
+    for sub in reversed(subs):
+        reverse.fold(reversed(sub.members_tuple()))
+    open_mask = _open_mask(subs)
+    for mask in [sub.members for sub in subs] + [open_mask]:
+        gens = fresh.generators(mask)
+        join = oracle_closure(module, ())
+        for a in gens:
+            # the least member outside the join so far, which strictly grows it
+            assert a == lowest_bit(mask & ~join)
+            join = oracle_closure(module, members(join) + (a,))
+        assert join == oracle_closure(module, members(mask))
+        assert 2 ** len(gens) <= join.bit_count()
+        assert reverse.generators(mask) == gens
+        assert fresh.generators(mask) is gens
+    assert open_mask != oracle_closure(module, members(open_mask))
 
 
 def test_ideal_reads_and_compares_as_before():

@@ -122,7 +122,7 @@ def oracle_very_few(module):
     """Whether the union of Ass(M) is Z(M), and the least element it misses."""
     zmask = zero_divisor_set(module)
     union = 0
-    for p, _ in associated_primes(module):
+    for p, _ in oracle_associated_primes(module):
         union |= p.members
     return union == zmask, bitset.lowest_bit(zmask & ~union)
 
@@ -152,7 +152,7 @@ def oracle_primal(module):
             if not bitset.has_bit(zmask, ring.mul(r, z)):
                 return False, None, ("action", r, z)
     assert is_prime_ideal(Ideal(ring, zmask))[0]
-    assert [p.members for p, _ in associated_primes(module)] == [zmask]
+    assert [p.members for p, _ in oracle_associated_primes(module)] == [zmask]
     return True, bitset.members(zmask), None
 
 
