@@ -3,12 +3,13 @@
 Each verifier enumerates every coefficient assignment over a fixed exponent
 window, checks the statement on every instance, and reports pass /
 counterexample / skipped. Window products come from one block kernel,
-_block_product, contents c(f) from the persistent submodule lattice of the
-ring or module (submodule_lattice), and content annihilators from the
-per-element annihilators of the coefficients (_content_annihilates). A
-counterexample on hypothesis-satisfying inputs signals an implementation bug
-(the statements are proven); its payload always replays through the public
-operations.
+_block_product, on one pair per unit-orbit pair where every clause is
+constant on orbits (_window_orbits, _least_pair). Contents c(f) come from
+the persistent submodule lattice (submodule_lattice), and content
+annihilators from the per-element annihilators of the coefficients
+(_content_annihilates). A counterexample on hypothesis-satisfying inputs
+signals an implementation bug (the statements are proven); its payload
+always replays through the public operations.
 
 Windows only slice the infinite algebras: the content-annihilator criterion is
 the authoritative zero-divisor membership test, and the window search for an
@@ -197,6 +198,27 @@ def _left_blocks(left: np.ndarray, right: np.ndarray) -> list:
     return [slice(start, start + step) for start in range(0, len(left), step)]
 
 
+def _first_hits(hit: np.ndarray) -> np.ndarray:
+    """Per row of hit, its first True column, or the width when it has none."""
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), hit.shape[1])
+
+
+def _least_pair(fo: _WindowOrbits, go: _WindowOrbits, failing: np.ndarray,
+                end: np.ndarray) -> tuple | None:
+    """The least row pair (f, g) of a failure on whole orbit pairs, or None.
+
+    failing[i] flags the left orbit i (none past failing), and end[i] is its
+    first failing right orbit, or len(go.reps) when f fails alone, reported
+    with g = len(go.coeffs). Orbits are numbered by their least members, which
+    form the least pair.
+    """
+    bad = np.flatnonzero(failing)
+    if not bad.size:
+        return None
+    gi = int(end[bad[0]])
+    return int(fo.reps[bad[0]]), int(go.reps[gi]) if gi < len(go.reps) else len(go.coeffs)
+
+
 def _content_annihilates(module: FiniteModule, coeffs: np.ndarray) -> np.ndarray:
     """Per row f of coeffs, whether Ann_M(c(f)) is nonzero.
 
@@ -341,16 +363,16 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     witness are those of its orbit pair. Left orbits go in blocks of at most
     _BLOCK_PAIRS pairs against the right orbits, each orbit represented by its
     least member. Each instance is packed over the content ids into one code,
-    and the search runs once per distinct instance. Every f checks the content
-    criterion against its orbit's window partner. The least row with a failure
-    is reported at its least g, the least member of a failing orbit, and every
-    vanishing product before that pair replays the witness of its contents."""
+    and the search runs once per distinct instance. Ann_M(c(f)) is constant on
+    an orbit too, so each left orbit checks the content criterion against its
+    window partner. The least failing pair is reported (_least_pair), and
+    every vanishing product before it replays the witness of its contents."""
     layout = _product_layout(monoid, window.exponents)
     mzero = module.zero
     fo = _window_orbits(ring, window)
     go = _window_orbits(module, window)
     f_reps, g_reps = fo.coeffs[fo.reps], go.coeffs[go.reps]
-    ann_nonzero = _content_annihilates(module, fo.coeffs)
+    ann_nonzero = _content_annihilates(module, f_reps)
     ideals = submodule_lattice(ring)
     subs = submodule_lattice(module)
     g_nonzero = (g_reps != mzero).any(axis=1)
@@ -386,8 +408,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
         instances = zip(*(a.tolist() for a in np.unravel_index(distinct, dims)))
         k_of = np.array([k_min(*key) for key in instances], dtype=np.int64)
         k_block = k_of[inverse].reshape(len(f_block), n_g)
-        dm_fails = k_block == 0
-        end[rows] = np.where(dm_fails.any(axis=1), dm_fails.argmax(axis=1), n_g)
+        end[rows] = _first_hits(k_block == 0)
         vanish = (block == mzero).all(axis=0) & g_nonzero
         killed[rows] = (vanish & (np.arange(n_g) < end[rows, None])).any(axis=1)
         f_orbits, g_orbits = np.nonzero(vanish)
@@ -399,15 +420,9 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
             break
         max_k = max(max_k, int(k_block.max()))
 
-    # the least f failing a check, among the rows of the orbits walked
-    of = fo.orbit
-    bad = np.flatnonzero(((end[of] < n_g) | (killed[of] != ann_nonzero)) & (of < rows.stop))
-    if bad.size:
-        last = int(bad[0])
-        gi = int(end[of[last]])
-        cut = (last, int(go.reps[gi]) if gi < n_g else len(go.coeffs))
-    else:
-        cut = (len(fo.coeffs), 0)
+    # the least pair failing a check, among the orbits walked
+    least = _least_pair(fo, go, ((end < n_g) | (killed != ann_nonzero))[:rows.stop], end)
+    cut = least or (len(fo.coeffs), 0)
 
     # the vanishing orbit pairs whose least pair comes before the cut, and
     # one witness per content pair (c(f), c(g)) among them
@@ -423,8 +438,10 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                           for i, j in zip(cf_ids.tolist(), cg_ids.tolist())], dtype=np.intp)
     replayed = _replay_vanishing_pairs(module, fo, go, f_orbits, g_orbits,
                                        witnesses[witness_of], cut)
-    if bad.size:
-        f_coeffs = fo.coeffs[last].tolist()
+    if least is not None:
+        last = int(fo.orbit[least[0]])
+        f_coeffs = f_reps[last].tolist()
+        gi = int(end[last])
         if gi < n_g:
             return VerificationReport(
                 statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
@@ -440,7 +457,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                 "clause": "content_annihilator",
                 "f": _terms_payload(window.series(ring, monoid, f_coeffs)),
                 "annihilator_nonzero": bool(ann_nonzero[last]),
-                "window_partner_found": bool(killed[of[last]]),
+                "window_partner_found": bool(killed[last]),
             })
 
     details = {
@@ -500,6 +517,8 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     domains under the monoid extension (and non-domains stay non-domains via
     the constant embedding); (2) each extended prime p[S] is prime on the
     window; (3) each associated prime annihilates exactly its witness slice.
+    Units keep (0) and every p, so (1) and (2) are read off one product per
+    orbit pair, and the first failing clause is reported at its least pair.
 
     Instances: domain pairs + |primes| * |R[S] window|^2 + |Ass| * |R[S] window|.
     """
@@ -535,43 +554,39 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
         details["non_domain_witness"] = [a, b]
 
     # clause k fails at (f, g) outside masks[k][S] with fg inside it: the
-    # domain clause is the zero ideal (0) and outranks the primes, in order
+    # domain clause is the zero ideal (0) and outranks the primes, in order.
+    # end[k, i] is the first right orbit failing clause k against left orbit i
     layout = _product_layout(monoid, window.exponents)
-    f_arr = window.coeff_array(ring.size, ring.zero)
+    fo = _window_orbits(ring, window)
+    reps = fo.coeffs[fo.reps]
     first_prime = int(is_domain)  # index of primes[0] among the clauses
     masks = ([1 << ring.zero] if is_domain else []) + [p.members for p in primes]
     inside = [bitset.bools_from_mask(mask, ring.size) for mask in masks]
-    outside = [~member[f_arr].all(axis=1) for member in inside]
-    least: dict = {}
-    pending = list(range(len(masks)))
-    for rows in _left_blocks(f_arr, f_arr):
-        if not pending:  # the first clause has failed: nothing outranks it
-            break
-        prod = _block_product(f_arr[rows], ring.mul_table, ring.add_table, f_arr, layout)
-        for k in pending:
-            hit = inside[k][prod].all(axis=0) & outside[k][rows, None] & outside[k]
-            if hit.any():
-                fi = int(hit.any(axis=1).argmax())
-                least[k] = (rows.start + fi, int(hit[fi].argmax()))
-                # the clauses after k are outranked; those before it stay open
-                pending = pending[:pending.index(k)]
-                break
-    if least:
-        k = min(least)
-        f_series, g_series = (window.series(ring, monoid, f_arr[i].tolist()) for i in least[k])
-        clause = {"clause": "domain_transfer"}
-        if k >= first_prime:
-            p = primes[k - first_prime]
-            if not extended_ideal_membership(series_multiply(f_series, g_series),
-                                             ExtendedIdeal(p, monoid)):
-                raise InvariantViolation("extended prime violation failed replay")
-            clause = {"clause": "extended_prime", "prime": list(p.members_tuple())}
-        return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
-                                  counterexample={**clause, "f": _terms_payload(f_series),
-                                                  "g": _terms_payload(g_series)})
+    outside = [~member[reps].all(axis=1) for member in inside]
+    end = np.empty((len(masks), len(reps)), dtype=np.intp)
+    for rows in _left_blocks(reps, reps):
+        prod = _block_product(reps[rows], ring.mul_table, ring.add_table, reps, layout)
+        for k, member in enumerate(inside):
+            end[k, rows] = _first_hits(member[prod].all(axis=0) & outside[k][rows, None]
+                                       & outside[k])
+    for k, clause_end in enumerate(end):
+        least = _least_pair(fo, fo, clause_end < len(reps), clause_end)
+        if least is not None:
+            f_series, g_series = (window.series(ring, monoid, fo.coeffs[i].tolist())
+                                  for i in least)
+            clause = {"clause": "domain_transfer"}
+            if k >= first_prime:
+                p = primes[k - first_prime]
+                if not extended_ideal_membership(series_multiply(f_series, g_series),
+                                                 ExtendedIdeal(p, monoid)):
+                    raise InvariantViolation("extended prime violation failed replay")
+                clause = {"clause": "extended_prime", "prime": list(p.members_tuple())}
+            return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
+                                      counterexample={**clause, "f": _terms_payload(f_series),
+                                                      "g": _terms_payload(g_series)})
 
-    counterexample = _extended_annihilator_violation(ring, module, monoid, window, f_arr, ass,
-                                                     "extended_associated_prime")
+    counterexample = _extended_annihilator_violation(ring, module, monoid, window, fo.coeffs,
+                                                     ass, "extended_associated_prime")
     if counterexample is not None:
         return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                                   counterexample=counterexample)
@@ -591,7 +606,8 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     c(r)^n M inside P for some n <= |R| (primary case; ideal powers descend, so
     the bound is exhaustive). A violation is a counterexample only when the
     base classification promised the property; otherwise it is recorded as the
-    expected violation.
+    expected violation. Units keep P and c(r), so the hits are read off one
+    product per orbit pair, and the facts of c(r) once per content id.
 
     Instances: |R[S] window| * |M[S] window| pairs.
     """
@@ -601,65 +617,49 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     ring = module.ring
     config["submodule"] = list(sub.members_tuple())
     classification = classify_submodule(module, sub)
-    nr = window.count(ring.size)
-    nx = window.count(module.size)
-    predicted = nr * nx
+    predicted = window.count(ring.size) * window.count(module.size)
     if predicted > budget:
         return _skipped(statement, config, predicted, budget)
 
     layout = _product_layout(monoid, window.exponents)
     in_p = bitset.bools_from_mask(sub.members, module.size)
     full = Submodule(module, module.full_mask)
-
     contents = submodule_lattice(ring)
 
     @cache
     def facts_for(cid):
-        cr = contents.objects[cid]
-        prime_ok = bitset.is_subset(ideal_action_submodule(cr, full).members, sub.members)
-        primary_ok = prime_ok
-        if not primary_ok:
-            power = cr
-            while True:
-                nxt = ideal_product(power, cr)
-                if bitset.is_subset(ideal_action_submodule(nxt, full).members, sub.members):
-                    primary_ok = True
-                    break
-                if nxt.members == power.members:  # stabilized above P: no power works
-                    break
-                power = nxt
-        return prime_ok, primary_ok
+        # (c(r) M inside P, c(r)^n M inside P for some n)
+        cr = power = contents.objects[cid]
+        while not bitset.is_subset(ideal_action_submodule(power, full).members, sub.members):
+            nxt = ideal_product(power, cr)
+            if nxt.members == power.members:  # stabilized above P: no power works
+                return False, False
+            power = nxt
+        return power is cr, True
 
-    prime_violation = None
-    primary_violation = None
-    x_arr = window.coeff_array(module.size, module.zero)
-    x_outside = ~in_p[x_arr].all(axis=1)
-    r_arr = window.coeff_array(ring.size, ring.zero)
-    r_content = contents.ids(r_arr).tolist()
-
-    def least_hits():
-        # per r with a hit, in order, only the least x with r x in P[S] and x
-        # outside P[S]: no other x can be reported
-        for rows in _left_blocks(r_arr, x_arr):
-            block = _block_product(r_arr[rows], module.action_table, module.add_table, x_arr,
-                                   layout)
-            hit = in_p[block].all(axis=0)
-            hit &= x_outside
-            for i in np.flatnonzero(hit.any(axis=1)).tolist():
-                yield rows.start + i, int(hit[i].argmax())
-
-    for ri, xi in least_hits():
-        prime_ok, primary_ok = facts_for(r_content[ri])
-        if (prime_ok or prime_violation) and (primary_ok or primary_violation):
-            continue  # neither slot is open to this pair
-        pair = {"r": _terms_payload(window.series(ring, monoid, r_arr[ri].tolist())),
-                "x": _terms_payload(window.series(module, monoid, x_arr[xi].tolist()))}
-        if not prime_ok and prime_violation is None:
-            prime_violation = pair
-        if not primary_ok and primary_violation is None:
-            primary_violation = {**pair, "exponent_bound": ring.size}
-        if prime_violation is not None and primary_violation is not None:
-            break
+    # the least hit (r, x) of each left orbit: rx in P[S], x outside P[S]
+    ro, xo = _window_orbits(ring, window), _window_orbits(module, window)
+    r_reps, x_reps = ro.coeffs[ro.reps], xo.coeffs[xo.reps]
+    x_outside = ~in_p[x_reps].all(axis=1)
+    end = np.empty(len(r_reps), dtype=np.intp)
+    for rows in _left_blocks(r_reps, x_reps):
+        block = _block_product(r_reps[rows], module.action_table, module.add_table, x_reps,
+                               layout)
+        end[rows] = _first_hits(in_p[block].all(axis=0) & x_outside)
+    # the facts of every left orbit with a hit, read once per content id
+    hit = np.flatnonzero(end < len(x_reps))
+    ok = np.ones((len(r_reps), 2), dtype=bool)
+    for i, cid in zip(hit.tolist(), contents.ids(r_reps[hit]).tolist()):
+        ok[i] = facts_for(cid)
+    violations = []
+    for clause_ok in ok.T:  # prime, then primary
+        least = _least_pair(ro, xo, ~clause_ok, end)
+        violations.append(least and {
+            "r": _terms_payload(window.series(ring, monoid, ro.coeffs[least[0]].tolist())),
+            "x": _terms_payload(window.series(module, monoid, xo.coeffs[least[1]].tolist()))})
+    prime_violation, primary_violation = violations
+    if primary_violation is not None:
+        primary_violation["exponent_bound"] = ring.size
 
     details = {
         "base_is_proper": classification.is_proper,

@@ -108,8 +108,9 @@ def _window_orbits(space: FiniteModule, window: SupportWindow) -> _WindowOrbits:
     with it before i, where it has s nonzero coefficients, and are below v at
     i. The ranks stay below window.count, exact where mixed-radix codes
     |space|^E would overflow. Each orbit's least member is the least rank
-    over the units, taken one unit at a time, so the memory stays linear in
-    the rows.
+    over the units, taken a group of units at a time, with at most 2^16
+    ranks of a group in flight beyond one unit's, so the memory stays linear
+    in the rows.
     """
     e = len(window.exponents)
     cap = e if window.max_support is None else min(window.max_support, e)
@@ -128,20 +129,20 @@ def _window_orbits(space: FiniteModule, window: SupportWindow) -> _WindowOrbits:
 
     # the values below v at position i: the zero, if it is below v, leaves
     # cap - s nonzero entries to the tail, each nonzero value cap - s - 1
-    tails = [(fill(e - 1 - i, cap - s), fill(e - 1 - i, cap - s - 1))
-             for i in range(e) for s in range(cap + 1)]
-    weights = np.array([(v > zero) * after_zero + (v - (v > zero)) * after_nonzero
-                        for after_zero, after_nonzero in tails for v in range(q)],
-                       dtype=np.int64)
+    tails = np.array([(fill(e - 1 - i, cap - s), fill(e - 1 - i, cap - s - 1))
+                      for i in range(e) for s in range(cap + 1)], dtype=np.int64)
+    v = np.arange(q)
+    weights = ((v > zero) * tails[:, :1] + (v - (v > zero)) * tails[:, 1:]).ravel()
     nonzero = coeffs != zero
     base = (np.cumsum(nonzero, axis=1) - nonzero + np.arange(0, e * (cap + 1), cap + 1)) * q
     rows = np.arange(n)
     least = rows
-    one = space.ring.one
-    for u in units(space.ring).tolist():
-        if u != one:
-            rank = weights.take(base + space.action_table[u].take(coeffs)).sum(axis=1)
-            least = np.where(rank < least, rank, least)
+    others = units(space.ring)
+    others = others[others != space.ring.one, None, None]
+    group = max(1, (1 << 16) // n)
+    for start in range(0, len(others), group):
+        images = space.action_table[others[start:start + group], coeffs]
+        least = np.minimum(least, weights.take(base + images).sum(axis=2).min(axis=0))
     is_rep = least == rows
     orbit = np.cumsum(is_rep)[least] - 1
     sizes = np.bincount(orbit)

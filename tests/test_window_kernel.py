@@ -18,9 +18,9 @@ a of f, reads c(f) off a step table of content ids, looks up each distinct
 Dedekind-Mertens instance of a block once, computes one McCoy witness per
 content pair (c(f), c(g)), calls is_zero_divisor_series once per content in
 regularity_transfer, searches partners only among the window tuples over the
-socles (0 :_M p) of the associated primes p, and reads every clause of
-domain_prime_extension off one product per left block. mccoy_equivalence
-multiplies one pair per orbit of the unit group R^× × R^×, and the orbits are
+socles (0 :_M p) of the associated primes p. mccoy_equivalence,
+domain_prime_extension and submodule_transfer multiply one pair per orbit of
+the unit group R^× × R^× and read every clause off it, and the orbits are
 checked against the images u·x of every tuple x.
 """
 
@@ -906,8 +906,8 @@ def test_non_gaussian_mccoy_chain_matches_per_pair_loop(monkeypatch):
     assert ((a, b), ring.mul(a, b)) in vanishing
 
 
-# Z/6 over the window {0, 1, 2} has 216 right-hand tuples: one, two and three
-# left rows per block, and the default blocks
+# Z/6 over the window {0, 1, 2} has 216 tuples in 112 unit orbits: one, three
+# and five left representatives per block, and the default 36
 BLOCK_PAIRS = [1, 2 * 216, 3 * 216 + 1, verify_mod._BLOCK_PAIRS]
 
 
@@ -1255,8 +1255,8 @@ def test_socle_partner_search_matches_full_window(label, ring, module):
 
 
 # ---------------------------------------------------------------------------
-# domain_prime_extension and submodule_transfer: one product per left block
-# against the per-row scans
+# domain_prime_extension and submodule_transfer: orbit walks against the
+# per-row scans
 
 
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
@@ -1333,43 +1333,73 @@ def _violation_rows(report, window, ring):
             for key in ("expected_prime_violation", "expected_primary_violation")]
 
 
+# the oracle's payload per (module, P, monoid, window), shared by every block size
+_submodule_oracle = functools.cache(submodule_transfer_oracle)
+
+
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
-@pytest.mark.parametrize("ring,gens,rows", [
-    # (4) is primary: its primary slot never fills, so every block is walked
-    (build_zmod(12), [4], [2, None]),
-    # (6) fills both slots at r = 2X^2 and stops there
-    (build_zmod(12), [6], [2, 2]),
+@pytest.mark.parametrize("module,gens,rows", [
+    # (4) is primary: only its prime slot fills, at r = 2X^2
+    (ring_as_module(build_zmod(12)), [4], [2, None]),
+    # (6) fills both slots at r = 2X^2
+    (ring_as_module(build_zmod(12)), [6], [2, 2]),
     # Z/12 with index i standing for i + 6: r = 6 + 6X + 6X^2 (row 0) breaks
     # primality only, and r = 6 + 6X + 8X^2 (row 2) primariness, in
     # different blocks at every block size
-    (relabeled_zmod(12, 6), [], [0, 2]),
-], ids=["(4) of Z/12", "(6) of Z/12", "(0) of Z/12 shifted"])
-def test_submodule_transfer_matches_per_row_scan(ring, gens, rows, block_pairs, monkeypatch):
-    module = ring_as_module(ring)
-    sub = submodule_generated(module, gens)
+    (ring_as_module(relabeled_zmod(12, 6)), [], [0, 2]),
+    # every submodule P of each module of CASES, on the windows of at most
+    # 600 tuples over M: orbits act through the action table of a direct
+    # sum, a quotient module and a module whose zero is not index 0
+    *((module, None, None) for _, _, module in CASES),
+], ids=["(4) of Z/12", "(6) of Z/12", "(0) of Z/12 shifted",
+        *(f"every P of {label}" for label in CASE_IDS)])
+def test_submodule_transfer_matches_per_row_scan(module, gens, rows, block_pairs, monkeypatch):
+    if gens is None:
+        subs = finite_algebra.enumerate_submodules(module)
+        windows = _windows_up_to(module.size, 600)
+    else:
+        subs = [submodule_generated(module, gens)]
+        windows = [(NAT, SupportWindow(((0,), (1,)))), (NAT, W012)]
+    assert windows
     monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
-    for monoid, window in [(NAT, SupportWindow(((0,), (1,)))), (NAT, W012)]:
+    for sub, (monoid, window) in itertools.product(subs, windows):
         report = verify_submodule_transfer(module, sub, monoid, window)
         assert report.outcome == "pass"
-        assert report.to_payload() == submodule_transfer_oracle(module, sub, monoid, window)
-    assert _violation_rows(report, W012, ring) == rows
+        assert report.to_payload() == _submodule_oracle(module, sub, monoid, window)
+    if rows is not None:
+        assert _violation_rows(report, W012, module.ring) == rows
 
 
 def test_one_block_product_per_left_block(monkeypatch):
     calls = _spy(monkeypatch, "_block_product")
     z132 = build_zmod(132)
-    report = verify_domain_prime_extension(z132, None, NAT, SupportWindow(((2,),)))
+    window = SupportWindow(((2,),))
+    report = verify_domain_prime_extension(z132, None, NAT, window)
     assert report.outcome == "pass" and report.details["primes_checked"] == 3
-    # 132 left rows against 132 right-hand tuples, 31 rows a block: every
-    # clause reads the same five products
-    assert [len(left) for left, *_ in calls] == [31, 31, 31, 31, 8]
+    # the budget still charges the non-domain witness and every pair per prime
+    assert report.instances_checked == 1 + 3 * 132 * 132
+    # the 132 one-term tuples fall into 12 unit orbits, one per divisor of
+    # 132: one product of the 12 representatives against themselves, which
+    # every clause reads
+    orbits = _window_orbits(z132, window)
+    reps = orbits.coeffs[orbits.reps]
+    assert len(calls) == 1
+    left, _, _, right, _ = calls[0]
+    assert np.array_equal(left, reps) and np.array_equal(right, reps)
     calls.clear()
     z12 = build_zmod(12)
     m12 = ring_as_module(z12)
     report = verify_submodule_transfer(m12, submodule_generated(m12, [4]), NAT, W012)
     assert report.details["primary_transfer_holds"]
-    # 1,728 left rows against 1,728 right-hand tuples, two rows a block
-    assert len(calls) == 864
+    assert report.instances_checked == 1728 * 1728
+    # the 1,728 tuples fall into 504 orbits: 504 left representatives against
+    # the 504 right ones, eight rows a block
+    orbits = _window_orbits(z12, W012)
+    reps = orbits.coeffs[orbits.reps]
+    assert len(reps) == 504
+    assert [len(left) for left, *_ in calls] == [8] * 63
+    assert np.array_equal(np.concatenate([left for left, *_ in calls]), reps)
+    assert all(np.array_equal(right, reps) for *_, right, _ in calls)
 
 
 @pytest.mark.parametrize("verifier", [verify_mccoy_equivalence, verify_domain_prime_extension,
