@@ -4,7 +4,9 @@ Each verifier enumerates every coefficient assignment over a fixed exponent
 window, checks the statement on every instance, and reports pass /
 counterexample / skipped. Window products come from one block kernel,
 _block_product, on one pair per unit-orbit pair where every clause is
-constant on orbits (_window_orbits, _least_pair). Contents c(f) come from
+constant on orbits (_window_orbits, _least_pair), and on one f per residue
+class modulo each associated prime in the partner search of
+regularity_transfer (_socle_partner_search). Contents c(f) come from
 the persistent submodule lattice (submodule_lattice), and content
 annihilators from the per-element annihilators of the coefficients
 (_content_annihilates). A counterexample on hypothesis-satisfying inputs
@@ -36,6 +38,7 @@ from .finite_algebra import (
     FiniteModule,
     FiniteRing,
     Submodule,
+    _cosets,
     annihilator_in_module,
     associated_primes,
     classify_submodule,
@@ -585,8 +588,10 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
                                       counterexample={**clause, "f": _terms_payload(f_series),
                                                       "g": _terms_payload(g_series)})
 
-    counterexample = _extended_annihilator_violation(ring, module, monoid, window, fo.coeffs,
-                                                     ass, "extended_associated_prime")
+    # both sides of clause (3) are unit-invariant, and the least members
+    # ascend, so the least failing representative is the least failing row
+    counterexample = _extended_annihilator_violation(ring, module, monoid, window, reps, ass,
+                                                     "extended_associated_prime")
     if counterexample is not None:
         return VerificationReport(statement, OUTCOME_COUNTEREXAMPLE, predicted, config,
                                   counterexample=counterexample)
@@ -685,30 +690,50 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
 # regularity transfer
 
 
-def _socle_partners(module: FiniteModule, window: SupportWindow) -> np.ndarray:
-    """The nonzero window tuples over (0 :_M p), for each p in Ass(M) in turn.
-
-    The socles of distinct maximal ideals meet only in zero, so no tuple
-    repeats.
-    """
-    mzero = module.zero
-    parts = []
-    for p, _ in associated_primes(module):
-        socle = np.array(annihilator_in_module(p, module).members_tuple(), dtype=np.intp)
-        tuples = socle[window.coeff_array(len(socle), int(np.searchsorted(socle, mzero)))]
-        parts.append(tuples[(tuples != mzero).any(axis=1)])
-    return np.asfortranarray(np.concatenate(parts))
-
-
 def _partner_search(module: FiniteModule, f_arr: np.ndarray, partners: np.ndarray,
-                    layout) -> list:
+                    layout) -> np.ndarray:
     """Per row f of f_arr, whether f * g = 0 for some row g of partners."""
-    verdicts = []
+    verdicts = np.empty(len(f_arr), dtype=bool)
     for rows in _left_blocks(f_arr, partners):
         acc = _block_product(f_arr[rows], module.action_table, module.add_table, partners,
                              layout)
-        verdicts += (acc == module.zero).all(axis=0).any(axis=1).tolist()
+        verdicts[rows] = (acc == module.zero).all(axis=0).any(axis=1)
     return verdicts
+
+
+def _socle_partner_search(module: FiniteModule, window: SupportWindow, f_arr: np.ndarray,
+                          layout) -> np.ndarray:
+    """Per row f of f_arr, whether f * g = 0 for some nonzero window tuple g
+    over (0 :_M p), for some p in Ass(M).
+
+    p kills (0 :_M p), so f * g depends on f only through its residue class
+    modulo p[S]: the search runs once per class, on its least f. A class is
+    the rank of the coset tuple of f in the window over R/p, whose zero is
+    the coset of zero; a residue has at most the support of f, so the ranks
+    stay below the window count over R/p, at most the rows of f_arr. Where
+    every row fits in one block against the partners, the classes would save
+    no block, so the rows are searched as they are.
+    """
+    ring = module.ring
+    found = np.zeros(len(f_arr), dtype=bool)
+    for p, _ in associated_primes(module):
+        socle = np.array(annihilator_in_module(p, module).members_tuple(), dtype=np.intp)
+        partners = socle[window.coeff_array(len(socle), int(np.searchsorted(socle, module.zero)))]
+        partners = np.asfortranarray(partners[(partners != module.zero).any(axis=1)])
+        if len(f_arr) * len(partners) <= _BLOCK_PAIRS:
+            found |= _partner_search(module, f_arr, partners, layout)
+            continue
+        cosets, coset_of = _cosets(ring.add_table, p.members)
+        residues = coset_of[f_arr]
+        weights, base = window.rank_weights(len(cosets), int(coset_of[ring.zero]), residues)
+        class_of = weights.take(base + residues).sum(axis=1)
+        least = np.full(window.count(len(cosets)), len(f_arr))
+        np.minimum.at(least, class_of, np.arange(len(f_arr)))
+        met = np.flatnonzero(least < len(f_arr))
+        verdict = np.zeros(len(least), dtype=bool)
+        verdict[met] = _partner_search(module, f_arr[least[met]], partners, layout)
+        found |= verdict[class_of]
+    return found
 
 
 def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: Monoid,
@@ -723,7 +748,9 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     partner. The g in the window with fg = 0 form an R-submodule, since r g
     keeps the support of g. If it is nonzero it holds a simple submodule
     R h = R/m, so m kills every coefficient of h, and m = Ann(c) for a nonzero
-    coefficient c, so m is in Ass(M).
+    coefficient c, so m is in Ass(M). Since p kills the partners over
+    (0 :_M p), f g = f' g there whenever f - f' lies in p[S], so the search
+    runs once per residue class of f modulo p[S] (_socle_partner_search).
 
     The public test sees f only through c(f), so it runs on the least f of
     each content only: its regular verdicts are checked there, and its
@@ -731,8 +758,8 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     a content whose least f lies past the reported f.
 
     Instances: |R[S] window| adjudicated series; the budget charges the full
-    search, |R[S] window| * |M[S] window| pairs, of which the socle partners
-    are a subset.
+    search, |R[S] window| * |M[S] window| pairs, of which the class
+    representatives against the socle partners are a subset.
     """
     statement = "regularity_transfer"
     config = _window_config(statement, ring, module, monoid, window, budget,
@@ -746,8 +773,7 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     layout = _product_layout(monoid, window.exponents)
     f_arr = window.coeff_array(ring.size, ring.zero)
     by_content = _content_annihilates(module, f_arr)
-    by_search = np.array(_partner_search(module, f_arr, _socle_partners(module, window),
-                                         layout), dtype=bool)
+    by_search = _socle_partner_search(module, window, f_arr, layout)
     mismatch = np.flatnonzero(by_content != by_search)
     last = int(mismatch[0]) if mismatch.size else nf
     # contents in the order of their least f, until one lies past the least

@@ -78,10 +78,41 @@ class SupportWindow:
             support = support[parent] + (value != zero_index)
         return np.asfortranarray(rows)
 
+    def rank_weights(self, space_size: int, zero_index: int,
+                     coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lexicographic rank of window tuples as a sum of table entries.
+
+        Returns (weights, base) with weights.take(base + x).sum(axis=-1) the
+        row of x in coeff_array(space_size, zero_index), for every window
+        tuple x with the support of the matching row of coeffs. The rank is
+        a sum over the positions i: the weight at (i, s, v) counts the window
+        tuples that agree with x before i, where it has s nonzero
+        coefficients, and are below v at i. The ranks stay below count,
+        exact where mixed-radix codes space_size^E would overflow.
+        """
+        e = len(self.exponents)
+        cap = e if self.max_support is None else min(self.max_support, e)
+        q, zero = space_size, zero_index
+
+        def fill(length, nonzero):
+            # tuples of this length with at most this many nonzero entries;
+            # none when nonzero < 0
+            return sum(math.comb(length, j) * (q - 1) ** j
+                       for j in range(min(length, nonzero) + 1))
+
+        # the values below v at position i: the zero, if it is below v, leaves
+        # cap - s nonzero entries to the tail, each nonzero value cap - s - 1
+        tails = np.array([(fill(e - 1 - i, cap - s), fill(e - 1 - i, cap - s - 1))
+                          for i in range(e) for s in range(cap + 1)], dtype=np.int64)
+        v = np.arange(q)
+        weights = ((v > zero) * tails[:, :1] + (v - (v > zero)) * tails[:, 1:]).ravel()
+        nonzero = coeffs != zero
+        base = (np.cumsum(nonzero, axis=1) - nonzero + np.arange(0, e * (cap + 1), cap + 1)) * q
+        return weights, base
+
     def series(self, space, monoid: Monoid, coeffs) -> Series:
         terms = [(e, c) for e, c in zip(self.exponents, coeffs) if c != space.zero]
         return make_series(space, monoid, terms)
-
 
 
 @dataclass(frozen=True)
@@ -103,14 +134,10 @@ def _window_orbits(space: FiniteModule, window: SupportWindow) -> _WindowOrbits:
     cap): neither the tuples nor the orbits depend on the exponent values.
 
     A unit keeps each coefficient zero or nonzero, so u·x is a window tuple
-    with the support of x. Its row is its lexicographic rank, a sum over the
-    positions i: the weight at (i, s, v) counts the window tuples that agree
-    with it before i, where it has s nonzero coefficients, and are below v at
-    i. The ranks stay below window.count, exact where mixed-radix codes
-    |space|^E would overflow. Each orbit's least member is the least rank
-    over the units, taken a group of units at a time, with at most 2^16
-    ranks of a group in flight beyond one unit's, so the memory stays linear
-    in the rows.
+    with the support of x, and its row is its rank_weights rank. Each
+    orbit's least member is the least rank over the units, taken a group of
+    units at a time, with at most 2^16 ranks of a group in flight beyond one
+    unit's, so the memory stays linear in the rows.
     """
     e = len(window.exponents)
     cap = e if window.max_support is None else min(window.max_support, e)
@@ -118,23 +145,9 @@ def _window_orbits(space: FiniteModule, window: SupportWindow) -> _WindowOrbits:
     hit = space._cache.get(key)
     if hit is not None:
         return hit
-    q, zero = space.size, space.zero
-    coeffs = window.coeff_array(q, zero)
+    coeffs = window.coeff_array(space.size, space.zero)
     n = len(coeffs)
-
-    def fill(length, nonzero):
-        # tuples of this length with at most this many nonzero entries; none
-        # when nonzero < 0
-        return sum(math.comb(length, j) * (q - 1) ** j for j in range(min(length, nonzero) + 1))
-
-    # the values below v at position i: the zero, if it is below v, leaves
-    # cap - s nonzero entries to the tail, each nonzero value cap - s - 1
-    tails = np.array([(fill(e - 1 - i, cap - s), fill(e - 1 - i, cap - s - 1))
-                      for i in range(e) for s in range(cap + 1)], dtype=np.int64)
-    v = np.arange(q)
-    weights = ((v > zero) * tails[:, :1] + (v - (v > zero)) * tails[:, 1:]).ravel()
-    nonzero = coeffs != zero
-    base = (np.cumsum(nonzero, axis=1) - nonzero + np.arange(0, e * (cap + 1), cap + 1)) * q
+    weights, base = window.rank_weights(space.size, space.zero, coeffs)
     rows = np.arange(n)
     least = rows
     others = units(space.ring)

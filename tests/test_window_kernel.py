@@ -18,7 +18,9 @@ a of f, reads c(f) off a step table of content ids, looks up each distinct
 Dedekind-Mertens instance of a block once, computes one McCoy witness per
 content pair (c(f), c(g)), calls is_zero_divisor_series once per content in
 regularity_transfer, searches partners only among the window tuples over the
-socles (0 :_M p) of the associated primes p. mccoy_equivalence,
+socles (0 :_M p) of the associated primes p, once per residue class of f
+modulo p[S] (the full-window search checks the verdict of every row).
+mccoy_equivalence,
 domain_prime_extension and submodule_transfer multiply one pair per orbit of
 the unit group R^× × R^× and read every clause off it, and the orbits are
 checked against the images u·x of every tuple x.
@@ -63,9 +65,8 @@ from sgmod.series import DMResult, _dm_search
 from sgmod.verify import (
     _block_product,
     _content_annihilates,
-    _partner_search,
     _product_layout,
-    _socle_partners,
+    _socle_partner_search,
 )
 from sgmod.window import _window_orbits
 
@@ -1216,7 +1217,8 @@ def test_window_orbit_ranks_stay_exact_past_int64_codes():
 
 
 # ---------------------------------------------------------------------------
-# regularity_transfer: socle partners against the full window search
+# regularity_transfer: socle partners, once per residue class, against the
+# full window search
 
 REGULARITY_WINDOWS = MCCOY_WINDOWS + [(NAT2, SupportWindow(((1, 0), (0, 1))))]
 
@@ -1233,25 +1235,92 @@ def partner_search_oracle(module, window, f_arr, layout):
     return verdicts
 
 
-@pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
-def test_socle_partner_search_matches_full_window(label, ring, module):
+def _assert_class_search_matches_full_window(ring, module, monoid, window):
+    layout = _product_layout(monoid, window.exponents)
+    f_arr = window.coeff_array(ring.size, ring.zero)
+    expected = partner_search_oracle(module, window, f_arr, layout)
+    assert _socle_partner_search(module, window, f_arr, layout).tolist() == expected
+    report = verify_regularity_transfer(ring, module, monoid, window, budget=10**9)
+    assert report.outcome == "pass"
+    assert report.details["zero_divisors"] == sum(expected)
+    assert report.instances_checked == len(f_arr)
+
+
+# Z/25 adds the residue field F5 to the F2 and F3 of CASES
+Z25 = build_zmod(25)
+REGULARITY_CASES = CASES + [("Z/25", Z25, Z25)]
+
+
+@pytest.mark.parametrize("block_pairs", [1, verify_mod._BLOCK_PAIRS])
+@pytest.mark.parametrize("label,ring,module", REGULARITY_CASES,
+                         ids=[label for label, _, _ in REGULARITY_CASES])
+def test_socle_partner_search_matches_full_window(label, ring, module, block_pairs,
+                                                  monkeypatch):
+    # the verdict of every row, searched once per residue class of f modulo
+    # each p[S], against the search over every nonzero window tuple; blocks
+    # of one pair send every window through the classes, and the default
+    # sends the windows that fit one block through their rows
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    cosets = _spy(monkeypatch, "_cosets")
     windows = [(m, w) for m, w in REGULARITY_WINDOWS
                if w.count(ring.size) * w.count(module.size) <= 20_000_000]
     assert {(m is NAT2, w.max_support is None) for m, w in windows} == {
         (False, False), (False, True), (True, False), (True, True)}
     for monoid, window in windows:
-        layout = _product_layout(monoid, window.exponents)
-        f_arr = window.coeff_array(ring.size, ring.zero)
-        expected = partner_search_oracle(module, window, f_arr, layout)
-        partners = _socle_partners(module, window)
-        rows = [tuple(r) for r in partners.tolist()]
-        assert len(set(rows)) == len(rows) < window.count(module.size)
-        assert all(any(c != module.zero for c in r) for r in rows)
-        assert _partner_search(module, f_arr, partners, layout) == expected
-        report = verify_regularity_transfer(ring, module, monoid, window, budget=10**9)
-        assert report.outcome == "pass"
-        assert report.details["zero_divisors"] == sum(expected)
-        assert report.instances_checked == len(f_arr)
+        _assert_class_search_matches_full_window(ring, module, monoid, window)
+    if block_pairs == 1:  # once per prime in the search and again in the verifier
+        assert len(cosets) == 2 * len(windows) * len(finite_algebra.associated_primes(module))
+
+
+def test_class_search_ranks_stay_exact_past_int64_codes():
+    # mixed-radix codes of 8 coefficients in Z/251 reach 251^8 > 2^63, yet the
+    # window has 2,001 tuples, and as many residue classes modulo (0)
+    z251 = build_zmod(251)
+    window = SupportWindow(tuple((i,) for i in range(8)), max_support=1)
+    assert 251 ** 8 > np.iinfo(np.int64).max
+    _assert_class_search_matches_full_window(z251, z251, NAT, window)
+
+
+@pytest.mark.parametrize("ring,pairs", [
+    (build_zmod(12), 8 * 7 + 27 * 26),
+    (build_truncated_poly_ring(2, 4, 2), 8 * 4095),
+], ids=["Z/12", "F2[a..d]/m^2"])
+def test_regularity_searches_one_row_per_residue_class(ring, pairs, monkeypatch):
+    # {0, 1, 2}: Z/12 has 8 classes modulo (2)[S] against the 7 partners over
+    # {0, 6} and 27 modulo (3)[S] against the 26 over {0, 4, 8}, not 1,728
+    # rows against 33 partners; F2[a..d]/m^2 has 8 classes modulo m[S]
+    # against the 4,095 partners over m, not 32,768 rows
+    calls = _spy(monkeypatch, "_partner_search")
+    report = verify_regularity_transfer(ring, ring, NAT, W012, budget=2 * 10**9)
+    assert report.outcome == "pass"
+    assert sum(len(f_arr) * len(partners) for _, f_arr, partners, _ in calls) == pairs
+
+
+def test_merged_residue_classes_fail_the_oracle_and_the_verifier(monkeypatch):
+    # modulo (3), the classes of 0 and 1 merge, so f = X^2 takes the verdict of
+    # the zero series: it finds a partner, though its content (1) has a zero
+    # annihilator. The oracle walks {0, 1}, whose M-window has 20,736 tuples
+    z12 = build_zmod(12)
+    module = direct_sum(ring_as_module(z12), ring_as_module(z12))
+    window = SupportWindow(((0,), (1,)))
+    layout = _product_layout(NAT, window.exponents)
+    f_arr = window.coeff_array(z12.size, z12.zero)
+    three = ideal_generated(z12, [3]).members
+    real = verify_mod._cosets
+
+    def merged(add_table, members):
+        cosets, coset_of = real(add_table, members)
+        return cosets, np.where(coset_of == 1, 0, coset_of) if members == three else coset_of
+
+    monkeypatch.setattr(verify_mod, "_cosets", merged)
+    assert (_socle_partner_search(module, window, f_arr, layout).tolist()
+            != partner_search_oracle(module, window, f_arr, layout))
+    report = verify_regularity_transfer(z12, module, NAT, W012, budget=10**10)
+    assert report.outcome == "counterexample"
+    assert report.counterexample == {"f": _terms(W012, z12, (0, 0, 1)),
+                                     "content_annihilator": False,
+                                     "window_search": True,
+                                     "zero_divisor_operation": False}
 
 
 # ---------------------------------------------------------------------------
