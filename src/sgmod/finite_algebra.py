@@ -434,10 +434,23 @@ def _distinct(values: np.ndarray, size: int) -> list[int]:
     return np.flatnonzero(hit_mask(values, size)).tolist()
 
 
+# cells of add_table gathered at a time by _cosets
+_COSET_CELLS = 1 << 16
+
+
 def _cosets(add_table: np.ndarray, members: int) -> tuple[list[int], np.ndarray]:
     """The least element of each additive coset of the subgroup with these
-    members, sorted, and the index in that list of every element's coset."""
-    rep = add_table[:, list(bitset.iter_bits(members))].min(axis=1)
+    members, sorted, and the index in that list of every element's coset.
+
+    The least members are a running minimum over column blocks of add_table
+    of at most _COSET_CELLS cells, so the memory stays linear in the
+    elements, not elements x members.
+    """
+    cols = np.fromiter(bitset.iter_bits(members), dtype=np.intp)
+    step = max(1, _COSET_CELLS // len(add_table))
+    rep = add_table[:, cols[:step]].min(axis=1)
+    for start in range(step, len(cols), step):
+        np.minimum(rep, add_table[:, cols[start:start + step]].min(axis=1), out=rep)
     reps = _distinct(rep, len(rep))
     position = np.zeros(len(rep), dtype=INDEX_DTYPE)
     position[reps] = np.arange(len(reps))

@@ -37,6 +37,7 @@ from .errors import (
 from .finite_algebra import (
     FiniteModule,
     FiniteRing,
+    Ideal,
     Submodule,
     _cosets,
     annihilator_in_module,
@@ -701,20 +702,33 @@ def _partner_search(module: FiniteModule, f_arr: np.ndarray, partners: np.ndarra
     return verdicts
 
 
+def _residue_classes(ring: FiniteRing, window: SupportWindow, p: Ideal,
+                     f_arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """The residue class modulo p[S] of each row f of f_arr, and the number
+    of classes in the window.
+
+    A class is the rank of the coset tuple of f in the window over R/p, whose
+    zero is the coset of zero; a residue has at most the support of f, so the
+    ranks stay below the window count over R/p, at most the rows of the
+    window, exact where mixed-radix codes |R/p|^E would overflow.
+    """
+    cosets, coset_of = _cosets(ring.add_table, p.members)
+    residues = coset_of[f_arr]
+    weights, base = window.rank_weights(len(cosets), int(coset_of[ring.zero]), residues)
+    return weights.take(base + residues).sum(axis=1), window.count(len(cosets))
+
+
 def _socle_partner_search(module: FiniteModule, window: SupportWindow, f_arr: np.ndarray,
                           layout) -> np.ndarray:
     """Per row f of f_arr, whether f * g = 0 for some nonzero window tuple g
     over (0 :_M p), for some p in Ass(M).
 
     p kills (0 :_M p), so f * g depends on f only through its residue class
-    modulo p[S]: the search runs once per class, on its least f. A class is
-    the rank of the coset tuple of f in the window over R/p, whose zero is
-    the coset of zero; a residue has at most the support of f, so the ranks
-    stay below the window count over R/p, at most the rows of f_arr. Where
+    modulo p[S] (_residue_classes): the search runs once per class, on its
+    least f, and the class verdict goes to every row of the class. Where
     every row fits in one block against the partners, the classes would save
     no block, so the rows are searched as they are.
     """
-    ring = module.ring
     found = np.zeros(len(f_arr), dtype=bool)
     for p, _ in associated_primes(module):
         socle = np.array(annihilator_in_module(p, module).members_tuple(), dtype=np.intp)
@@ -723,14 +737,11 @@ def _socle_partner_search(module: FiniteModule, window: SupportWindow, f_arr: np
         if len(f_arr) * len(partners) <= _BLOCK_PAIRS:
             found |= _partner_search(module, f_arr, partners, layout)
             continue
-        cosets, coset_of = _cosets(ring.add_table, p.members)
-        residues = coset_of[f_arr]
-        weights, base = window.rank_weights(len(cosets), int(coset_of[ring.zero]), residues)
-        class_of = weights.take(base + residues).sum(axis=1)
-        least = np.full(window.count(len(cosets)), len(f_arr))
+        class_of, count = _residue_classes(module.ring, window, p, f_arr)
+        least = np.full(count, len(f_arr))
         np.minimum.at(least, class_of, np.arange(len(f_arr)))
         met = np.flatnonzero(least < len(f_arr))
-        verdict = np.zeros(len(least), dtype=bool)
+        verdict = np.zeros(count, dtype=bool)
         verdict[met] = _partner_search(module, f_arr[least[met]], partners, layout)
         found |= verdict[class_of]
     return found

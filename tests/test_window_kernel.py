@@ -41,6 +41,7 @@ from sgmod import (
     InvariantViolation,
     SupportWindow,
     annihilator_in_module,
+    bitset,
     build_truncated_poly_ring,
     build_zmod,
     direct_sum,
@@ -66,6 +67,7 @@ from sgmod.verify import (
     _block_product,
     _content_annihilates,
     _product_layout,
+    _residue_classes,
     _socle_partner_search,
 )
 from sgmod.window import _window_orbits
@@ -1272,13 +1274,18 @@ def test_socle_partner_search_matches_full_window(label, ring, module, block_pai
         assert len(cosets) == 2 * len(windows) * len(finite_algebra.associated_primes(module))
 
 
-def test_class_search_ranks_stay_exact_past_int64_codes():
+def test_residue_class_ranks_stay_exact_past_int64_codes():
     # mixed-radix codes of 8 coefficients in Z/251 reach 251^8 > 2^63, yet the
-    # window has 2,001 tuples, and as many residue classes modulo (0)
+    # window has 2,001 tuples; modulo (0) each is its own class, ranked as
+    # its row
     z251 = build_zmod(251)
     window = SupportWindow(tuple((i,) for i in range(8)), max_support=1)
     assert 251 ** 8 > np.iinfo(np.int64).max
-    _assert_class_search_matches_full_window(z251, z251, NAT, window)
+    [(zero_ideal, _)] = finite_algebra.associated_primes(z251)
+    f_arr = window.coeff_array(z251.size, z251.zero)
+    class_of, count = _residue_classes(z251, window, zero_ideal, f_arr)
+    assert count == 2001
+    assert class_of.tolist() == list(range(2001))
 
 
 @pytest.mark.parametrize("ring,pairs", [
@@ -1471,15 +1478,21 @@ def test_one_block_product_per_left_block(monkeypatch):
     assert all(np.array_equal(right, reps) for *_, right, _ in calls)
 
 
-@pytest.mark.parametrize("verifier", [verify_mccoy_equivalence, verify_domain_prime_extension,
-                                      verify_regularity_transfer],
-                         ids=["mccoy_equivalence", "domain_prime_extension",
-                              "regularity_transfer"])
-def test_window_kernel_copies_no_whole_table(verifier):
+@pytest.mark.parametrize("verifier,block_pairs", [
+    (verify_mccoy_equivalence, verify_mod._BLOCK_PAIRS),
+    (verify_domain_prime_extension, verify_mod._BLOCK_PAIRS),
+    (verify_regularity_transfer, verify_mod._BLOCK_PAIRS),
+    (verify_regularity_transfer, 1),
+], ids=["mccoy_equivalence", "domain_prime_extension", "regularity_transfer",
+        "regularity_transfer_classes"])
+def test_window_kernel_copies_no_whole_table(verifier, block_pairs, monkeypatch):
     # Z/1024 and {0, 1} with max_support 1: 2,047 window tuples. One intp
     # copy of a 1024 x 1024 table is 8 MB; the traced peak of a run with warm
     # memos stays below that. regularity_transfer searches two socle
-    # partners, so its terms are gathered without the (2,047, 1,024) rows
+    # partners, so its terms are gathered without the (2,047, 1,024) rows;
+    # in blocks of one pair it searches the 3 classes modulo (2)[S], and
+    # their coset map gathers no (1,024, 512) block either
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
     z1024 = build_zmod(1024)
     window = SupportWindow(((0,), (1,)), max_support=1)
     expected = verifier(z1024, z1024, NAT, window).to_payload()
@@ -1491,3 +1504,20 @@ def test_window_kernel_copies_no_whole_table(verifier):
         tracemalloc.stop()
     assert report.outcome == "pass" and report.to_payload() == expected
     assert peak < 8 * 2**20
+
+
+def test_cosets_gather_no_element_by_member_block():
+    # (2) in Z/1024 has 512 members: an int32 block of add_table over them
+    # is 2 MB, and the least coset members come from blocks of 64 KB cells
+    z1024 = build_zmod(1024)
+    members = ideal_generated(z1024, [2]).members
+    expected = z1024.add_table[:, list(bitset.iter_bits(members))].min(axis=1)
+    tracemalloc.start()
+    try:
+        cosets, coset_of = finite_algebra._cosets(z1024.add_table, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cosets == [0, 1]
+    assert np.array_equal(np.array(cosets)[coset_of], expected)
+    assert peak < 2**19
