@@ -27,7 +27,6 @@ from .finite_algebra import (
     Ideal,
     Submodule,
     SubmoduleClassification,
-    annihilator_ideal_of_element,
     annihilator_in_module,
     associated_primes,
     build_truncated_poly_ring,
@@ -42,7 +41,6 @@ from .finite_algebra import (
     ideal_product,
     is_prime_ideal,
     module_from_tables,
-    prime_avoidance_locate,
     prime_ideals,
     quotient_module,
     quotient_ring,
@@ -59,7 +57,6 @@ from .monoids import (
     free_monoid,
     is_cancellative,
     is_torsion_free,
-    monoid_add,
     monoid_from_table,
     monoid_scale,
     saturating_monoid,
@@ -80,10 +77,7 @@ from .series import (
     make_series,
     mccoy_witness,
     monomial_series,
-    series_add,
     series_multiply,
-    series_neg,
-    zero_series,
 )
 from .zd import (
     PrimalReport,

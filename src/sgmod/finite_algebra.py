@@ -130,10 +130,6 @@ class FiniteRing(FiniteModule):
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
 
-    def as_module(self) -> FiniteRing:
-        """The ring acting on itself by multiplication: the ring itself."""
-        return self
-
     def __repr__(self) -> str:
         return f"FiniteRing({self.label!r}, size={self.size})"
 
@@ -525,29 +521,6 @@ def is_prime_ideal(ideal: Ideal) -> tuple[bool, tuple[int, int] | None]:
     return result
 
 
-def prime_avoidance_locate(ideal: Ideal, primes: list[Ideal]) -> tuple[int | None, int | None]:
-    """Least index of a prime containing the ideal, or (None, witness) if uncovered.
-
-    When the ideal sits inside the union of the primes, containment in a single
-    one is guaranteed; failing to find it would be an implementation bug.
-    """
-    ring = ideal.ring
-    union = 0
-    for p in primes:
-        if p.ring is not ring and not same_ring(p.ring, ring):
-            raise StructureMismatchError("prime list over a different ring")
-        ok, _ = is_prime_ideal(p)
-        if not ok:
-            raise PreconditionError("prime_avoidance_locate requires prime ideals")
-        union |= p.members
-    if bitset.is_subset(ideal.members, union):
-        for i, p in enumerate(primes):
-            if bitset.is_subset(ideal.members, p.members):
-                return i, None
-        raise InvariantViolation("ideal covered by primes but contained in none")
-    return None, bitset.lowest_bit(ideal.members & ~union)
-
-
 # ---------------------------------------------------------------------------
 # module constructors
 
@@ -663,16 +636,14 @@ ideal_product = ideal_action_submodule
 def _subset_mask(subset) -> int:
     if isinstance(subset, Ideal):
         return subset.members
-    if isinstance(subset, int):
-        return subset
     return bitset.mask_of(subset)
 
 
 def annihilator_in_module(subset, module: FiniteModule) -> Submodule:
     """Elements of the module killed by every ring element of the given subset.
 
-    Accepts an Ideal, a bit mask or an iterable of element indices; the result
-    is always a submodule.
+    Accepts an Ideal or an iterable of element indices; the result is always
+    a submodule.
     """
     mask = _subset_mask(subset)
     key = ("annm", mask)
@@ -687,14 +658,6 @@ def annihilator_in_module(subset, module: FiniteModule) -> Submodule:
         out = Submodule(module, bitset.mask_from_bools(killed))
     module._cache[key] = out
     return out
-
-
-def annihilator_ideal_of_element(module: FiniteModule, x: int) -> Ideal:
-    """Ring elements killing the given module element; always an ideal."""
-    if not 0 <= x < module.size:
-        raise PreconditionError(f"element {x} outside {module.label}")
-    col = module.action_table[:, x] == module.zero
-    return Ideal(module.ring, bitset.mask_from_bools(col))
 
 
 def units(ring: FiniteRing) -> np.ndarray:

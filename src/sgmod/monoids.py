@@ -21,7 +21,7 @@ from ._tables import (
     audit_commutative,
     audit_identity,
 )
-from .errors import PreconditionError, StructureMismatchError
+from .errors import PreconditionError
 
 MonoidElement = Union[int, tuple]
 
@@ -85,11 +85,6 @@ class Monoid:
             return [row[t] for t in ts]
         return [tuple(map(operator.add, s, t)) for t in ts]
 
-    def elements(self) -> range:
-        if not self.is_finite:
-            raise PreconditionError("cannot enumerate an affine monoid")
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"Monoid({self.label!r}, {self.kind})"
 
@@ -120,12 +115,6 @@ def saturating_monoid(c: int, label: str | None = None) -> Monoid:
 
 def monoid_from_table(cayley, identity: int, label: str = "S") -> Monoid:
     return Monoid(kind="finite", cayley=cayley, identity=identity, label=label)
-
-
-def monoid_add(monoid: Monoid, s: MonoidElement, t: MonoidElement) -> MonoidElement:
-    if not monoid.contains(s) or not monoid.contains(t):
-        raise StructureMismatchError(f"element outside monoid {monoid.label}")
-    return monoid.add(s, t)
 
 
 def monoid_scale(monoid: Monoid, n: int, e: MonoidElement) -> MonoidElement:

@@ -28,7 +28,6 @@ from .finite_algebra import (
     annihilator_in_module,
     ideal_action_submodule,
     ideal_power,
-    same_module,
     same_ring,
     submodule_generated,
 )
@@ -91,10 +90,6 @@ def make_series(space: FiniteModule, monoid: Monoid, terms) -> Series:
     return Series(space, monoid, cleaned)
 
 
-def zero_series(space: FiniteModule, monoid: Monoid) -> Series:
-    return Series(space, monoid, ())
-
-
 def constant_series(space: FiniteModule, monoid: Monoid, coeff: int) -> Series:
     return make_series(space, monoid, [(monoid.identity_key(), coeff)])
 
@@ -106,17 +101,6 @@ def monomial_series(space: FiniteModule, monoid: Monoid, coeff: int, exponent) -
 def _check_same_context(f: Series, g: Series) -> None:
     if f.monoid is not g.monoid and not same_monoid(f.monoid, g.monoid):
         raise StructureMismatchError("series live over different monoids")
-
-
-def series_add(f: Series, g: Series) -> Series:
-    _check_same_context(f, g)
-    if f.space is not g.space and not same_module(f.space, g.space):
-        raise StructureMismatchError("series live over different coefficient spaces")
-    return make_series(f.space, f.monoid, f.terms + g.terms)
-
-
-def series_neg(f: Series) -> Series:
-    return Series(f.space, f.monoid, tuple((e, f.space.neg(c)) for e, c in f.terms))
 
 
 def series_multiply(f: Series, h: Series) -> Series:

@@ -10,8 +10,7 @@ That pass runs no primality search: it keeps the annihilators of nonzero
 elements that no other one strictly contains. In any commutative ring such a
 maximal Ann(x) is prime (if ab kills x and b does not, Ann(bx) = Ann(x), so a
 kills x), and in a finite ring every prime Ann(x) is maximal, so these are
-exactly the prime annihilators. is_prime_ideal stays public, but no session
-path calls it.
+exactly the prime annihilators; no session path calls is_prime_ideal.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from sgmod import (
     Submodule,
     SubmoduleClassification,
     ZeroModuleError,
-    annihilator_ideal_of_element,
     annihilator_in_module,
     associated_primes,
     build_truncated_poly_ring,
@@ -28,7 +27,6 @@ from sgmod import (
     ideal_product,
     is_prime_ideal,
     module_from_tables,
-    prime_avoidance_locate,
     quotient_module,
     quotient_ring,
     ring_as_module,
@@ -70,7 +68,7 @@ class TestRingConstructors:
         # reference counting frees it (a ring used for closures holds cycles
         # through its _cache, so this says nothing of one)
         ring = build()
-        assert ring.ring is ring.as_module() is ring
+        assert ring.ring is ring
         ref = weakref.ref(ring)
         enabled = gc.isenabled()
         gc.disable()
@@ -252,36 +250,6 @@ class TestIdeals:
         assert ideal_product(a, b).members & ~(a.members & b.members) == 0
 
 
-class TestPrimeAvoidance:
-    def test_direct_containment(self, z6):
-        idx, witness = prime_avoidance_locate(ideal_of(z6, 2),
-                                              [ideal_of(z6, 2), ideal_of(z6, 3)])
-        assert idx == 0 and witness is None
-
-    def test_second_prime(self, z12):
-        idx, _ = prime_avoidance_locate(ideal_of(z12, 3),
-                                        [ideal_of(z12, 2), ideal_of(z12, 3)])
-        assert idx == 1
-
-    def test_not_covered(self, z6):
-        idx, witness = prime_avoidance_locate(ideal_of(z6, 1),
-                                              [ideal_of(z6, 2), ideal_of(z6, 3)])
-        assert idx is None
-        assert witness == 1
-
-    def test_rejects_non_prime(self, z6):
-        with pytest.raises(PreconditionError):
-            prime_avoidance_locate(ideal_of(z6, 2), [ideal_of(z6)])
-
-    def test_cross_check_subset_union(self, z12):
-        primes = [ideal_of(z12, 2), ideal_of(z12, 3)]
-        union = primes[0].members | primes[1].members
-        for ideal in enumerate_ideals(z12):
-            idx, witness = prime_avoidance_locate(ideal, primes)
-            covered = ideal.members & ~union == 0
-            assert (idx is not None) == covered
-
-
 class TestModules:
     def test_ring_as_module_zero_divisors(self, m6):
         assert members(zero_divisor_set(m6)) == (0, 2, 3, 4)
@@ -337,11 +305,6 @@ class TestAnnihilators:
         assert annihilator_in_module(ideal_of(z6), m6).members == m6.full_mask
         assert members(annihilator_in_module(ideal_of(z6, 1), m6).members) == (0,)
 
-    def test_annihilator_of_element(self, m6, m12):
-        assert members(annihilator_ideal_of_element(m6, 2).members) == (0, 3)
-        assert annihilator_ideal_of_element(m6, 0).members == m6.ring.full_mask
-        assert members(annihilator_ideal_of_element(m12, 6).members) == (0, 2, 4, 6, 8, 10)
-
     def test_zero_divisor_sets(self, m5, m4):
         assert members(zero_divisor_set(m5)) == (0,)
         assert members(zero_divisor_set(m4)) == (0, 2)
@@ -356,7 +319,7 @@ class TestAnnihilators:
             union = 0
             for x in module.elements():
                 if x != module.zero:
-                    union |= annihilator_ideal_of_element(module, x).members
+                    union |= mask_from_bools(module.action_table[:, x] == module.zero)
             assert union == zero_divisor_set(module)
 
 

@@ -60,7 +60,7 @@ def _corpus():
 
 
 CORPUS = _corpus()
-RINGS = [module.ring for module in CORPUS if module is module.ring.as_module()]
+RINGS = [module.ring for module in CORPUS if module is module.ring]
 
 
 def _generator_sets(module, rng):
@@ -73,7 +73,7 @@ def _generator_sets(module, rng):
 @pytest.mark.parametrize("module", CORPUS, ids=lambda m: f"{m.label}|{m.size}")
 def test_closure_matches_fixpoint_oracle(module):
     rng = np.random.default_rng(module.size)
-    ring_side = module is module.ring.as_module()
+    ring_side = module is module.ring
     for gens in _generator_sets(module, rng):
         expected = oracle_closure(module, gens)
         assert submodule_generated(module, gens).members == expected
@@ -95,7 +95,7 @@ def test_fresh_lattice_rows_match_fixpoint_oracle(module):
 
 def test_one_instance_per_submodule():
     ring = build_zmod(12)
-    module = ring.as_module()
+    module = ring
     assert submodule_generated(module, [8]) is submodule_generated(module, [4, 8])
     assert ideal_generated(ring, [10, 4]) is ideal_generated(ring, [2])
     lattice = submodule_lattice(module)
@@ -108,7 +108,7 @@ def test_generator_range_checks_keep_their_wording():
     with pytest.raises(PreconditionError, match="generator 6 outside Z/6"):
         ideal_generated(ring, [2, 6, 9])
     with pytest.raises(PreconditionError, match="generator -1 outside Z/6"):
-        submodule_generated(ring.as_module(), [7, -1])
+        submodule_generated(ring, [7, -1])
 
 
 def test_content_folds_through_the_lattice():
@@ -123,7 +123,7 @@ def test_content_folds_through_the_lattice():
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"{r.label}|{r.size}")
 def test_ideals_are_the_submodules_of_the_ring_on_itself(ring):
-    module = ring.as_module()
+    module = ring
     for gens in _generator_sets(module, np.random.default_rng(ring.size)):
         ideal = ideal_generated(ring, gens)
         assert ideal is submodule_generated(module, gens)
@@ -214,7 +214,7 @@ def test_generators_are_greedy_members_joining_to_the_submodule(module):
 
 def test_ideal_reads_and_compares_as_before():
     ring = build_zmod(6)
-    module = ring.as_module()
+    module = ring
     ideal = Ideal(ring, 0b10101)
     assert isinstance(ideal, Submodule) and ideal.module is module and ideal.ring is ring
     assert repr(ideal) == "Ideal('Z/6', [0, 2, 4])"
@@ -227,7 +227,7 @@ def test_ideal_reads_and_compares_as_before():
 
 def test_members_tuple_is_decoded_once():
     ring = build_zmod(6)
-    module = direct_sum(ring.as_module(), ring.as_module())
+    module = direct_sum(ring, ring)
     sub = submodule_generated(module, [3])
     assert sub.members_tuple() == (0, 3)
     assert sub.members_tuple() is sub.members_tuple()
@@ -254,7 +254,7 @@ def test_enumeration_matches_oracle_in_order(label, module, count):
     expected = oracle_enumerate_submodules(module)
     assert len(expected) == count
     assert [sub.members for sub in enumerate_submodules(module)] == expected
-    if module is module.ring.as_module():
+    if module is module.ring:
         assert [ideal.members for ideal in enumerate_ideals(module.ring)] == expected
 
 

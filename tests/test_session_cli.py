@@ -124,17 +124,24 @@ class TestLoadSession:
         assert json.dumps(hooked) == json.dumps(plain)
 
 
+GOLDEN_SESSION = os.path.join(os.path.dirname(DEMO), "golden_session.json")
+
+
 class TestRoundTrip:
-    def test_dump_and_reload_structurally_identical(self):
-        session = load_session(DEMO)
+    # the golden session adds direct_sum, quotient and tables modules to the
+    # demo's kinds, and the series y lives over the direct sum S, not a ring
+    @pytest.mark.parametrize("path,series", [
+        (DEMO, {}),
+        (GOLDEN_SESSION, {"y": {"module": "S", "monoid": "N", "terms": [
+            {"exponent": 0, "coefficient": 27}, {"exponent": 2, "coefficient": 5}]}}),
+    ], ids=["demo", "golden"])
+    def test_dump_and_reload_structurally_identical(self, tmp_path, path, series):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc.setdefault("series", {}).update(series)
+        session = load_session(write_session(tmp_path, doc))
         dumped = dump_session(session)
-        import json as _json
-        import tempfile
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            _json.dump(dumped, fh)
-            path = fh.name
-        reloaded = load_session(path)
-        os.unlink(path)
+        reloaded = load_session(write_session(tmp_path, dumped, "dumped.json"))
         for name, ring in session.rings.items():
             other = reloaded.rings[name]
             assert np.array_equal(ring.add_table, other.add_table)
@@ -144,16 +151,25 @@ class TestRoundTrip:
             other = reloaded.modules[name]
             assert np.array_equal(module.add_table, other.add_table)
             assert np.array_equal(module.action_table, other.action_table)
+            assert module.zero == other.zero
+            assert (module is module.ring) == (other is other.ring)
         for name, sub in session.submodules.items():
             assert sub.members == reloaded.submodules[name].members
-        for name, series in session.series.items():
-            assert series.terms == reloaded.series[name].terms
+        for name, f in session.series.items():
+            assert f.terms == reloaded.series[name].terms
         for name, monoid in session.monoids.items():
             other = reloaded.monoids[name]
             assert monoid.kind == other.kind
-        # R6 acting on itself is R6, and it is reloaded as one object
-        assert dumped["modules"]["M6"] == {"kind": "ring_as_module", "ring": "R6"}
-        assert reloaded.modules["M6"] is reloaded.rings["R6"]
+        if path == DEMO:
+            # R6 acting on itself is R6, and it is reloaded as one object
+            assert dumped["modules"]["M6"] == {"kind": "ring_as_module", "ring": "R6"}
+            assert reloaded.modules["M6"] is reloaded.rings["R6"]
+        else:
+            # direct sums and quotients are written as tables, and a series
+            # over a module that is not a ring names its module
+            assert {dumped["modules"][m]["kind"] for m in ("S", "Q", "V")} == {"tables"}
+            assert dumped["series"]["y"]["module"] == "S"
+            assert reloaded.series["y"].space is reloaded.modules["S"]
 
 
 class TestExecute:
@@ -188,12 +204,17 @@ class TestExecute:
         record = execute(session, {"op": "frobnicate"})
         assert record["status"] == "error"
 
-    def test_counterexample_auto_witness(self):
-        session = load_session(DEMO)
-        record = execute(session, {"op": "counterexample", "kind": "noncancellative",
-                                   "monoid": "Sat2", "module": "M6", "q": 2})
+    @pytest.mark.parametrize("command,expected", [
+        ({"kind": "noncancellative", "monoid": "Sat2", "q": 2}, {"witness": [2, 0, 1]}),
+        # no s and t: the witness comes from is_torsion_free(C2), 2·1 = 2·0
+        ({"kind": "torsion", "monoid": "C2", "q": 1},
+         {"s": 1, "t": 0, "k": 2, "h": [[0, 1], [1, 1]], "g": [[0, 5], [1, 1]]}),
+    ], ids=["noncancellative", "torsion"])
+    def test_counterexample_auto_witness(self, command, expected):
+        record = execute(load_session(DEMO), {"op": "counterexample", "module": "M6",
+                                              **command})
         assert record["status"] == "ok"
-        assert record["payload"]["witness"] == [2, 0, 1]
+        assert {key: record["payload"][key] for key in expected} == expected
 
     def test_verify_budget_skip(self):
         session = load_session(DEMO)
@@ -605,7 +626,7 @@ class TestEmitReport:
     def test_each_distinct_payload_is_encoded_once(self, tmp_path, monkeypatch):
         records = run_session(load_session(_emit_session(tmp_path)), None)
         payload_ids = {id(record["payload"]) for record in records}
-        # the two analyze modules are one object, R6.as_module(), and share a payload
+        # the two analyze modules are one object, the ring R6 itself, and share a payload
         assert len(payload_ids) == 9 < len(records)
         encoded = []
         real_encoder = cli._JSON_LINE
@@ -1073,6 +1094,19 @@ class TestStrictInputs:
         assert f"member {member} outside Z/6" in error["message"]
         assert "'BAD'" in error["message"]
 
+    def test_malformed_command_arguments_exit_two(self, tmp_path):
+        # a window that is not a list reaches the verifier as an int; the
+        # TypeError becomes an error record, not a traceback
+        doc = minimal_doc()
+        doc["commands"] = [{"op": "verify", "statement": "mccoy_equivalence", "ring": "R6",
+                            "module": "M6", "monoid": "N", "window": 5}]
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        assert lines[0]["status"] == "error"
+        error = lines[0]["payload"]["error"]
+        assert error["type"] == "TypeError"
+        assert error["message"].startswith("malformed command arguments")
+
     def test_negative_window_exponent_outside_free_monoid_exit_two(self, tmp_path):
         doc = minimal_doc()
         doc["commands"] = [{"op": "verify", "statement": "mccoy_equivalence", "ring": "R6",
@@ -1125,6 +1159,7 @@ FUZZ_COMMANDS = [
      "q": 1},
     {"op": "counterexample", "kind": "torsion", "monoid": "C2", "module": "M6", "q": 1,
      "s": 1, "t": 0},
+    {"op": "counterexample", "kind": "torsion", "monoid": "C2", "module": "M6", "q": 1},
     {"op": "verify", "statement": "mccoy_equivalence", "ring": "R6", "module": "M6",
      "monoid": "N", "window": [0, 1], "max_support": 2},
     {"op": "verify", "statement": "domain_prime_extension", "ring": "R6", "module": "M6",

@@ -323,23 +323,21 @@ class TestRingAsModule:
 
     @pytest.mark.parametrize("ring", valid_rings(), ids=lambda r: r.label)
     def test_explicit_audit_passes(self, ring):
-        module = ring.as_module()
-        assert module.add_table is ring.add_table
-        assert module.action_table is ring.mul_table
-        fa.validate_module(module)
-        assert assert_module_agrees(module) is None
+        assert ring.action_table is ring.mul_table
+        fa.validate_module(ring)
+        assert assert_module_agrees(ring) is None
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_explicit_audit_passes_relabelled(self, m):
         tables = product_ring_tables(m, seed=m)
         ring = fa.FiniteRing(tables.add_table, tables.mul_table, tables.zero, tables.one)
-        fa.validate_module(ring.as_module())
+        fa.validate_module(ring)
 
     def test_ring_is_its_own_module_and_is_not_audited_as_one(self, monkeypatch):
         calls = []
         monkeypatch.setattr(fa, "validate_module", calls.append)
         ring = build_zmod(12)
-        assert ring_as_module(ring) is ring.as_module() is ring.ring is ring
+        assert ring_as_module(ring) is ring.ring is ring
         assert ring.action_table is ring.mul_table
         assert calls == []
         # a module built on the ring's own tables is a second object, audited
@@ -351,10 +349,9 @@ class TestRingAsModule:
         assert calls == [own, copied, listed]
 
     def test_own_tables_share_the_ring_mirrors(self):
+        # R_R is the ring, so it has the ring's negation table; copied tables
+        # build a negation table of their own, with the same entries
         ring = build_zmod(12)
-        module = ring.as_module()
-        assert module.neg_table is ring.neg_table
-        # copied tables build a negation table of their own, with the same entries
         copied = fa.FiniteModule(ring, ring.add_table.copy(), ring.mul_table.copy(), ring.zero)
         assert copied.neg_table is not ring.neg_table
         assert np.array_equal(copied.neg_table, ring.neg_table)
@@ -400,13 +397,12 @@ class TestTablesOnly:
 
     def test_scalar_accessors_read_the_tables(self):
         ring = build_truncated_poly_ring(2, 2, 3)
-        own = ring.as_module()
-        quotient = quotient_module(own, submodule_generated(own, [2]))
+        quotient = quotient_module(ring, submodule_generated(ring, [2]))
         n = ring.size
         assert np.array_equal(_entries(ring.add, n, n), ring.add_table)
         assert np.array_equal(_entries(ring.mul, n, n), ring.mul_table)
         assert np.array_equal(_entries(ring.neg, n), ring.neg_table)
-        for module in (own, quotient):
+        for module in (ring, quotient):
             m = module.size
             assert np.array_equal(_entries(module.add, m, m), module.add_table)
             assert np.array_equal(_entries(module.act, n, m), module.action_table)
@@ -419,7 +415,7 @@ class TestTablesOnly:
         script = ("import resource\n"
                   "from sgmod import build_truncated_poly_ring\n"
                   "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-                  "build_truncated_poly_ring(2, 3, 3).as_module()\n"
+                  "build_truncated_poly_ring(2, 3, 3)\n"
                   "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
                   "print(after - before)\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(fa.__file__)))

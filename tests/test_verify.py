@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -8,6 +10,7 @@ import sgmod.verify as verify_mod
 from sgmod import (
     HypothesisError,
     PreconditionError,
+    SubmoduleClassification,
     SupportWindow,
     ZeroModuleError,
     build_zmod,
@@ -34,7 +37,7 @@ from sgmod import (
     verify_submodule_transfer,
     verify_zero_divisor_transfer,
 )
-from sgmod.cli import payload_hash
+from sgmod.cli import main, payload_hash
 
 W3 = SupportWindow(((0,), (1,), (2,)))
 W2 = SupportWindow(((0,), (1,)))
@@ -225,6 +228,32 @@ class TestSubmoduleTransfer:
         sub = submodule_generated(m6, [3])
         report = verify_submodule_transfer(m6, sub, nat, W3, budget=1000)
         assert report.outcome == "skipped"
+
+    @pytest.mark.parametrize("prime,clause", [(True, "prime_transfer"),
+                                              (False, "primary_transfer")])
+    def test_planted_classification_is_a_counterexample(self, monkeypatch, tmp_path, m6, nat,
+                                                        prime, clause):
+        # (0) in Z/6 is neither prime nor primary; planted as one, r = 2 and
+        # x = 3 break either clause: 2 * 3 = 0, 3 is outside (0), and
+        # c(2)^n = (2) never kills Z/6
+        planted = SubmoduleClassification(True, prime, True, None, None)
+        monkeypatch.setattr(verify_mod, "classify_submodule", lambda module, sub: planted)
+        report = verify_submodule_transfer(m6, submodule_generated(m6, []), nat,
+                                           SupportWindow(((0,),)))
+        assert report.outcome == "counterexample"
+        expected = {"clause": clause, "r": [[[0], 2]], "x": [[[0], 3]]}
+        if not prime:
+            expected["exponent_bound"] = 6
+        assert report.counterexample == expected
+        doc = {"rings": {"R6": {"kind": "zmod", "n": 6}},
+               "monoids": {"N": {"kind": "free", "dim": 1}},
+               "modules": {"M6": {"kind": "ring_as_module", "ring": "R6"}},
+               "submodules": {"P0": {"module": "M6", "members": [0]}},
+               "commands": [{"op": "verify", "statement": "submodule_transfer",
+                             "submodule": "P0", "monoid": "N", "window": [0]}]}
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)], stream=io.StringIO()) == 1
 
 
 class TestRegularityTransfer:

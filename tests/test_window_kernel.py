@@ -754,7 +754,7 @@ def test_planted_domain_claim_reports_the_least_pair(monkeypatch):
     monkeypatch.setattr(verify_mod, "zero_divisor_set", lambda module: 1 << module.zero)
     report = verify_domain_prime_extension(z6, None, NAT, window)
     layout = _product_layout(NAT, window.exponents)
-    f, g = _least_pair(z6, z6.as_module(), window, layout,
+    f, g = _least_pair(z6, z6, window, layout,
                        lambda f, g, fg: any(f) and any(g) and not any(fg))
     assert report.counterexample == {"clause": "domain_transfer",
                                      "f": _terms(window, z6, f), "g": _terms(window, z6, g)}

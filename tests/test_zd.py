@@ -12,7 +12,6 @@ from sgmod import (
     PrimeDecomposition,
     SupportWindow,
     ZeroModuleError,
-    annihilator_ideal_of_element,
     annihilator_in_module,
     associated_primes,
     build_truncated_poly_ring,
@@ -72,6 +71,11 @@ def oracle_maximal_ideals_within(ring, zmask):
     return sorted(maximal, key=lambda i: i.members_tuple())
 
 
+def ann_mask(module, x):
+    """Ann(x) as a bit mask: the ring elements whose column entry at x is zero."""
+    return bitset.mask_from_bools(module.action_table[:, x] == module.zero)
+
+
 def oracle_associated_primes(module):
     """The primality filter that associated_primes replaced: each distinct
     per-element annihilator with its least nonzero witness, kept iff
@@ -79,7 +83,7 @@ def oracle_associated_primes(module):
     least = {}
     for x in module.elements():
         if x != module.zero:
-            least.setdefault(annihilator_ideal_of_element(module, x).members, x)
+            least.setdefault(ann_mask(module, x), x)
     anns = [(Ideal(module.ring, m), x) for m, x in least.items()]
     return sorted(((p, x) for p, x in anns if is_prime_ideal(p)[0]),
                   key=lambda pw: pw[0].members_tuple())
@@ -103,7 +107,7 @@ def oracle_decomposition(module):
         union |= p.members
     assert union == zmask
     witnesses = [next(m for m in module.elements() if m != module.zero
-                      and annihilator_ideal_of_element(module, m).members == p.members)
+                      and ann_mask(module, m) == p.members)
                  for p in primes]
     return [p.members_tuple() for p in primes], witnesses
 
