@@ -233,6 +233,18 @@ class TestIdeals:
         ok, witness = is_prime_ideal(Ideal(z6, z6.full_mask))
         assert not ok and witness is None
 
+    def test_prime_ideals_of_z12(self, z12):
+        primes = []
+        for ideal in enumerate_ideals(z12):
+            ok, witness = is_prime_ideal(ideal)
+            if ok:
+                primes.append(ideal.members_tuple())
+            elif witness is not None:
+                a, b = witness
+                assert not ideal.contains(a) and not ideal.contains(b)
+                assert ideal.contains(z12.mul(a, b))
+        assert sorted(primes) == [(0, 2, 4, 6, 8, 10), (0, 3, 6, 9)]
+
     def test_generated_idempotent(self, z6, z12, trunc):
         for ring in (z6, z12, trunc):
             for ideal in enumerate_ideals(ring):
@@ -304,6 +316,13 @@ class TestAnnihilators:
         assert members(annihilator_in_module(ideal_of(z6, 2), m6).members) == (0, 3)
         assert annihilator_in_module(ideal_of(z6), m6).members == m6.full_mask
         assert members(annihilator_in_module(ideal_of(z6, 1), m6).members) == (0,)
+
+    def test_annihilator_of_element_indices(self, z12, m6, m12):
+        assert members(annihilator_in_module([2], m6).members) == (0, 3)
+        assert annihilator_in_module([], m6).members == m6.full_mask
+        killed = annihilator_in_module([6], m12)
+        assert members(killed.members) == (0, 2, 4, 6, 8, 10)
+        assert killed.members == annihilator_in_module(ideal_of(z12, 6), m12).members
 
     def test_zero_divisor_sets(self, m5, m4):
         assert members(zero_divisor_set(m5)) == (0,)

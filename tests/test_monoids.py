@@ -96,6 +96,17 @@ class TestAddition:
         n2 = free_monoid(2)
         assert n2.add((1, 0), (0, 1)) == (1, 1)
 
+    def test_table_lookup(self, sat2, c2):
+        assert sat2.add(1, 2) == 2
+        assert c2.add(1, 1) == 0
+        assert sat2.translates(1, [0, 1, 2]) == [sat2.add(1, t) for t in (0, 1, 2)]
+
+    def test_contains_rejects_other_variant(self, sat2, nat):
+        assert not sat2.contains((1,))
+        assert not sat2.contains(True)
+        assert not nat.contains(1)
+        assert not nat.contains((1, 0))
+
     def test_free_monoid_is_n_to_the_d(self):
         n2 = free_monoid(2)
         assert n2.contains((0, 3))

@@ -58,6 +58,10 @@ class TestSeriesBasics:
         s = make_series(z6, nat, [((0,), 2), ((0,), 4)])
         assert s.is_zero
 
+    def test_negated_terms_cancel(self, z6, nat):
+        g = ring_series(z6, nat, 1, 2, 5)
+        assert make_series(z6, nat, list(g.terms) + [(e, z6.neg(c)) for e, c in g.terms]).is_zero
+
     def test_rejects_bad_exponent(self, z6, nat, sat2):
         with pytest.raises(StructureMismatchError):
             make_series(z6, nat, [(5, 1)])
