@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable
 
 import numpy as np
@@ -665,6 +665,108 @@ def units(ring: FiniteRing) -> np.ndarray:
     hit = ring._cache.get("units")
     if hit is None:
         hit = ring._cache["units"] = np.flatnonzero((ring.mul_table == ring.one).any(axis=1))
+    return hit
+
+
+def idempotents(ring: FiniteRing) -> np.ndarray:
+    """The idempotents of the ring, ascending: the diagonal of mul_table
+    where e·e = e."""
+    return np.flatnonzero(np.diagonal(ring.mul_table) == np.arange(ring.size))
+
+
+# ---------------------------------------------------------------------------
+# local factors
+
+
+@dataclass(frozen=True)
+class LocalFactor:
+    """The factor eR of a finite ring at a primitive idempotent e, a local
+    ring with identity e, and eM over it."""
+    idempotent: int
+    ring: FiniteRing
+    module: FiniteModule  # eM over eR; the factor ring itself when M is R
+    members: np.ndarray   # the elements of eR in R, ascending: element k of ring is members[k]
+
+
+def _primitive_idempotents(ring: FiniteRing) -> list[int]:
+    """The minimal nonzero idempotents, ascending. An idempotent e with an
+    idempotent f ≠ 0, e below it (ef = f) splits as f + (e - f); the pieces
+    are split in turn until none has one below it."""
+    if ring.is_zero_ring:
+        return []
+    idem = idempotents(ring)
+    mul = ring.mul_table
+    pending, primitive = [ring.one], []
+    while pending:
+        e = pending.pop()
+        below = idem[(mul[e, idem] == idem) & (idem != ring.zero) & (idem != e)]
+        if below.size:
+            f = int(below[0])
+            pending += [f, int(ring.add_table[e, ring.neg_table[f]])]
+        else:
+            primitive.append(e)
+    return sorted(primitive)
+
+
+def _factor_ring(ring: FiniteRing, e: int, members: np.ndarray) -> FiniteRing:
+    """eR, whose elements in R are members, as a ring with identity e."""
+    index = np.zeros(ring.size, dtype=INDEX_DTYPE)
+    index[members] = np.arange(len(members))
+    return FiniteRing(index.take(submatrix(ring.add_table, members, members)),
+                      index.take(submatrix(ring.mul_table, members, members)),
+                      int(index[ring.zero]), int(index[e]), label=f"{ring.label}[e={e}]")
+
+
+def _factor_module(module: FiniteModule, e: int, ring: FiniteRing,
+                   ring_members: np.ndarray) -> FiniteModule:
+    """eM = {e·x} as a module over the factor ring eR."""
+    members = np.flatnonzero(hit_mask(module.action_table[e], module.size))
+    index = np.zeros(module.size, dtype=INDEX_DTYPE)
+    index[members] = np.arange(len(members))
+    return FiniteModule(ring, index.take(submatrix(module.add_table, members, members)),
+                        index.take(submatrix(module.action_table, ring_members, members)),
+                        int(index[module.zero]), label=f"{module.label}[e={e}]")
+
+
+def local_factors(module: FiniteModule) -> list[LocalFactor]:
+    """The local factors of a finite ring, and of a module over it, memoized
+    per module; a ring is the module over itself.
+
+    A finite ring is Artinian, so R ≅ ∏ eᵢR over its primitive idempotents
+    eᵢ, each eᵢR local, and M ≅ ⊕ eᵢM (Atiyah-Macdonald, Thm 8.7). The split
+    is audited before any factor is built: the eᵢ are pairwise orthogonal
+    idempotents that sum to one, and the sizes |eᵢR| multiply to |R|, so
+    r ↦ (eᵢr) is a bijection. A failed audit raises InvariantViolation. The
+    factors come in increasing eᵢ; the zero ring has none.
+    """
+    hit = module._cache.get("local_factors")
+    if hit is not None:
+        return hit
+    ring = module.ring
+    if module is ring:
+        split = _primitive_idempotents(ring)
+        mul = ring.mul_table
+        # eᵢeⱼ is eᵢ where i = j and zero elsewhere
+        products = submatrix(mul, split, split)
+        if not np.array_equal(products, np.where(np.eye(len(split), dtype=bool),
+                                                 np.array(split)[:, None], ring.zero)):
+            raise InvariantViolation(
+                f"ring '{ring.label}': idempotents {split} are not orthogonal idempotents")
+        if reduce(ring.add, split, ring.zero) != ring.one:
+            raise InvariantViolation(f"ring '{ring.label}': idempotents {split} do not sum to one")
+        members = [np.flatnonzero(hit_mask(mul[e], ring.size)) for e in split]
+        if math.prod(map(len, members)) != ring.size:
+            raise InvariantViolation(f"ring '{ring.label}': factor sizes "
+                                     f"{[len(m) for m in members]} do not multiply to {ring.size}")
+        hit = []
+        for e, elements in zip(split, members):
+            factor = _factor_ring(ring, e, elements)
+            hit.append(LocalFactor(e, factor, factor, elements))
+    else:
+        hit = [LocalFactor(f.idempotent, f.ring,
+                           _factor_module(module, f.idempotent, f.ring, f.members), f.members)
+               for f in local_factors(ring)]
+    module._cache["local_factors"] = hit
     return hit
 
 

@@ -171,7 +171,7 @@ class _Builder:
             return quotient_ring(base, ideal)
         if kind == "tables":
             return FiniteRing(defn["add"], defn["mul"], integer("zero"), integer("one"),
-                              label=name)
+                              label=_label(defn, name, obj))
         raise SessionError(f"unknown ring kind {kind!r}", obj=obj)
 
     def _build_monoid(self, name: str, defn: dict) -> Monoid:
@@ -196,7 +196,7 @@ class _Builder:
         if kind == "table":
             check_order(len(defn["cayley"]))
             identity = _integer(defn["identity"], "identity", obj)
-            return monoid_from_table(defn["cayley"], identity, label=name)
+            return monoid_from_table(defn["cayley"], identity, label=_label(defn, name, obj))
         raise SessionError(f"unknown monoid kind {kind!r}", obj=obj)
 
     def _build_module(self, name: str, defn: dict) -> FiniteModule:
@@ -214,7 +214,8 @@ class _Builder:
         if kind == "tables":
             ring = self._resolve("rings", defn["ring"])
             return module_from_tables(ring, defn["add"], defn["action"],
-                                      _integer(defn["zero"], "zero", obj), label=name)
+                                      _integer(defn["zero"], "zero", obj),
+                                      label=_label(defn, name, obj))
         raise SessionError(f"unknown module kind {kind!r}", obj=obj)
 
     def _build_submodule(self, name: str, defn: dict) -> Submodule:
@@ -271,6 +272,14 @@ def _integer(value, key: str, obj: str | None = None) -> int:
     return value
 
 
+def _label(defn: dict, name: str, obj: str) -> str:
+    """The optional "label" of a tables definition; the session name by default."""
+    label = defn.get("label", name)
+    if not isinstance(label, str):
+        raise SessionError(f"'label' must be a string, got {label!r}", obj=obj)
+    return label
+
+
 def check_budget(budget: int, what: str, obj: str | None = None) -> int:
     """The budget, unless it is negative: a budget bounds work, and 0 runs nothing."""
     if budget < 0:
@@ -322,7 +331,7 @@ def dump_session(session: Session) -> dict:
     for name, monoid in session.monoids.items():
         if monoid.is_finite:
             doc["monoids"][name] = {"kind": "table", "cayley": monoid.cayley.tolist(),
-                                    "identity": monoid.identity}
+                                    "identity": monoid.identity, "label": monoid.label}
         else:
             doc["monoids"][name] = {"kind": "free", "dim": monoid.dim}
     for name, module in session.modules.items():
@@ -339,6 +348,7 @@ def dump_session(session: Session) -> dict:
             "add": module.add_table.tolist(),
             "action": module.action_table.tolist(),
             "zero": module.zero,
+            "label": module.label,
         }
     for name, sub in session.submodules.items():
         doc["submodules"][name] = {
@@ -360,7 +370,7 @@ def dump_session(session: Session) -> dict:
 
 def _ring_tables(ring: FiniteRing) -> dict:
     return {"kind": "tables", "add": ring.add_table.tolist(), "mul": ring.mul_table.tolist(),
-            "zero": ring.zero, "one": ring.one}
+            "zero": ring.zero, "one": ring.one, "label": ring.label}
 
 
 def _name_of(store: dict, obj) -> str | None:

@@ -9,9 +9,11 @@ class modulo each associated prime in the partner search of
 regularity_transfer (_socle_partner_search). Contents c(f) come from
 the persistent submodule lattice (submodule_lattice), and content
 annihilators from the per-element annihilators of the coefficients
-(_content_annihilates). A counterexample on hypothesis-satisfying inputs
-signals an implementation bug (the statements are proven); its payload
-always replays through the public operations.
+(_content_annihilates). mccoy_equivalence walks a wide full window over a
+non-local ring one local factor at a time (_mccoy_equivalence_by_factors).
+A counterexample on hypothesis-satisfying inputs signals an implementation
+bug (the statements are proven); its payload always replays through the
+public operations.
 
 Windows only slice the infinite algebras: the content-annihilator criterion is
 the authoritative zero-divisor membership test, and the window search for an
@@ -46,9 +48,12 @@ from .finite_algebra import (
     ideal_action_submodule,
     ideal_generated,  # noqa: F401  unused; the benchmark's tracer tests assert this binding
     ideal_product,
+    idempotents,
+    local_factors,
     prime_ideals,
     same_ring,
     submodule_lattice,
+    units,
     zero_divisor_set,
 )
 from .monoids import Monoid, is_cancellative, is_torsion_free
@@ -336,8 +341,12 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
     verified single-element annihilator, and the content criterion agrees with
     the window search. On bad monoids, confirms the defeating construction.
 
-    Instances: |R|^E * |M|^E window pairs on the good branch, (|M|-1)^2
-    construction replays on the failure branch.
+    A window too wide for one block of orbit pairs over a non-local ring is
+    checked one local factor at a time (_mccoy_equivalence_by_factors), and
+    walked as a whole only when a factor does not pass.
+
+    Instances: window.count(|R|) * window.count(|M|) window pairs on the good
+    branch, (|M|-1)^2 construction replays on the failure branch.
     """
     statement = "mccoy_equivalence"
     config = _window_config(statement, ring, module, monoid, window, budget,
@@ -352,11 +361,62 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
         predicted = (module.size - 1) ** 2
     if predicted > budget:
         return _skipped(statement, config, predicted, budget)
-    if canc and tf:
-        return _mccoy_equivalence_good(ring, module, monoid, window, config,
-                                       predicted, statement)
-    return _mccoy_equivalence_bad(module, monoid, config, predicted, statement,
-                                  canc, canc_wit, tf_wit)
+    if not (canc and tf):
+        return _mccoy_equivalence_bad(module, monoid, config, predicted, statement,
+                                      canc, canc_wit, tf_wit)
+    # a full window over R is the product of the factor windows, and a walk
+    # that fits one block of orbit pairs gains nothing from the split
+    if (window.max_support is None and len(idempotents(ring)) > 2
+            and predicted > _BLOCK_PAIRS * len(units(ring)) ** 2):
+        report = _mccoy_equivalence_by_factors(module, monoid, window, config, predicted,
+                                               statement)
+        if report is not None:
+            return report
+    return _mccoy_equivalence_good(ring, module, monoid, window, config, predicted, statement)
+
+
+def _mccoy_pass(statement, config, predicted, max_k, zero_product_pairs, replayed,
+                series) -> VerificationReport:
+    details = {
+        "branch": "hypotheses_hold",
+        "pairs": predicted,
+        "max_dm_exponent": max_k,
+        "zero_product_pairs": zero_product_pairs,
+        "mccoy_witnesses_verified": replayed,
+        "content_criterion_series": series,
+    }
+    return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
+
+
+def _mccoy_equivalence_by_factors(module, monoid, window, config, predicted,
+                                  statement) -> VerificationReport | None:
+    """The passing report of the product window from one walk per local
+    factor eR with eM ≠ 0, or None when a factor walk does not pass.
+
+    R[S] ≅ ∏ (eR)[S] and M[S] ≅ ⊕ (eM)[S], and a full window over R is the
+    product of the factor windows F_e, so fg = 0 iff ef·eg = 0 for every e.
+    Contents, their annihilators and the Dedekind-Mertens identity split the
+    same way, so every pair passes iff every factor pair does, and the least
+    exponent of a pair is the largest over its factors (k = 1 where eM = 0).
+    With Z_e the vanishing factor pairs with eg ≠ 0, the vanishing pairs
+    with g ≠ 0 number ∏ (Z_e + |F_e|) − ∏ |F_e|; each has the witness of a
+    factor pair lifted through e, and that witness was replayed in its factor.
+    """
+    series = vanishing = max_k = 1
+    for factor in local_factors(module):
+        count = window.count(factor.ring.size)
+        series *= count
+        if factor.module.is_zero_module:
+            vanishing *= count
+            continue
+        report = _mccoy_equivalence_good(factor.ring, factor.module, monoid, window, config,
+                                         count * window.count(factor.module.size), statement)
+        if report.outcome != OUTCOME_PASS:
+            return None
+        vanishing *= report.details["zero_product_pairs"] + count
+        max_k = max(max_k, report.details["max_dm_exponent"])
+    return _mccoy_pass(statement, config, predicted, max_k, vanishing - series,
+                       vanishing - series, series)
 
 
 def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
@@ -464,15 +524,8 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                 "window_partner_found": bool(killed[last]),
             })
 
-    details = {
-        "branch": "hypotheses_hold",
-        "pairs": predicted,
-        "max_dm_exponent": max_k,
-        "zero_product_pairs": zero_product_pairs,
-        "mccoy_witnesses_verified": replayed,
-        "content_criterion_series": len(fo.coeffs),
-    }
-    return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
+    return _mccoy_pass(statement, config, predicted, max_k, zero_product_pairs, replayed,
+                       len(fo.coeffs))
 
 
 def _mccoy_equivalence_bad(module, monoid, config, predicted, statement, canc, canc_wit,

@@ -171,6 +171,42 @@ class TestRoundTrip:
             assert dumped["series"]["y"]["module"] == "S"
             assert reloaded.series["y"].space is reloaded.modules["S"]
 
+    @pytest.mark.parametrize("path", [DEMO, GOLDEN_SESSION], ids=["demo", "golden"])
+    def test_dump_and_reload_replays_every_payload_hash(self, tmp_path, path):
+        # labels are payload fields ("module": "Z/6", "Z/6/(0,3)"), so a dump
+        # that dropped them would reload under the session keys
+        session = load_session(path)
+        reloaded = load_session(write_session(tmp_path, dump_session(session), "dumped.json"))
+        before = [r["payload_hash"] for r in run_session(session, None)]
+        after = [r["payload_hash"] for r in run_session(reloaded, None)]
+        assert len(before) == len(session.commands) > 0
+        assert after == before
+
+    @pytest.mark.parametrize("section,defn", [
+        ("rings", {"kind": "tables", "add": [[0]], "mul": [[0]], "zero": 0, "one": 0}),
+        ("monoids", {"kind": "table", "cayley": [[0]], "identity": 0}),
+    ])
+    @pytest.mark.parametrize("label", [5, None, ["Z/1"], {"name": "Z/1"}, True])
+    def test_label_must_be_a_string(self, tmp_path, section, defn, label):
+        doc = {section: {"X": {**defn, "label": label}}, "commands": []}
+        with pytest.raises(SessionError, match="'label' must be a string"):
+            load_session(write_session(tmp_path, doc))
+
+    def test_tables_labels_default_to_the_session_key(self, tmp_path):
+        doc = {"rings": {"R": {"kind": "tables", "add": [[0, 1], [1, 0]],
+                               "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1,
+                               "label": "F2"}},
+               "modules": {"M": {"kind": "tables", "ring": "R", "add": [[0, 1], [1, 0]],
+                                 "action": [[0, 0], [0, 1]], "zero": 0},
+                           "L": {"kind": "tables", "ring": "R", "add": [[0, 1], [1, 0]],
+                                 "action": [[0, 0], [0, 1]], "zero": 0, "label": "F2^1"}},
+               "monoids": {"C": {"kind": "table", "cayley": [[0]], "identity": 0}},
+               "commands": []}
+        session = load_session(write_session(tmp_path, doc))
+        assert session.rings["R"].label == "F2"
+        assert (session.modules["M"].label, session.modules["L"].label) == ("M", "F2^1")
+        assert session.monoids["C"].label == "C"
+
 
 class TestExecute:
     def test_analyze_payload(self):

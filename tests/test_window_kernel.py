@@ -914,6 +914,15 @@ def test_non_gaussian_mccoy_chain_matches_per_pair_loop(monkeypatch):
 BLOCK_PAIRS = [1, 2 * 216, 3 * 216 + 1, verify_mod._BLOCK_PAIRS]
 
 
+def _walk_the_whole_ring(monkeypatch):
+    """Keep mccoy_equivalence on the walk of the whole ring. Z/6 and Z/12
+    over {0, 1, 2} are wider than one block of orbit pairs and would be
+    checked one local factor at a time; the plants and spies below are keyed
+    on the ideals and rows of the whole ring, which the factor walks never
+    see."""
+    monkeypatch.setattr(verify_mod, "_mccoy_equivalence_by_factors", lambda *args: None)
+
+
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
 def test_planted_dm_failure_in_a_later_block(block_pairs, monkeypatch):
     # pairs with c(f) = (3), a nonzero g and a vanishing product are declared
@@ -929,6 +938,7 @@ def test_planted_dm_failure_in_a_later_block(block_pairs, monkeypatch):
             return DMResult(None, (), cap)
         return DMResult(1, (), cap)
 
+    _walk_the_whole_ring(monkeypatch)
     monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
     counterexample, _, vanishing, _ = mccoy_oracle(z6, m6, NAT, window, dm_search=planted)
     monkeypatch.setattr(verify_mod, "_dm_search", planted)
@@ -956,6 +966,7 @@ def test_replays_in_chunks_match_per_pair_loop(block_rows, monkeypatch):
     m6 = ring_as_module(z6)
     window = SupportWindow(((0,), (1,), (2,)))
     _, details, vanishing, _ = mccoy_oracle(z6, m6, NAT, window)
+    _walk_the_whole_ring(monkeypatch)
     monkeypatch.setattr(verify_mod, "_BLOCK_ROWS", block_rows)
     replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
     report = verify_mccoy_equivalence(z6, m6, NAT, window)
@@ -979,6 +990,7 @@ def test_planted_content_failure_in_a_later_block(block_pairs, monkeypatch):
     def planted(module, coeffs):
         return np.array([planted_content(f) for f in coeffs.tolist()])
 
+    _walk_the_whole_ring(monkeypatch)
     monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
     monkeypatch.setattr(verify_mod, "_content_annihilates", planted)
     replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
@@ -1132,6 +1144,7 @@ def test_planted_wrong_witness_fails_replay(block_pairs, monkeypatch):
     def planted(cf, cg):
         return 1 if cf.members == two else real(cf, cg)
 
+    _walk_the_whole_ring(monkeypatch)
     monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
     monkeypatch.setattr(verify_mod, "content_mccoy_witness", planted)
     with pytest.raises(InvariantViolation, match="McCoy witness failed replay"):
@@ -1194,14 +1207,19 @@ def test_window_orbits_are_kept_per_exponent_count_and_cap():
     assert _window_orbits(z6, SupportWindow(((0,), (1,)), max_support=1)) is not orbits
 
 
-@pytest.mark.parametrize("ring,window", [
-    (build_zmod(12), SupportWindow(((0,), (1,), (2,)))),
-    (build_truncated_poly_ring(2, 2, 3), SupportWindow(((0,), (1,)))),
-], ids=["Z/12 {0,1,2}", "F2[a,b]/m^3 {0,1}"])
-def test_mccoy_orbit_walk_matches_block_walk(ring, window):
+@pytest.mark.parametrize("ring,window,whole", [
+    (build_zmod(12), SupportWindow(((0,), (1,), (2,))), True),
+    (build_zmod(12), SupportWindow(((0,), (1,), (2,))), False),
+    (build_truncated_poly_ring(2, 2, 3), SupportWindow(((0,), (1,))), True),
+], ids=["Z/12 {0,1,2}", "Z/12 {0,1,2} by local factors", "F2[a,b]/m^3 {0,1}"])
+def test_mccoy_orbit_walk_matches_block_walk(ring, window, whole, monkeypatch):
+    if whole:
+        _walk_the_whole_ring(monkeypatch)
+    walks = _spy(monkeypatch, "_mccoy_equivalence_good")
     module = ring_as_module(ring)
     report = verify_mccoy_equivalence(ring, module, NAT, window, budget=10 ** 9)
     assert report.outcome == "pass"
+    assert [args[0] is ring for args in walks] == ([True] if whole else [False, False])
     assert report.to_payload() == mccoy_block_oracle(ring, module, NAT, window, 10 ** 9)
 
 
