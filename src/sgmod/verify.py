@@ -10,7 +10,8 @@ regularity_transfer (_socle_partner_search). Contents c(f) come from
 the persistent submodule lattice (submodule_lattice), and content
 annihilators from the per-element annihilators of the coefficients
 (_content_annihilates). mccoy_equivalence walks a wide full window over a
-non-local ring one local factor at a time (_mccoy_equivalence_by_factors).
+non-local ring one local factor at a time (_mccoy_equivalence_by_factors),
+and replays its McCoy witnesses once per distinct (f row, witness).
 A counterexample on hypothesis-satisfying inputs signals an implementation
 bug (the statements are proven); its payload always replays through the
 public operations.
@@ -261,56 +262,6 @@ def _replay_mccoy_witnesses(module: FiniteModule, f_rows: np.ndarray,
         raise InvariantViolation("McCoy witness failed replay")
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges [starts[i], starts[i] + lengths[i]), concatenated in order."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
-
-
-def _replay_vanishing_pairs(module, fo: _WindowOrbits, go: _WindowOrbits, f_orbits: np.ndarray,
-                            g_orbits: np.ndarray, witnesses: np.ndarray, cut: tuple) -> int:
-    """Replay the McCoy witness of every vanishing pair (f, g) of the window
-    before the row pair cut, in lexicographic pair order; return their number.
-
-    (f_orbits[k], g_orbits[k]) are the vanishing orbit pairs, ordered, whose
-    least pairs come before the cut, and witnesses[k] is their witness. A
-    pair vanishes iff its orbit pair does, and its witness reads only the two
-    contents. The members of the orbit pairs are expanded for a chunk of f
-    rows at a time, so the work grows with the vanishing pairs, not with all
-    pairs.
-    """
-    cut_f, cut_g = cut
-    n_g = len(go.coeffs)
-    n_orbits = len(fo.reps)
-    # the vanishing orbit pairs of each f orbit, and the g rows they cover
-    pair_count = np.bincount(f_orbits, minlength=n_orbits)
-    pair_end = np.cumsum(pair_count)
-    first_pair = pair_end - pair_count
-    rows_before = np.concatenate(([0], np.cumsum(go.sizes[g_orbits])))
-    row_count = rows_before[pair_end] - rows_before[first_pair]
-    stop = min(cut_f + 1, len(fo.coeffs))
-    # a chunk holds the rows whose running replay count has one quotient by
-    # _BLOCK_ROWS, so it replays fewer than _BLOCK_ROWS pairs beyond its first row
-    chunk = np.divmod(np.cumsum(row_count[fo.orbit[:stop]]), _BLOCK_ROWS)[0]
-    edges = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), stop]
-    replayed = 0
-    for lo, hi in zip(edges, edges[1:]):
-        orbits = fo.orbit[lo:hi]
-        pairs = _ranges(first_pair[orbits], pair_count[orbits])
-        g_of_pair = g_orbits[pairs]
-        spans = go.sizes[g_of_pair]
-        f_rows = np.repeat(np.repeat(np.arange(lo, hi), pair_count[orbits]), spans)
-        codes = f_rows * n_g + go.members[_ranges(go.starts[g_of_pair], spans)]
-        order = codes.argsort()
-        order = order[codes[order] < cut_f * n_g + cut_g]
-        if order.size:
-            _replay_mccoy_witnesses(module, fo.coeffs[f_rows[order]],
-                                    np.repeat(witnesses[pairs], spans)[order])
-            replayed += order.size
-    return replayed
-
-
 def _extended_annihilator_violation(ring: FiniteRing, module: FiniteModule | None,
                                     monoid: Monoid, window: SupportWindow,
                                     f_arr: np.ndarray, ass, clause: str) -> dict | None:
@@ -375,14 +326,15 @@ def verify_mccoy_equivalence(ring: FiniteRing, module: FiniteModule, monoid: Mon
     return _mccoy_equivalence_good(ring, module, monoid, window, config, predicted, statement)
 
 
-def _mccoy_pass(statement, config, predicted, max_k, zero_product_pairs, replayed,
+def _mccoy_pass(statement, config, predicted, max_k, zero_product_pairs,
                 series) -> VerificationReport:
+    # a pass has checked the witness of every vanishing pair
     details = {
         "branch": "hypotheses_hold",
         "pairs": predicted,
         "max_dm_exponent": max_k,
         "zero_product_pairs": zero_product_pairs,
-        "mccoy_witnesses_verified": replayed,
+        "mccoy_witnesses_verified": zero_product_pairs,
         "content_criterion_series": series,
     }
     return VerificationReport(statement, OUTCOME_PASS, predicted, config, details)
@@ -415,8 +367,7 @@ def _mccoy_equivalence_by_factors(module, monoid, window, config, predicted,
             return None
         vanishing *= report.details["zero_product_pairs"] + count
         max_k = max(max_k, report.details["max_dm_exponent"])
-    return _mccoy_pass(statement, config, predicted, max_k, vanishing - series,
-                       vanishing - series, series)
+    return _mccoy_pass(statement, config, predicted, max_k, vanishing - series, series)
 
 
 def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
@@ -429,8 +380,14 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     least member. Each instance is packed over the content ids into one code,
     and the search runs once per distinct instance. Ann_M(c(f)) is constant on
     an orbit too, so each left orbit checks the content criterion against its
-    window partner. The least failing pair is reported (_least_pair), and
-    every vanishing product before it replays the witness of its contents."""
+    window partner. The least failing pair is reported (_least_pair).
+
+    The McCoy witness of a vanishing pair reads only the two contents, and
+    its replay only f and the witness. So a block keeps only the distinct
+    (left orbit, c(g)) keys of its vanishing pairs before the orbit's first
+    Dedekind-Mertens failure, and after the walk every f row up to the
+    reported one is checked once against each witness its orbit needs: the
+    checks of every vanishing pair before the reported pair, each once."""
     layout = _product_layout(monoid, window.exponents)
     mzero = module.zero
     fo = _window_orbits(ring, window)
@@ -456,7 +413,10 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     cf = np.zeros(len(f_reps), dtype=np.intp)
     end = np.full(len(f_reps), n_g)
     killed = np.zeros(len(f_reps), dtype=bool)
-    vanishing = []
+    # per block, the distinct codes left orbit * n_cg + c(g) id of its
+    # vanishing pairs before the cut; the walk adds no c(g) id
+    n_cg = len(subs.objects)
+    keys = []
     zero_product_pairs = 0
     max_k = 0
 
@@ -473,37 +433,40 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
         k_of = np.array([k_min(*key) for key in instances], dtype=np.int64)
         k_block = k_of[inverse].reshape(len(f_block), n_g)
         end[rows] = _first_hits(k_block == 0)
-        vanish = (block == mzero).all(axis=0) & g_nonzero
-        killed[rows] = (vanish & (np.arange(n_g) < end[rows, None])).any(axis=1)
+        vanish = ((block == mzero).all(axis=0) & g_nonzero
+                  & (np.arange(n_g) < end[rows, None]))
+        killed[rows] = vanish.any(axis=1)
         f_orbits, g_orbits = np.nonzero(vanish)
         f_orbits += rows.start
-        vanishing.append((f_orbits, g_orbits))
         zero_product_pairs += int((fo.sizes[f_orbits] * go.sizes[g_orbits]).sum())
+        # return_inverse keeps np.unique off numpy.ma
+        keys.append(np.unique(f_orbits * n_cg + g_cg[g_orbits], return_inverse=True)[0])
         if (end[rows] < n_g).any():
             # every f in a later orbit comes after this failing least member
             break
         max_k = max(max_k, int(k_block.max()))
 
-    # the least pair failing a check, among the orbits walked
+    # the least pair failing a check, among the orbits walked; the replay
+    # ends at its f row and its left orbit
     least = _least_pair(fo, go, ((end < n_g) | (killed != ann_nonzero))[:rows.stop], end)
-    cut = least or (len(fo.coeffs), 0)
+    last = int(fo.orbit[least[0]]) if least else len(f_reps) - 1
+    f_rows = fo.coeffs[:least[0] + 1] if least else fo.coeffs
 
-    # the vanishing orbit pairs whose least pair comes before the cut, and
-    # one witness per content pair (c(f), c(g)) among them
-    f_orbits, g_orbits = (np.concatenate(parts) for parts in zip(*vanishing))
-    f_first, g_first = fo.reps[f_orbits], go.reps[g_orbits]
-    before = (f_first < cut[0]) | ((f_first == cut[0]) & (g_first < cut[1]))
-    f_orbits, g_orbits = f_orbits[before], g_orbits[before]
-    ids = (len(ideals.objects), len(subs.objects))
-    pair_codes = np.ravel_multi_index((cf[f_orbits], g_cg[g_orbits]), ids)
-    witness_codes, witness_of = np.unique(pair_codes, return_inverse=True)
-    cf_ids, cg_ids = np.unravel_index(witness_codes, ids)
+    # one witness per content pair (c(f), c(g)) of those orbits' vanishing
+    # pairs, and each f row checked once against every witness its orbit needs
+    keys = np.concatenate(keys)
+    f_orbits, cg_ids = np.divmod(keys[keys < (last + 1) * n_cg], n_cg)
+    pairs, witness_of = np.unique(cf[f_orbits] * n_cg + cg_ids, return_inverse=True)
     witnesses = np.array([content_mccoy_witness(ideals.objects[i], subs.objects[j])
-                          for i, j in zip(cf_ids.tolist(), cg_ids.tolist())], dtype=np.intp)
-    replayed = _replay_vanishing_pairs(module, fo, go, f_orbits, g_orbits,
-                                       witnesses[witness_of], cut)
+                          for i, j in zip(*(a.tolist() for a in np.divmod(pairs, n_cg)))],
+                         dtype=np.intp)[witness_of]
+    row_orbits = fo.orbit[:len(f_rows)]
+    for m in sorted(set(witnesses.tolist())):
+        needs = np.zeros(len(f_reps), dtype=bool)
+        needs[f_orbits[witnesses == m]] = True
+        replay = f_rows[needs[row_orbits]]
+        _replay_mccoy_witnesses(module, replay, np.full(len(replay), m))
     if least is not None:
-        last = int(fo.orbit[least[0]])
         f_coeffs = f_reps[last].tolist()
         gi = int(end[last])
         if gi < n_g:
@@ -524,8 +487,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
                 "window_partner_found": bool(killed[last]),
             })
 
-    return _mccoy_pass(statement, config, predicted, max_k, zero_product_pairs, replayed,
-                       len(fo.coeffs))
+    return _mccoy_pass(statement, config, predicted, max_k, zero_product_pairs, len(fo.coeffs))
 
 
 def _mccoy_equivalence_bad(module, monoid, config, predicted, statement, canc, canc_wit,

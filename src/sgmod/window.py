@@ -19,6 +19,14 @@ from .monoids import Monoid
 from .series import Series, make_series
 
 
+def _tuple_count(length: int, space_size: int, nonzero: int) -> int:
+    """Tuples of this length over the space with at most this many nonzero
+    entries, none when nonzero < 0: j nonzero entries sit at C(length, j)
+    position sets, with |space| - 1 values each."""
+    return sum(math.comb(length, j) * (space_size - 1) ** j
+               for j in range(min(length, nonzero) + 1))
+
+
 @dataclass(frozen=True)
 class SupportWindow:
     """A finite exponent list; series enumeration assigns every coefficient.
@@ -47,13 +55,16 @@ class SupportWindow:
             if not monoid.contains(e):
                 raise PreconditionError(f"window exponent {e!r} outside {monoid.label}")
 
-    def count(self, space_size: int) -> int:
-        """Number of coefficient assignments (the enumeration cardinality):
-        j nonzero terms can sit at C(E, j) position sets, with |space| - 1
-        values each; summed over every j this is |space|^E."""
+    @property
+    def _support_cap(self) -> int:
+        """The most nonzero coefficients of a window tuple."""
         e = len(self.exponents)
-        cap = e if self.max_support is None else min(self.max_support, e)
-        return sum(math.comb(e, j) * (space_size - 1) ** j for j in range(cap + 1))
+        return e if self.max_support is None else min(self.max_support, e)
+
+    def count(self, space_size: int) -> int:
+        """Number of coefficient assignments (the enumeration cardinality);
+        summed over every number of nonzero terms this is |space|^E."""
+        return _tuple_count(len(self.exponents), space_size, self._support_cap)
 
     def coeff_array(self, space_size: int, zero_index: int) -> np.ndarray:
         """Every supported coefficient tuple as one row, in lexicographic order.
@@ -64,8 +75,7 @@ class SupportWindow:
         The array is column-major, so each column is a contiguous index
         vector for the gathers of the kernels.
         """
-        e = len(self.exponents)
-        cap = e if self.max_support is None else min(self.max_support, e)
+        cap = self._support_cap
         rows = np.zeros((1, 0), dtype=np.intp)
         support = np.zeros(1, dtype=np.intp)
         for _ in self.exponents:
@@ -90,19 +100,12 @@ class SupportWindow:
         coefficients, and are below v at i. The ranks stay below count,
         exact where mixed-radix codes space_size^E would overflow.
         """
-        e = len(self.exponents)
-        cap = e if self.max_support is None else min(self.max_support, e)
+        e, cap = len(self.exponents), self._support_cap
         q, zero = space_size, zero_index
-
-        def fill(length, nonzero):
-            # tuples of this length with at most this many nonzero entries;
-            # none when nonzero < 0
-            return sum(math.comb(length, j) * (q - 1) ** j
-                       for j in range(min(length, nonzero) + 1))
-
         # the values below v at position i: the zero, if it is below v, leaves
         # cap - s nonzero entries to the tail, each nonzero value cap - s - 1
-        tails = np.array([(fill(e - 1 - i, cap - s), fill(e - 1 - i, cap - s - 1))
+        tails = np.array([(_tuple_count(e - 1 - i, q, cap - s),
+                           _tuple_count(e - 1 - i, q, cap - s - 1))
                           for i in range(e) for s in range(cap + 1)], dtype=np.int64)
         v = np.arange(q)
         weights = ((v > zero) * tails[:, :1] + (v - (v > zero)) * tails[:, 1:]).ravel()
@@ -124,8 +127,6 @@ class _WindowOrbits:
     reps: np.ndarray     # the row of each orbit's least member, ascending
     orbit: np.ndarray    # the orbit of every row
     sizes: np.ndarray    # the number of rows of every orbit
-    members: np.ndarray  # the rows grouped by orbit, ascending within each
-    starts: np.ndarray   # where each orbit's rows begin in members
 
 
 def _window_orbits(space: FiniteModule, window: SupportWindow) -> _WindowOrbits:
@@ -139,9 +140,7 @@ def _window_orbits(space: FiniteModule, window: SupportWindow) -> _WindowOrbits:
     units at a time, with at most 2^16 ranks of a group in flight beyond one
     unit's, so the memory stays linear in the rows.
     """
-    e = len(window.exponents)
-    cap = e if window.max_support is None else min(window.max_support, e)
-    key = ("window_orbits", e, cap)
+    key = ("window_orbits", len(window.exponents), window._support_cap)
     hit = space._cache.get(key)
     if hit is not None:
         return hit
@@ -158,9 +157,7 @@ def _window_orbits(space: FiniteModule, window: SupportWindow) -> _WindowOrbits:
         least = np.minimum(least, weights.take(base + images).sum(axis=2).min(axis=0))
     is_rep = least == rows
     orbit = np.cumsum(is_rep)[least] - 1
-    sizes = np.bincount(orbit)
-    hit = space._cache[key] = _WindowOrbits(
-        coeffs, np.flatnonzero(is_rep), orbit, sizes,
-        (orbit * n + rows).argsort(), np.cumsum(sizes) - sizes)
+    hit = space._cache[key] = _WindowOrbits(coeffs, np.flatnonzero(is_rep), orbit,
+                                            np.bincount(orbit))
     return hit
 

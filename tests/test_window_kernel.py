@@ -26,6 +26,7 @@ the unit group R^× × R^× and read every clause off it, and the orbits are
 checked against the images u·x of every tuple x.
 """
 
+import collections
 import functools
 import itertools
 import tracemalloc
@@ -857,10 +858,16 @@ def _dm_instances(calls):
     return [(cf.members, cg.members, cfg.members, cap) for cf, cg, cfg, cap in calls]
 
 
-def _replayed(calls):
-    """The (f, m) pairs replayed through _replay_mccoy_witnesses, in order."""
+def _replays(calls):
+    """Every (f, m) replayed through _replay_mccoy_witnesses, one entry per
+    replay."""
     return [(tuple(f), m) for _, f_rows, ms in calls
             for f, m in zip(f_rows.tolist(), ms.tolist())]
+
+
+def _replayed(calls):
+    """The distinct (f, m) replayed through _replay_mccoy_witnesses."""
+    return set(_replays(calls))
 
 
 @pytest.mark.parametrize("label,ring,module", CASES, ids=CASE_IDS)
@@ -879,9 +886,9 @@ def test_mccoy_matches_per_pair_loop(label, ring, module, monkeypatch):
         assert counterexample is None
         assert report.outcome == "pass"
         assert report.details == details
-        # every vanishing pair replays the witness mccoy_witness gives it;
-        # each instance is searched once
-        assert _replayed(replays) == vanishing
+        # every f kills the witness mccoy_witness gives each of its vanishing
+        # pairs; each instance is searched once
+        assert _replayed(replays) == set(vanishing)
         searched = _dm_instances(searches)
         assert len(searched) == len(set(searched))
         assert set(searched) == instances
@@ -905,7 +912,7 @@ def test_non_gaussian_mccoy_chain_matches_per_pair_loop(monkeypatch):
     assert report.outcome == "pass"
     assert report.details == details
     assert details["max_dm_exponent"] == 2 and details["mccoy_witnesses_verified"] == 1152
-    assert _replayed(replays) == vanishing
+    assert _replayed(replays) == set(vanishing)
     assert ((a, b), ring.mul(a, b)) in vanishing
 
 
@@ -955,24 +962,28 @@ def test_planted_dm_failure_in_a_later_block(block_pairs, monkeypatch):
     # the vanishing pairs before the failing one all replayed their witnesses,
     # and no pair after it
     assert len(vanishing) > 0
-    assert _replayed(replays) == vanishing
+    assert _replayed(replays) == set(vanishing)
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, verify_mod._BLOCK_ROWS])
-def test_replays_in_chunks_match_per_pair_loop(block_rows, monkeypatch):
-    # replays go in chunks of f rows; each chunk keeps the pair order, and the
-    # chunks together replay every vanishing pair once
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+def test_each_f_row_and_witness_replays_once(block_pairs, monkeypatch):
+    # a witness reads only the two contents, and an f row vanishes against
+    # many g with one witness: each (f, m) is checked once, and together the
+    # checks are those of every vanishing pair
     z6 = build_zmod(6)
     m6 = ring_as_module(z6)
     window = SupportWindow(((0,), (1,), (2,)))
     _, details, vanishing, _ = mccoy_oracle(z6, m6, NAT, window)
+    assert len(set(vanishing)) < len(vanishing)
     _walk_the_whole_ring(monkeypatch)
-    monkeypatch.setattr(verify_mod, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
     replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
     report = verify_mccoy_equivalence(z6, m6, NAT, window)
     assert report.details == details
-    assert _replayed(replays) == vanishing
-    assert len(replays) > 1 or block_rows == verify_mod._BLOCK_ROWS
+    assert details["mccoy_witnesses_verified"] == len(vanishing)
+    replayed = _replays(replays)
+    assert len(replayed) == len(set(replayed))
+    assert set(replayed) == set(vanishing)
 
 
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
@@ -1006,7 +1017,49 @@ def test_planted_content_failure_in_a_later_block(block_pairs, monkeypatch):
                                      "annihilator_nonzero": False,
                                      "window_partner_found": True}
     assert len(vanishing) > 0
-    assert _replayed(replays) == vanishing
+    assert _replayed(replays) == set(vanishing)
+
+
+@pytest.mark.parametrize("block_pairs", BLOCK_PAIRS[:2])
+def test_content_failure_is_reported_before_a_later_dm_failure(block_pairs, monkeypatch):
+    # series with content (2) are declared to have a zero annihilator, first
+    # failing at f = 2x^2, the third row and orbit; pairs with c(f) = (3), a
+    # nonzero g and a vanishing product are declared Dedekind-Mertens
+    # failures, first at f = 3x^2, the fourth row and orbit, which the walk
+    # meets in a later block (one or three left orbits per block) and stops at
+    z6 = build_zmod(6)
+    m6 = ring_as_module(z6)
+    window = SupportWindow(((0,), (1,), (2,)))
+    zero_sub = 1 << m6.zero
+    two, three = (ideal_generated(z6, [a]).members for a in (2, 3))
+
+    def planted_content(f):
+        return ideal_generated(z6, f).members != two and content_oracle(z6, m6, f)
+
+    def planted_dm(cf, cg, cfg, cap):
+        if cf.members == three and cfg.members == zero_sub and cg.members != zero_sub:
+            return DMResult(None, (), cap)
+        return DMResult(1, (), cap)
+
+    counterexample, _, vanishing, _ = mccoy_oracle(z6, m6, NAT, window, dm_search=planted_dm,
+                                                   content=planted_content)
+    assert counterexample["clause"] == "content_annihilator"
+    assert counterexample["f"] == _terms(window, z6, (0, 0, 2))
+    _walk_the_whole_ring(monkeypatch)
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(verify_mod, "_content_annihilates", lambda module, coeffs: np.array(
+        [planted_content(f) for f in coeffs.tolist()]))
+    monkeypatch.setattr(verify_mod, "_dm_search", planted_dm)
+    searches = _spy(monkeypatch, "_dm_search")
+    replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
+    report = verify_mccoy_equivalence(z6, m6, NAT, window)
+    assert any(cf.members == three and cfg.members == zero_sub != cg.members
+               for cf, cg, cfg, _ in searches), "the walk never met the planted DM failure"
+    assert report.counterexample == counterexample
+    # the replays stop at the reported row: none reaches the orbit of 3x^2
+    assert len(vanishing) > 0
+    assert _replayed(replays) == set(vanishing)
+    assert all(f <= (0, 0, 2) for f, _ in _replayed(replays))
 
 
 @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
@@ -1176,12 +1229,8 @@ def _assert_orbits_are_unit_images(space, window, unit_list):
     assert orbits.reps.tolist() == reps
     assert orbits.reps[orbits.orbit].tolist() == least
     assert int(orbits.sizes.sum()) == window.count(space.size)
-    rows_of: dict = {}
-    for i, rep in enumerate(least):
-        rows_of.setdefault(rep, []).append(i)
-    for k, rep in enumerate(reps):
-        start, size = int(orbits.starts[k]), int(orbits.sizes[k])
-        assert orbits.members[start:start + size].tolist() == rows_of[rep]
+    sizes = collections.Counter(least)
+    assert orbits.sizes.tolist() == [sizes[rep] for rep in reps]
 
 
 def _units_oracle(ring):
