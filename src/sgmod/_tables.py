@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import AxiomError
@@ -17,15 +19,18 @@ def as_index_table(table, rows: int, cols: int, what: str) -> np.ndarray:
     2^31, as the addition table over that many elements would have 2^62
     cells. An int32 array is returned as it is; anything else is read as
     int64 and range-checked before the cast, so no entry wraps. An entry
-    beyond int64 is out of range like any other.
+    beyond int64 is out of range like any other. A float, boolean or string
+    entry is refused, never coerced: 1.7, true and "1" are not the index 1.
     """
     if isinstance(table, np.ndarray) and table.dtype == INDEX_DTYPE:
         t = table
     else:
+        _require_integers(table, what)
         try:
             t = np.asarray(table, dtype=np.int64)
         except OverflowError:
-            t = _huge_entries(table, what)
+            # an entry beyond int64: the shape and range checks name the first
+            t = np.asarray(table, dtype=object)
         except (TypeError, ValueError) as exc:
             raise AxiomError(f"{what}: malformed table ({exc})")
     if t.shape != (rows, cols):
@@ -36,13 +41,22 @@ def as_index_table(table, rows: int, cols: int, what: str) -> np.ndarray:
     return t.astype(INDEX_DTYPE, copy=False)
 
 
-def _huge_entries(table, what: str) -> np.ndarray:
-    """The table as an object array, for a table with an entry beyond int64:
-    the shape and range checks then name the first offending entry."""
-    t = np.asarray(table, dtype=object)
-    if t.ndim == 2 and not all(isinstance(x, (int, np.integer)) for x in t.flat):
-        raise AxiomError(f"{what}: malformed table (entries must be integers)")
-    return t
+def _require_integers(table, what: str) -> None:
+    """Raise on the first entry of a table of rows that is not an integer;
+    a table that is not a sequence of rows is left to the shape check."""
+    if isinstance(table, np.ndarray):
+        if table.dtype.kind in "iu":
+            return
+        table = table.tolist()
+    try:
+        if set(map(type, chain.from_iterable(table))) <= {int}:
+            return
+    except TypeError:
+        return
+    for i, row in enumerate(table):
+        for j, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise AxiomError(f"{what}: entry at ({i}, {j}) is {x!r}, not an integer")
 
 
 # side of the square tiles audit_commutative compares: a tile and its

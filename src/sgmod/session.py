@@ -2,6 +2,10 @@
 submodules and series, plus a command list. Tables are arrays of arrays of
 indices and series are arrays of {exponent, coefficient} pairs, so fixtures
 stay diff-friendly and trivially parseable.
+
+A session keeps the verify payloads that hold no series, and a window of the
+same sum pattern as a window already verified, with the same statement,
+objects, monoid, support cap and budget, is answered from them (_cmd_verify).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import bitset
-from .errors import AlgebraError, SessionError
+from .errors import AlgebraError, PreconditionError, SessionError
 from .finite_algebra import (
     FiniteModule,
     FiniteRing,
@@ -49,8 +53,11 @@ from .series import (
 )
 from .verify import (
     DEFAULT_BUDGET,
+    OUTCOME_PASS,
+    OUTCOME_SKIPPED,
     SupportWindow,
     _terms_payload,
+    _window_echo,
     verify_domain_prime_extension,
     verify_finite_ring_chain,
     verify_mccoy_equivalence,
@@ -81,6 +88,8 @@ class Session:
     series: dict[str, Series] = field(default_factory=dict)
     commands: list[dict] = field(default_factory=list)
     settings: dict = field(default_factory=dict)
+    # verify payloads that hold no series, by window sum pattern (_cmd_verify)
+    verify_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def budget(self) -> int:
@@ -419,7 +428,7 @@ def check_command(command: dict, obj: str | None = None) -> None:
     statement = command.get("statement")
     if op == "verify" and not (isinstance(statement, str) and statement in STATEMENTS):
         raise SessionError(
-            f"unknown statement {statement!r}; expected one of {tuple(STATEMENTS)}", obj=obj)
+            f"unknown statement {statement!r}; expected one of {STATEMENTS}", obj=obj)
 
 
 def _dispatch(session: Session, command: dict, budget: int) -> dict:
@@ -521,6 +530,8 @@ def _cmd_counterexample(session: Session, command: dict, budget: int) -> dict:
             ok, witness = is_cancellative(monoid)
             if ok:
                 raise SessionError("monoid is cancellative; no witness available")
+        elif not (isinstance(witness, list) and len(witness) == 3):
+            raise SessionError(f"'witness' must list three exponents (s, t, u), got {witness!r}")
         s, t, u = (_exponent_for(monoid, x) for x in witness)
         f, g = build_noncancellative_counterexample(monoid, (s, t, u), module, q)
         return {"kind": kind, "witness": [s, t, u], "q": q,
@@ -542,40 +553,87 @@ def _cmd_counterexample(session: Session, command: dict, budget: int) -> dict:
 
 
 def _cmd_verify(session: Session, command: dict, budget: int) -> dict:
-    return STATEMENTS[command["statement"]](session, command, budget).to_payload()
+    """The payload of a verify command; a window verifier's payload is reused
+    across the windows of one sum pattern.
 
-
-def _monoid_window(session: Session, command: dict) -> tuple[Monoid, SupportWindow]:
+    A window verifier reads the exponents only through the window's sum
+    pattern, apart from the membership check and the series it reports or
+    replays. So a payload that holds no series (_holds_no_series) is kept
+    under the statement, the objects, the monoid, the pattern, max_support
+    and the budget, and a later window with that key, once its exponents are
+    checked to lie in the monoid, gets it with its own exponents echoed. A
+    window outside the monoid is never looked up: its verifier reports it,
+    after the checks it makes first.
+    """
+    statement = command["statement"]
+    if statement == "finite_ring_chain":
+        return verify_finite_ring_chain(_get(session, "rings", command, "ring")).to_payload()
     monoid = _get(session, "monoids", command, "monoid")
-    return monoid, _window_from(command, monoid)
+    window = _window_from(command, monoid)
+    read_objects, run = WINDOW_STATEMENTS[statement]
+    objects = read_objects(session, command)
+    try:
+        window.validate_for(monoid)
+    except PreconditionError:
+        return run(*objects, monoid, window, budget=budget).to_payload()
+    key = (statement, *objects, monoid, window.sum_pattern(monoid), window.max_support, budget)
+    hit = session.verify_memo.get(key)
+    if hit is not None:
+        return dict(hit, config=dict(hit["config"], window=_window_echo(window)))
+    payload = run(*objects, monoid, window, budget=budget).to_payload()
+    if _holds_no_series(payload):
+        session.verify_memo[key] = payload
+    return payload
 
 
-def _ring_module_window(session: Session, command: dict) -> tuple:
-    """The arguments of a verifier on (ring, module, monoid, window); the
-    monoid and window are read first."""
-    monoid, window = _monoid_window(session, command)
-    return (_get(session, "rings", command, "ring"), _get(session, "modules", command, "module"),
-            monoid, window)
+# the details of a passing payload that may hold series: the constructions of
+# mccoy_equivalence on a monoid that is not good, and the expected violations
+# of submodule_transfer
+_SERIES_DETAILS = ("constructions", "expected_prime_violation", "expected_primary_violation")
 
 
-def _verify_domain_prime_extension(session: Session, command: dict, budget: int):
-    monoid, window = _monoid_window(session, command)
+def _holds_no_series(payload: dict) -> bool:
+    """Whether a verify payload is a skip, or a pass with no series in its details."""
+    if payload["outcome"] == OUTCOME_SKIPPED:
+        return True
+    return (payload["outcome"] == OUTCOME_PASS
+            and not any(payload["details"].get(key) for key in _SERIES_DETAILS))
+
+
+def _ring_module(session: Session, command: dict) -> tuple:
+    return _get(session, "rings", command, "ring"), _get(session, "modules", command, "module")
+
+
+def _ring_optional_module(session: Session, command: dict) -> tuple:
+    """The ring and the module, or None where the command names none; the
+    module is read first."""
     module = None
     if command.get("module") is not None:
         module = _get(session, "modules", command, "module")
-    return verify_domain_prime_extension(_get(session, "rings", command, "ring"), module,
-                                         monoid, window, budget=budget)
+    return _get(session, "rings", command, "ring"), module
 
 
-def _verify_submodule_transfer(session: Session, command: dict, budget: int):
-    monoid, window = _monoid_window(session, command)
+def _module_submodule(session: Session, command: dict) -> tuple:
     sub = _get(session, "submodules", command, "submodule")
-    return verify_submodule_transfer(sub.module, sub, monoid, window, budget=budget)
+    return sub.module, sub
 
 
-# op -> handler(session, command, budget), and verify statement -> handler
-# returning a VerificationReport. The handlers look the verifiers up by name
-# when called, so a rebound module attribute is the one that runs.
+# window statement -> (reads from a command the objects its verifier takes
+# before the monoid and window, runs the verifier). The verifiers are looked
+# up by name when called, so a rebound module attribute is the one that runs.
+WINDOW_STATEMENTS = {
+    "mccoy_equivalence": (_ring_module, lambda *a, **k: verify_mccoy_equivalence(*a, **k)),
+    "domain_prime_extension": (_ring_optional_module,
+                               lambda *a, **k: verify_domain_prime_extension(*a, **k)),
+    "submodule_transfer": (_module_submodule,
+                           lambda *a, **k: verify_submodule_transfer(*a, **k)),
+    "regularity_transfer": (_ring_module, lambda *a, **k: verify_regularity_transfer(*a, **k)),
+    "zero_divisor_transfer": (_ring_module,
+                              lambda *a, **k: verify_zero_divisor_transfer(*a, **k)),
+}
+STATEMENTS = (*WINDOW_STATEMENTS, "finite_ring_chain")
+
+# op -> handler(session, command, budget)
 OPS = {
     "analyze": _cmd_analyze,
     "dm": _cmd_dm,
@@ -583,18 +641,6 @@ OPS = {
     "zdtest": _cmd_zdtest,
     "counterexample": _cmd_counterexample,
     "verify": _cmd_verify,
-}
-STATEMENTS = {
-    "mccoy_equivalence": lambda session, command, budget: verify_mccoy_equivalence(
-        *_ring_module_window(session, command), budget=budget),
-    "domain_prime_extension": _verify_domain_prime_extension,
-    "submodule_transfer": _verify_submodule_transfer,
-    "regularity_transfer": lambda session, command, budget: verify_regularity_transfer(
-        *_ring_module_window(session, command), budget=budget),
-    "zero_divisor_transfer": lambda session, command, budget: verify_zero_divisor_transfer(
-        *_ring_module_window(session, command), budget=budget),
-    "finite_ring_chain": lambda session, command, budget: verify_finite_ring_chain(
-        _get(session, "rings", command, "ring")),
 }
 
 

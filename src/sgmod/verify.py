@@ -12,6 +12,11 @@ annihilators from the per-element annihilators of the coefficients
 (_content_annihilates). mccoy_equivalence walks a wide full window over a
 non-local ring one local factor at a time (_mccoy_equivalence_by_factors),
 and replays its McCoy witnesses once per distinct (f row, witness).
+Every window verifier reads the exponents only through the window's sum
+pattern (SupportWindow.sum_pattern), apart from the membership check and the
+series it reports or replays. So windows of one pattern give one payload up
+to the config echo and the exponents of its series, and a session reuses a
+payload that holds no series across them (session._cmd_verify).
 A counterexample on hypothesis-satisfying inputs signals an implementation
 bug (the statements are proven); its payload always replays through the
 public operations.
@@ -107,11 +112,16 @@ class VerificationReport:
         }
 
 
+def _window_echo(window: SupportWindow) -> list:
+    """The window's exponents as its config echo lists them."""
+    return [list(e) if isinstance(e, tuple) else e for e in window.exponents]
+
+
 def _config_echo(window: SupportWindow | None = None, budget: int | None = None,
                  **objects) -> dict:
     cfg = {k: v.label for k, v in objects.items() if v is not None}
     if window is not None:
-        cfg["window"] = [list(e) if isinstance(e, tuple) else e for e in window.exponents]
+        cfg["window"] = _window_echo(window)
         if window.max_support is not None:
             cfg["max_support"] = window.max_support
     if budget is not None:
@@ -153,25 +163,13 @@ def _terms_payload(series: Series) -> list:
     return [[list(e) if isinstance(e, tuple) else e, c] for e, c in series.terms]
 
 
-def _product_layout(monoid: Monoid, exponents: tuple) -> tuple[int, list]:
-    """Size of the deduplicated product support, and the position of each
-    pairwise exponent sum in it."""
-    index: dict = {}
-    e_count = len(exponents)
-    pos = [[0] * e_count for _ in range(e_count)]
-    for i, a in enumerate(exponents):
-        for j, b in enumerate(exponents):
-            pos[i][j] = index.setdefault(monoid.add(a, b), len(index))
-    return len(index), pos
-
-
 def _block_product(left: np.ndarray, table, add_table, right: np.ndarray,
                    layout) -> np.ndarray:
     """Coefficients of f * g for every left tuple f and right-hand tuple g.
 
     left is an (F, E) block of left tuples, table[a] the multiplication (or
     action) row of the coefficient a, add_table the target's addition, right
-    the (N, E) window array and layout the _product_layout of the window.
+    the (N, E) window array and layout the window's sum_pattern.
     Returns an (n_prod, F, N) intp array; [:, a, b] holds left[a] * right[b].
     The tables are the stored int32 ones, and no whole table is copied. On a
     wide right, each gathered (F, |target|) row block is cast to intp once,
@@ -388,7 +386,7 @@ def _mccoy_equivalence_good(ring, module, monoid, window, config, predicted,
     Dedekind-Mertens failure, and after the walk every f row up to the
     reported one is checked once against each witness its orbit needs: the
     checks of every vanishing pair before the reported pair, each once."""
-    layout = _product_layout(monoid, window.exponents)
+    layout = window.sum_pattern(monoid)
     mzero = module.zero
     fo = _window_orbits(ring, window)
     go = _window_orbits(module, window)
@@ -575,7 +573,7 @@ def verify_domain_prime_extension(ring: FiniteRing, module: FiniteModule | None,
     # clause k fails at (f, g) outside masks[k][S] with fg inside it: the
     # domain clause is the zero ideal (0) and outranks the primes, in order.
     # end[k, i] is the first right orbit failing clause k against left orbit i
-    layout = _product_layout(monoid, window.exponents)
+    layout = window.sum_pattern(monoid)
     fo = _window_orbits(ring, window)
     reps = fo.coeffs[fo.reps]
     first_prime = int(is_domain)  # index of primes[0] among the clauses
@@ -642,7 +640,7 @@ def verify_submodule_transfer(module: FiniteModule, sub: Submodule, monoid: Mono
     if predicted > budget:
         return _skipped(statement, config, predicted, budget)
 
-    layout = _product_layout(monoid, window.exponents)
+    layout = window.sum_pattern(monoid)
     in_p = bitset.bools_from_mask(sub.members, module.size)
     full = Submodule(module, module.full_mask)
     contents = submodule_lattice(ring)
@@ -796,7 +794,7 @@ def verify_regularity_transfer(ring: FiniteRing, module: FiniteModule, monoid: M
     if nf * ng > budget:
         return _skipped(statement, config, nf * ng, budget)
 
-    layout = _product_layout(monoid, window.exponents)
+    layout = window.sum_pattern(monoid)
     f_arr = window.coeff_array(ring.size, ring.zero)
     by_content = _content_annihilates(module, f_arr)
     by_search = _socle_partner_search(module, window, f_arr, layout)

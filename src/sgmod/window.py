@@ -1,7 +1,9 @@
 """Exponent windows: the finite slices of R[S] and M[S] that the verifiers walk.
 
 A window fixes the exponents of a series, and its tuples are every
-assignment of coefficients to them, in lexicographic order. The units of the
+assignment of coefficients to them, in lexicographic order. Its sum pattern
+records which pairwise sums of its exponents coincide: it is all a verifier
+reads of the exponents. The units of the
 ring act on the tuples over a space coefficientwise, and _window_orbits groups
 the tuples into the orbits of that action.
 """
@@ -9,7 +11,7 @@ the tuples into the orbits of that action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +41,8 @@ class SupportWindow:
 
     exponents: tuple
     max_support: int | None = None
+    # (monoid, sum pattern) of the last sum_pattern call
+    _pattern: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exps = tuple(tuple(e) if isinstance(e, list) else e for e in self.exponents)
@@ -54,6 +58,26 @@ class SupportWindow:
         for e in self.exponents:
             if not monoid.contains(e):
                 raise PreconditionError(f"window exponent {e!r} outside {monoid.label}")
+
+    def sum_pattern(self, monoid: Monoid) -> tuple[int, tuple]:
+        """The window's sum pattern: (n_prod, pos), where pos[i][j] numbers the
+        sum of exponents i and j in the monoid and n_prod counts the sums.
+
+        Sums are numbered by first appearance in row-major (i, j) order, so
+        two windows have one pattern exactly when their pairwise sums
+        coincide alike, position by position. The verifiers read the
+        exponents through it alone. The pattern of the last monoid is kept,
+        so a caller and the verifier it runs compute it once.
+        """
+        if self._pattern is not None and self._pattern[0] is monoid:
+            return self._pattern[1]
+        index: dict = {}
+        pos = tuple(tuple(index.setdefault(s, len(index))
+                          for s in monoid.translates(a, self.exponents))
+                    for a in self.exponents)
+        pattern = len(index), pos
+        object.__setattr__(self, "_pattern", (monoid, pattern))
+        return pattern
 
     @property
     def _support_cap(self) -> int:

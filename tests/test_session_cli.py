@@ -252,6 +252,16 @@ class TestExecute:
         assert record["status"] == "ok"
         assert {key: record["payload"][key] for key in expected} == expected
 
+    @pytest.mark.parametrize("witness", [[2, 0], [2, 0, 1, 1], 2, "201"])
+    def test_counterexample_witness_of_another_length_names_s_t_u(self, witness):
+        record = execute(load_session(DEMO), {"op": "counterexample", "kind": "noncancellative",
+                                              "monoid": "Sat2", "module": "M6",
+                                              "witness": witness})
+        assert record["status"] == "error"
+        assert record["payload"]["error"] == {
+            "type": "SessionError",
+            "message": f"'witness' must list three exponents (s, t, u), got {witness!r}"}
+
     def test_verify_budget_skip(self):
         session = load_session(DEMO)
         record = execute(session, {"op": "verify", "statement": "mccoy_equivalence",
@@ -878,6 +888,36 @@ class TestStrictInputs:
         assert error["type"] == "SessionError"
         assert "entry at (1, 1) out of range" in error["message"]
         assert f"{section[:-1]} '{name}'" in error["message"]
+
+    @pytest.mark.parametrize("value", [1.7, 1.0, True, "1"], ids=["1.7", "1.0", "true", '"1"'])
+    @pytest.mark.parametrize("section,defn,table,cell", [
+        ("rings", _z5_tables(), "add", (0, 1)),
+        ("rings", _z5_tables(), "mul", (1, 1)),
+        ("modules", {"kind": "tables", "ring": "R6",
+                     "add": [[(x + y) % 6 for y in range(6)] for x in range(6)],
+                     "action": [[(r * x) % 6 for x in range(6)] for r in range(6)],
+                     "zero": 0}, "add", (0, 1)),
+        ("modules", {"kind": "tables", "ring": "R6",
+                     "add": [[(x + y) % 6 for y in range(6)] for x in range(6)],
+                     "action": [[(r * x) % 6 for x in range(6)] for r in range(6)],
+                     "zero": 0}, "action", (1, 1)),
+        ("monoids", {"kind": "table", "cayley": [[0, 1], [1, 0]], "identity": 0},
+         "cayley", (0, 1)),
+    ], ids=["ring-add", "ring-mul", "module-add", "module-action", "monoid"])
+    def test_table_entry_that_is_not_an_integer_exit_two(self, tmp_path, section, defn, table,
+                                                        cell, value):
+        # each cell holds 1, so an entry read as 1 would pass every audit
+        doc = minimal_doc()
+        bad = copy.deepcopy(defn)
+        assert bad[table][cell[0]][cell[1]] == 1
+        bad[table][cell[0]][cell[1]] = value
+        doc[section]["BAD"] = bad
+        code, lines = self.run_cli("run", write_session(tmp_path, doc))
+        assert code == 2
+        error = lines[0]["error"]
+        assert error["type"] == "SessionError"
+        assert f"entry at {cell} is {value!r}, not an integer" in error["message"]
+        assert f"{section[:-1]} 'BAD'" in error["message"]
 
     def test_direct_sum_checks_the_module_cap(self, tmp_path):
         doc = minimal_doc()

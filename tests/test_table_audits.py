@@ -522,6 +522,14 @@ class TestInt32Tables:
             FiniteRing(add, [[0, 0], [0, 1]], 0, 1)
 
 
+    @pytest.mark.parametrize("dtype,entry", [(float, "0.0"), (bool, "False")])
+    def test_float_and_boolean_arrays_are_refused_not_cast(self, dtype, entry):
+        # cast to int, this is the multiplication table of F2
+        mul = np.array([[0, 0], [0, 1]], dtype=dtype)
+        with pytest.raises(AxiomError, match=rf"mul table: entry at \(0, 0\) is {entry}, not"):
+            FiniteRing([[0, 1], [1, 0]], mul, 0, 1)
+
+
 class TestDirectSumCap:
     def test_cap_is_checked_before_the_tables_are_built(self):
         m65 = ring_as_module(build_zmod(65))

@@ -67,7 +67,6 @@ from sgmod.series import DMResult, _dm_search
 from sgmod.verify import (
     _block_product,
     _content_annihilates,
-    _product_layout,
     _residue_classes,
     _socle_partner_search,
 )
@@ -131,7 +130,7 @@ def mccoy_oracle(ring, module, monoid, window, dm_search=_dm_search, content=Non
     """
     if content is None:
         content = lambda f: content_oracle(ring, module, f)  # noqa: E731
-    layout = _product_layout(monoid, window.exponents)
+    layout = window.sum_pattern(monoid)
     act_rows, add_rows = module.action_table.tolist(), module.add_table.tolist()
     # the enumeration has its own oracle above; the full product is too large here
     g_list = window.coeff_array(module.size, module.zero).tolist()
@@ -192,7 +191,7 @@ def mccoy_block_oracle(ring, module, monoid, window, budget):
     config = v._config_echo(window=window, budget=budget, ring=ring, module=module,
                             monoid=monoid)
     predicted = window.count(ring.size) * window.count(module.size)
-    layout = _product_layout(monoid, window.exponents)
+    layout = window.sum_pattern(monoid)
     mzero = module.zero
     f_arr = window.coeff_array(ring.size, ring.zero)
     g_arr = window.coeff_array(module.size, mzero)
@@ -278,7 +277,7 @@ def domain_prime_oracle(ring, module, monoid, window):
     ass = v.associated_primes(module) if module is not None and not module.is_zero_module else []
     clause1 = (nf - 1) ** 2 if is_domain else 1
     predicted = clause1 + len(primes) * nf * nf + len(ass) * nf
-    layout = _product_layout(monoid, window.exponents)
+    layout = window.sum_pattern(monoid)
     rzero = ring.zero
     f_arr = window.coeff_array(ring.size, rzero)
     f_list = f_arr.tolist()
@@ -332,7 +331,7 @@ def submodule_transfer_oracle(module, sub, monoid, window):
                             monoid=monoid)
     config["submodule"] = list(sub.members_tuple())
     classification = v.classify_submodule(module, sub)
-    layout = _product_layout(monoid, window.exponents)
+    layout = window.sum_pattern(monoid)
     in_p = v.bitset.bools_from_mask(sub.members, module.size)
     full = finite_algebra.Submodule(module, module.full_mask)
 
@@ -484,7 +483,7 @@ def test_wide_sparse_window_enumerates_only_supported_tuples():
 def test_block_product_matches_pairwise_loop(label, ring, module):
     act_rows, add_rows = module.action_table.tolist(), module.add_table.tolist()
     for monoid, window in _windows_up_to(module.size, 25_000):
-        layout = _product_layout(monoid, window.exponents)
+        layout = window.sum_pattern(monoid)
         f_arr = window.coeff_array(ring.size, ring.zero)
         g_arr = window.coeff_array(module.size, module.zero)
         g_list = g_arr.tolist()
@@ -515,7 +514,7 @@ def test_block_product_narrow_right_matches_pairwise_loop(label, ring, module):
         n_right = (module.size - 1) // e_count
         if not n_right:
             continue
-        layout = _product_layout(monoid, window.exponents)
+        layout = window.sum_pattern(monoid)
         f_arr = window.coeff_array(ring.size, ring.zero)
         g_arr = window.coeff_array(module.size, module.zero)
         right = g_arr[np.linspace(0, len(g_arr) - 1, n_right).astype(int)]
@@ -533,7 +532,7 @@ def test_block_product_narrow_right_matches_pairwise_loop(label, ring, module):
 def test_block_product_on_ring_tables():
     ring = relabeled_zmod(6, 2)
     window = WINDOWS_N[2]
-    layout = _product_layout(NAT, window.exponents)
+    layout = window.sum_pattern(NAT)
     f_arr = window.coeff_array(ring.size, ring.zero)
     mul_rows, add_rows = ring.mul_table.tolist(), ring.add_table.tolist()
     # the whole window as one left block
@@ -609,7 +608,7 @@ def test_content_lattice_matches_per_row_closure(label, ring, module):
     for _, window in _windows_up_to(module.size, 5000):
         _lattice_rows(subs, window.coeff_array(module.size, module.zero), sub_ids)
     window = WINDOWS_N[0]
-    layout = _product_layout(NAT, window.exponents)
+    layout = window.sum_pattern(NAT)
     f_arr = window.coeff_array(ring.size, ring.zero)
     g_arr = window.coeff_array(module.size, module.zero)
     # left rows from the middle of the window on, about 10k pairs
@@ -643,7 +642,7 @@ def test_content_lattice_ids_depend_only_on_the_input():
     ring = build_truncated_poly_ring(2, 2, 3)
     module = ring_as_module(ring)
     window = WINDOWS_N[0]
-    layout = _product_layout(NAT, window.exponents)
+    layout = window.sum_pattern(NAT)
     f_arr = window.coeff_array(ring.size, ring.zero)
     g_arr = window.coeff_array(module.size, module.zero)
     block = _block_product(f_arr[1000:1003], module.action_table, module.add_table,
@@ -739,7 +738,7 @@ def test_planted_dm_failure_reports_the_least_pair(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "_dm_search", planted)
     report = verify_mccoy_equivalence(z6, m6, NAT, window)
-    layout = _product_layout(NAT, window.exponents)
+    layout = window.sum_pattern(NAT)
     f, g = _least_pair(z6, m6, window, layout,
                        lambda f, g, fg: all(c == 0 for c in fg) and any(g))
     assert report.outcome == "counterexample"
@@ -754,7 +753,7 @@ def test_planted_domain_claim_reports_the_least_pair(monkeypatch):
     window = SupportWindow(((0,), (1,)))
     monkeypatch.setattr(verify_mod, "zero_divisor_set", lambda module: 1 << module.zero)
     report = verify_domain_prime_extension(z6, None, NAT, window)
-    layout = _product_layout(NAT, window.exponents)
+    layout = window.sum_pattern(NAT)
     f, g = _least_pair(z6, z6, window, layout,
                        lambda f, g, fg: any(f) and any(g) and not any(fg))
     assert report.counterexample == {"clause": "domain_transfer",
@@ -767,7 +766,7 @@ def test_submodule_violation_is_the_least_pair():
     sub = submodule_generated(m12, [4])
     window = SupportWindow(((0,), (1,)))
     report = verify_submodule_transfer(m12, sub, NAT, window)
-    layout = _product_layout(NAT, window.exponents)
+    layout = window.sum_pattern(NAT)
 
     def moves_m_out_of_p(f):
         cf = ideal_generated(z12, f)
@@ -951,7 +950,7 @@ def test_planted_dm_failure_in_a_later_block(block_pairs, monkeypatch):
     monkeypatch.setattr(verify_mod, "_dm_search", planted)
     replays = _spy(monkeypatch, "_replay_mccoy_witnesses")
     report = verify_mccoy_equivalence(z6, m6, NAT, window)
-    layout = _product_layout(NAT, window.exponents)
+    layout = window.sum_pattern(NAT)
     f, g = _least_pair(z6, m6, window, layout,
                        lambda f, g, fg: (set(f) - {0} == {3} and not any(fg) and any(g)))
     assert f == (0, 0, 3)
@@ -1305,7 +1304,7 @@ def partner_search_oracle(module, window, f_arr, layout):
 
 
 def _assert_class_search_matches_full_window(ring, module, monoid, window):
-    layout = _product_layout(monoid, window.exponents)
+    layout = window.sum_pattern(monoid)
     f_arr = window.coeff_array(ring.size, ring.zero)
     expected = partner_search_oracle(module, window, f_arr, layout)
     assert _socle_partner_search(module, window, f_arr, layout).tolist() == expected
@@ -1377,7 +1376,7 @@ def test_merged_residue_classes_fail_the_oracle_and_the_verifier(monkeypatch):
     z12 = build_zmod(12)
     module = direct_sum(ring_as_module(z12), ring_as_module(z12))
     window = SupportWindow(((0,), (1,)))
-    layout = _product_layout(NAT, window.exponents)
+    layout = window.sum_pattern(NAT)
     f_arr = window.coeff_array(z12.size, z12.zero)
     three = ideal_generated(z12, [3]).members
     real = verify_mod._cosets
